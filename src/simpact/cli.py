@@ -43,9 +43,14 @@ from .models import (
     cradle_build,
     legtail_build,
 )
-from .resolution import CascadePolicy, elastic_cascade, inelastic_resolve
+from .resolution import (
+    CascadePolicy,
+    elastic_cascade,
+    enumerate_outcomes,
+    inelastic_resolve,
+)
 from .stepper import FrictionConfig, StepperConfig, Trajectory, simulate
-from .uniqueness import indeterminacy_xi, pairwise_xi
+from .uniqueness import PAIRWISE_DEPTH_CAP, indeterminacy_xi, outcome_xi
 
 #: Relative energy gain beyond which the ledger raises a hard error.
 GAIN_RTOL = 1e-9
@@ -370,12 +375,19 @@ def _task_resolve(config, model, out_dir: Path) -> list[Path]:
     if len(normals) == 2:
         xi_max = indeterminacy_xi(metric, p_minus, normals[0], normals[1])
         xi_mean = xi_max
-        xi_mode = "two-contact"
+        notes = ["xi-mode: two-contact"]
     else:
-        xi_max, xi_mean = pairwise_xi(metric, p_minus, normals)
-        xi_mode = "pairwise-extension"  # beyond the two-contact definition
+        # Beyond the two-contact definition; a truncated enumeration is
+        # reported, not hidden.
+        found = enumerate_outcomes(metric, p_minus, normals, PAIRWISE_DEPTH_CAP)
+        xi_max, xi_mean = outcome_xi(metric, p_minus, found.outcomes)
+        notes = [
+            "xi-mode: pairwise-extension",
+            f"xi-truncated: {str(found.truncated).lower()}",
+            f"xi-branches: {found.branches_explored}",
+        ]
 
-    header = _header(config, [f"xi-mode: {xi_mode}"])
+    header = _header(config, notes)
     out_path = out_dir / "outcome.csv"
     columns = (
         [f"p_plus{i + 1}" for i in range(model.dim)]

@@ -4,10 +4,11 @@ Momenta and contact-manifold normals are row covectors attached to a
 fixed configuration. Every inner product and norm in this module uses
 the inverse mass matrix as the bilinear form, so "orthogonal" always
 means orthogonal in the kinetic-energy sense, not the Euclidean one.
-The metric object caches a Cholesky factorization and never forms the
-explicit inverse; projections solve small Gram systems built from
-metric inner products, which keeps the conditioning of the original
-mass matrix.
+The metric object checks positive definiteness once, with a Cholesky
+factorization, and never forms the explicit inverse: each dual is one
+linear solve against the mass matrix, and projections solve small Gram
+systems built from metric inner products, which keeps the conditioning
+of the original mass matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from enum import Enum
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import DegenerateNormalsError, DimensionError, NotPositiveDefiniteError
 
@@ -84,10 +84,10 @@ def _row(a: CovectorLike) -> np.ndarray:
 
 
 class KineticMetric:
-    """Mass matrix at one configuration plus its Cholesky factorization.
+    """Mass matrix at one configuration, checked symmetric positive definite.
 
-    The factorization is sufficient to apply the inverse mass matrix to
-    covectors; the inverse itself is never formed.
+    The inverse mass matrix is applied to covectors by a linear solve;
+    the inverse itself is never formed.
     """
 
     def __init__(self, mass):
@@ -101,13 +101,12 @@ class KineticMetric:
             raise NotPositiveDefiniteError("mass matrix is not symmetric")
         mass = 0.5 * (mass + mass.T)
         try:
-            factor = cho_factor(mass, lower=True, check_finite=False)
-        except LinAlgError as exc:
+            np.linalg.cholesky(mass)
+        except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 f"mass matrix is not positive definite: {exc}"
             ) from exc
         self._mass = mass
-        self._factor = factor
         self._mass.setflags(write=False)
 
     @property
@@ -121,7 +120,7 @@ class KineticMetric:
     def dual(self, a: CovectorLike) -> np.ndarray:
         """Apply the inverse mass matrix to a row covector."""
         row = self._check(a)
-        return cho_solve(self._factor, row, check_finite=False)
+        return np.linalg.solve(self._mass, row)
 
     def apply_mass(self, v: np.ndarray) -> np.ndarray:
         return self._mass @ np.asarray(v, dtype=float)

@@ -10,6 +10,12 @@ discrete momentum is then mapped through the propagative resolution at
 the impact-configuration metric and the remainder of the interval is
 integrated from the mapped momentum.
 
+Every Newton solve uses a Jacobian assembled from model derivatives:
+the mass matrix and potential Hessian for the momentum block, and the
+gap gradients for the constraint rows and multiplier columns. Forward
+differences remain for applied forces, for the impact time, and for
+configuration-dependent masses.
+
 Chattering contacts that impact more often than the Zeno window within
 one nominal step are switched to plastic and then held as active
 constraints (DEL augmented with the gap equation and an impulse
@@ -221,7 +227,24 @@ def discrete_lagrangian(model: MechModel, q_a, t_a: float, q_b, t_b: float) -> f
     return h * model.lagrangian(qm, v)
 
 
-def _momenta_parts(model, q_a, t_a, q_b, t_b):
+def _force(model, forces, qm, v, tm):
+    """Total generalized force at a midpoint state, or None when unforced."""
+    own = model.force(qm, v, tm)
+    if forces is not None:
+        sampled = np.asarray(forces(qm, v, tm), float)
+        return sampled if own is None else np.asarray(own, float) + sampled
+    return None if own is None else np.asarray(own, float)
+
+
+def discrete_momenta(model: MechModel, q_a, t_a: float, q_b, t_b: float, forces=None):
+    """Backward and forward discrete momenta of one interval.
+
+    Unforced, these are the exact partial derivatives of the midpoint
+    discrete Lagrangian with respect to its two endpoint configurations.
+    A generalized force (``model.force`` plus the optional sampler) is
+    evaluated once at the midpoint state and split equally onto the two
+    slots, giving the forced discrete Legendre transforms.
+    """
     h = t_b - t_a
     if h <= 0.0:
         raise ValueError("interval must have positive duration")
@@ -230,75 +253,46 @@ def _momenta_parts(model, q_a, t_a, q_b, t_b):
     qm = 0.5 * (q_a + q_b)
     v = (q_b - q_a) / h
     mv = model.mass_matrix(qm) @ v
-    grad = 0.5 * model.kinetic_config_grad(qm, v) - model.potential_gradient(qm)
-    return mv, grad, h
-
-
-def discrete_momenta(model: MechModel, q_a, t_a: float, q_b, t_b: float):
-    """Backward and forward discrete momenta of one interval.
-
-    These are the exact partial derivatives of the midpoint discrete
-    Lagrangian with respect to its two endpoint configurations.
-    """
-    mv, grad, h = _momenta_parts(model, q_a, t_a, q_b, t_b)
+    grad = -model.potential_gradient(qm)
+    if not model.constant_mass:
+        grad = 0.5 * model.kinetic_config_grad(qm, v) + grad
     half = 0.5 * h * grad
+    force = _force(model, forces, qm, v, 0.5 * (t_a + t_b))
+    if force is not None:
+        half = half + 0.5 * h * force
     return -mv + half, mv + half
-
-
-def _f_minus(model, q_a, t_a, q_b, t_b):
-    mv, grad, h = _momenta_parts(model, q_a, t_a, q_b, t_b)
-    return -mv + 0.5 * h * grad
-
-def _f_plus(model, q_a, t_a, q_b, t_b):
-    mv, grad, h = _momenta_parts(model, q_a, t_a, q_b, t_b)
-    return mv + 0.5 * h * grad
-
-
-def _force_slot(model, forces, q_a, t_a, q_b, t_b):
-    """Midpoint discrete forcing, split equally onto the interval's slots."""
-    h = t_b - t_a
-    qm = 0.5 * (np.asarray(q_a, float) + np.asarray(q_b, float))
-    v = (np.asarray(q_b, float) - np.asarray(q_a, float)) / h
-    tm = 0.5 * (t_a + t_b)
-    total = np.zeros(model.dim)
-    hit = False
-    own = model.force(qm, v, tm)
-    if own is not None:
-        total = total + np.asarray(own, float)
-        hit = True
-    if forces is not None:
-        total = total + np.asarray(forces(qm, v, tm), float)
-        hit = True
-    if not hit:
-        return None
-    return 0.5 * h * total
 
 
 def node_momentum(model: MechModel, q_a, t_a, q_b, t_b, forces=None) -> np.ndarray:
     """Discrete momentum carried into the node at ``t_b``."""
-    p = _f_plus(model, q_a, t_a, q_b, t_b)
-    slot = _force_slot(model, forces, q_a, t_a, q_b, t_b)
-    return p if slot is None else p + slot
+    return discrete_momenta(model, q_a, t_a, q_b, t_b, forces)[1]
 
 
 # ---------------------------------------------------------------------------
 # Newton machinery
 
 
-def _fd_jacobian(fun, x, r0, rel=1e-7):
-    n = x.size
-    jac = np.empty((r0.size, n))
-    for i in range(n):
-        step = rel * max(1.0, abs(x[i]))
+#: Relative step of the forward differences that remain in the Jacobians.
+FD_REL = 1e-7
+
+
+def _fd_jacobian(fun, x, r0, cols=None):
+    """Forward-difference Jacobian columns of ``fun`` at ``x``, given ``r0 = fun(x)``."""
+    cols = range(x.size) if cols is None else cols
+    jac = np.empty((r0.size, len(cols)))
+    for j, i in enumerate(cols):
+        step = FD_REL * max(1.0, abs(x[i]))
         xp = x.copy()
         xp[i] += step
-        jac[:, i] = (fun(xp) - r0) / step
+        jac[:, j] = (fun(xp) - r0) / step
     return jac
 
 
-def _newton(fun, x0, tol, max_iter):
-    """Damped Newton with finite-difference Jacobian.
+def _newton(fun, x0, tol, max_iter, jac=None):
+    """Damped Newton iteration.
 
+    ``jac(x, r, fun)`` returns the Jacobian at ``x`` given the residual
+    ``r = fun(x)``; it defaults to forward differences of ``fun``.
     Raises :class:`StepFailureError` with the last residual norm when it
     cannot reduce the residual below ``tol``.
     """
@@ -308,9 +302,9 @@ def _newton(fun, x0, tol, max_iter):
     for it in range(max_iter):
         if rn <= tol:
             return x
-        jac = _fd_jacobian(fun, x, r)
+        jmat = _fd_jacobian(fun, x, r) if jac is None else jac(x, r, fun)
         try:
-            dx = np.linalg.solve(jac, -r)
+            dx = np.linalg.solve(jmat, -r)
         except np.linalg.LinAlgError as exc:
             raise StepFailureError(
                 f"singular Jacobian in implicit step: {exc}", rn, it
@@ -337,6 +331,34 @@ def _newton(fun, x0, tol, max_iter):
     )
 
 
+def _del_block(model, forces, q_a, t_a, q_b, t_b, fun, x, r):
+    """Derivative of the backward forced momentum with respect to ``q_b``.
+
+    For constant mass it is ``-M/h - (h/4) Hess V(q_mid)``, plus forward
+    differences of the forcing slot when a force acts. A variable mass
+    has no such form: the block is then taken by forward differences of
+    the residual ``fun`` over the first ``dim`` entries of ``x``, reusing
+    ``r = fun(x)``.
+    """
+    n = model.dim
+    if not model.constant_mass:
+        return _fd_jacobian(fun, x, r, range(n))[:n]
+    h = t_b - t_a
+    qm = 0.5 * (q_a + q_b)
+    block = -model.mass_matrix(qm) / h - (0.25 * h) * model.potential_hessian(qm)
+    v = (q_b - q_a) / h
+    tm = 0.5 * (t_a + t_b)
+    f0 = _force(model, forces, qm, v, tm)
+    if f0 is not None:
+        for i in range(n):
+            step = FD_REL * max(1.0, abs(q_b[i]))
+            dq = np.zeros(n)
+            dq[i] = step
+            f1 = _force(model, forces, qm + 0.5 * dq, v + dq / h, tm)
+            block[:, i] += (0.5 * h / step) * (f1 - f0)
+    return block
+
+
 # ---------------------------------------------------------------------------
 # DEL steps
 
@@ -348,12 +370,13 @@ def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg):
     x0 = q_curr + h * v0
 
     def residual(q_next):
-        r = p_in + _f_minus(model, q_curr, t_curr, q_next, t_next)
-        slot = _force_slot(model, forces, q_curr, t_curr, q_next, t_next)
-        return r if slot is None else r + slot
+        return p_in + discrete_momenta(model, q_curr, t_curr, q_next, t_next, forces)[0]
+
+    def jacobian(q_next, r, fun):
+        return _del_block(model, forces, q_curr, t_curr, q_next, t_next, fun, q_next, r)
 
     tol = cfg.newton_tol * max(1.0, float(np.abs(p_in).max()))
-    return _newton(residual, x0, tol, cfg.newton_max_iter)
+    return _newton(residual, x0, tol, cfg.newton_max_iter, jac=jacobian)
 
 
 def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held):
@@ -374,14 +397,20 @@ def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held):
 
     def residual(z):
         q_next, lam = z[:n], z[n:]
-        r = p_in + lam @ grads_curr + _f_minus(model, q_curr, t_curr, q_next, t_next)
-        slot = _force_slot(model, forces, q_curr, t_curr, q_next, t_next)
-        if slot is not None:
-            r = r + slot
+        p_minus, _ = discrete_momenta(model, q_curr, t_curr, q_next, t_next, forces)
+        r = p_in + lam @ grads_curr + p_minus
         gaps = model.gaps(q_next)[held] * gap_scale
         return np.concatenate([r, gaps])
 
-    z = _newton(residual, x0, cfg.newton_tol * p_scale, cfg.newton_max_iter)
+    def jacobian(z, r, fun):
+        q_next = z[:n]
+        jac = np.zeros((z.size, z.size))
+        jac[:n, :n] = _del_block(model, forces, q_curr, t_curr, q_next, t_next, fun, z, r)
+        jac[:n, n:] = grads_curr.T
+        jac[n:, :n] = model.gap_gradients(q_next)[held] * gap_scale
+        return jac
+
+    z = _newton(residual, x0, cfg.newton_tol * p_scale, cfg.newton_max_iter, jac=jacobian)
     return z[:n], dict(zip(held, z[n:]))
 
 
@@ -459,28 +488,36 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
         ]
     )
 
-    def residual(z):
-        q_star, t_star = z[:n], z[n]
-        lam = z[n + 1 :]
-        h1 = t_star - t_curr
-        if h1 <= 0.0:
+    rows = [earliest] + held
+
+    def substep(z):
+        t_star = z[n]
+        if t_star - t_curr <= 0.0:
             # Push the solver back into the interval.
-            h1 = TINY_FRACTION * h_full
-            t_star = t_curr + h1
-        r = p_in + _f_minus(model, q_curr, t_curr, q_star, t_star)
-        slot = _force_slot(model, forces, q_curr, t_curr, q_star, t_star)
-        if slot is not None:
-            r = r + slot
+            t_star = t_curr + TINY_FRACTION * h_full
+        return z[:n], t_star
+
+    def residual(z):
+        q_star, t_star = substep(z)
+        r = p_in + discrete_momenta(model, q_curr, t_curr, q_star, t_star, forces)[0]
         if held:
-            r = r + lam @ grads_curr
-        gaps = model.gaps(q_star)
-        rows = [r, [gaps[earliest] * gap_scale]]
-        if held:
-            rows.append(gaps[held] * gap_scale)
-        return np.concatenate(rows)
+            r = r + z[n + 1 :] @ grads_curr
+        return np.concatenate([r, model.gaps(q_star)[rows] * gap_scale])
+
+    def jacobian(z, r, fun):
+        q_star, t_star = substep(z)
+        jac = np.zeros((z.size, z.size))
+        jac[:n, :n] = _del_block(model, forces, q_curr, t_curr, q_star, t_star, fun, z, r)
+        # Differenced, not assembled: the clamp above makes it piecewise.
+        jac[:, n] = _fd_jacobian(fun, z, r, [n])[:, 0]
+        jac[:n, n + 1 :] = grads_curr.T
+        jac[n:, :n] = model.gap_gradients(q_star)[rows] * gap_scale
+        return jac
 
     try:
-        z = _newton(residual, x0, cfg.newton_tol * p_scale, cfg.newton_max_iter)
+        z = _newton(
+            residual, x0, cfg.newton_tol * p_scale, cfg.newton_max_iter, jac=jacobian
+        )
     except StepFailureError as exc:
         raise ImpactLocationError(f"impact localization failed: {exc}") from exc
     q_star, t_star = z[:n], float(z[n])

@@ -24,6 +24,9 @@ from .resolution import CascadePolicy, elastic_cascade, enumerate_outcomes, refl
 #: design optimization, so the window must be finite.
 CLASSIFY_TOL = 1e-9
 
+#: Default reflection-depth cap of the pairwise outcome enumeration.
+PAIRWISE_DEPTH_CAP = 16
+
 
 @dataclass(frozen=True)
 class PairClassification:
@@ -91,29 +94,32 @@ def indeterminacy_xi(metric: mt.KineticMetric, p_minus, u, v) -> float:
     return mt.norm(metric, first.p_plus - second.p_plus) / p_norm
 
 
+def outcome_xi(metric: mt.KineticMetric, p_minus, outcomes) -> tuple[float, float]:
+    """Max and mean normalized metric distance over every outcome pair."""
+    p_norm = mt.norm(metric, metric._check(p_minus))
+    if p_norm == 0.0 or len(outcomes) < 2:
+        return 0.0, 0.0
+    gaps = [
+        mt.norm(metric, a.p_plus - b.p_plus) / p_norm
+        for i, a in enumerate(outcomes)
+        for b in outcomes[i + 1 :]
+    ]
+    return max(gaps), float(np.mean(gaps))
+
+
 def pairwise_xi(
-    metric: mt.KineticMetric, p_minus, normals, depth_cap: int = 16
+    metric: mt.KineticMetric, p_minus, normals, depth_cap: int = PAIRWISE_DEPTH_CAP
 ) -> tuple[float, float]:
     """Max and mean pairwise outcome distance for three or more normals.
 
     Extension of the two-contact measure: enumerates all minimal
     sequences and reports the normalized metric distances between every
     outcome pair. Callers should flag results from this function as the
-    extension it is.
+    extension it is; callers that must report a truncated enumeration
+    run :func:`enumerate_outcomes` and :func:`outcome_xi` themselves.
     """
-    p_norm = mt.norm(metric, metric._check(p_minus))
-    if p_norm == 0.0:
-        return 0.0, 0.0
     result = enumerate_outcomes(metric, p_minus, normals, depth_cap)
-    outs = result.outcomes
-    if len(outs) < 2:
-        return 0.0, 0.0
-    gaps = [
-        mt.norm(metric, a.p_plus - b.p_plus) / p_norm
-        for i, a in enumerate(outs)
-        for b in outs[i + 1 :]
-    ]
-    return max(gaps), float(np.mean(gaps))
+    return outcome_xi(metric, p_minus, result.outcomes)
 
 
 def verify_commutation(

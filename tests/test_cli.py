@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from simpact.stepper import ImpactEvent, StepperConfig, Trajectory, simulate
 from simpact.models import BallModel
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -150,10 +154,31 @@ class TestResolveTask:
         (outcome,) = run(path, out_dir=tmp_path / "out")
         text = Path(outcome).read_text()
         assert "xi-mode: pairwise-extension" in text
+        assert "# xi-truncated: false\n" in text
+        assert "# xi-branches: " in text
         header, rows = read_rows(outcome)
         row = dict(zip(header, rows[0]))
         # Equal masses: every minimal sequence ends at the same momentum.
         assert float(row["xi"]) < 1e-10 and float(row["xi_mean"]) < 1e-10
+
+    def test_truncated_enumeration_is_reported(self, tmp_path):
+        # A light ball between heavy ones rattles for more reflections
+        # than the enumeration depth allows on every branch.
+        masses = [1.0, 0.01, 1.0, 1.0]
+        config = {
+            "model": {"type": "cradle", "masses": masses, "radii": [0.1] * 4},
+            "initial": {"q": [0.0, 0.2, 0.4, 0.6]},
+            "task": {"kind": "resolve", "p_minus": [1.0, 0.0, 0.0, 0.0]},
+        }
+        path = write_config(tmp_path, config)
+        (outcome,) = run(path, out_dir=tmp_path / "out")
+        comments = [
+            line[2:] for line in Path(outcome).read_text().splitlines()
+            if line.startswith("# ")
+        ]
+        assert "xi-truncated: true" in comments
+        (branches,) = [c for c in comments if c.startswith("xi-branches: ")]
+        assert int(branches.split(": ")[1]) > 1
 
 
 class TestSimulateTask:
@@ -264,3 +289,15 @@ class TestDeterminism:
         second = run(SCENARIOS / scenario, out_dir=tmp_path / "b", seed=7)
         for pa, pb in zip(first, second):
             assert Path(pa).read_bytes() == Path(pb).read_bytes()
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, simpact.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

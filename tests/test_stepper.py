@@ -21,6 +21,7 @@ from simpact.stepper import (
     friction_force,
     impact_step,
     locate_impact,
+    node_momentum,
     simulate,
     zeno_guard,
 )
@@ -249,6 +250,22 @@ class TestDelStep:
         assert abs(back[-2][0] - seq[1][0]) < 1e-8
 
     def test_newton_failure_reports_residual(self):
+        # The sign kink makes the DEL residual jump over zero: no root.
+        class Kink(FreeParticle):
+            def potential_gradient(self, q):
+                return np.array([10.0 * math.copysign(1.0, q[0])])
+
+            def potential(self, q):
+                return 10.0 * abs(q[0])
+
+        with pytest.raises(StepFailureError) as err:
+            del_step(Kink(), [0.55], [0.2], 0.0, 0.1, 0.2,
+                     config=StepperConfig(h=0.1, newton_max_iter=4))
+        assert err.value.residual_norm is not None
+
+    def test_huge_kink_has_floating_point_root(self):
+        # With a 1e30 sign gradient the kinetic terms vanish in rounding
+        # far from the kink, so the DEL residual has an exact zero there.
         class Nasty(FreeParticle):
             def potential_gradient(self, q):
                 return np.array([1e30 * math.copysign(1.0, q[0])])
@@ -256,10 +273,12 @@ class TestDelStep:
             def potential(self, q):
                 return 1e30 * abs(q[0])
 
-        with pytest.raises(StepFailureError) as err:
-            del_step(Nasty(), [0.1], [0.2], 0.0, 0.1, 0.2,
-                     config=StepperConfig(h=0.1, newton_max_iter=4))
-        assert err.value.residual_norm is not None
+        model = Nasty()
+        cfg = StepperConfig(h=0.1, newton_max_iter=4)
+        q = del_step(model, [0.1], [0.2], 0.0, 0.1, 0.2, config=cfg)
+        p_in = node_momentum(model, [0.1], 0.0, [0.2], 0.1)
+        fm, _ = discrete_momenta(model, [0.2], 0.1, q, 0.2)
+        assert abs(p_in[0] + fm[0]) <= cfg.newton_tol * max(1.0, abs(p_in[0]))
 
 
 class TestLocateImpact:
