@@ -509,7 +509,13 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
         jac = np.zeros((z.size, z.size))
         jac[:n, :n] = _del_block(model, forces, q_curr, t_curr, q_star, t_star, fun, z, r)
         # Differenced, not assembled: the clamp above makes it piecewise.
-        jac[:, n] = _fd_jacobian(fun, z, r, [n])[:, 0]
+        # The residual varies on the scale of the substep, through its
+        # 1/h terms, so the step is relative to the substep, not to t;
+        # the floor keeps it well above the rounding of t itself.
+        step = max(FD_REL * (t_star - t_curr), 1e-12 * max(1.0, abs(t_star)))
+        z_step = z.copy()
+        z_step[n] += step
+        jac[:, n] = (fun(z_step) - r) / step
         jac[:n, n + 1 :] = grads_curr.T
         jac[n:, :n] = model.gap_gradients(q_star)[rows] * gap_scale
         return jac
