@@ -105,16 +105,16 @@ class MechModel:
             out[i] = float(v @ (self.mass_matrix(qp) - self.mass_matrix(qm)) @ v) / (2 * step)
         return out
 
-    def potential_hessian(self, q: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    def potential_hessian(self, q: np.ndarray) -> np.ndarray:
         """Hessian of the potential at ``q``.
 
-        The default uses central differences of ``potential_gradient``;
-        models with a linear or zero potential override it with zeros.
+        The default uses central differences of ``potential_gradient``,
+        which are exactly zero for a linear or zero potential.
         """
         q = np.asarray(q, dtype=float)
         out = np.empty((self.dim, self.dim))
         for i in range(self.dim):
-            step = h * max(1.0, abs(q[i]))
+            step = 1e-6 * max(1.0, abs(q[i]))
             qp = q.copy()
             qp[i] += step
             qm = q.copy()
@@ -167,9 +167,6 @@ class CradleModel(MechModel):
     def gap_gradients(self, q):
         return self._grads
 
-    def potential_hessian(self, q):
-        return np.zeros((self.dim, self.dim))
-
     def touching_positions(self, x0: float = 0.0, gap: float = 0.0) -> np.ndarray:
         """Ball centers with every pair separated by ``gap``."""
         q = np.empty(self.dim)
@@ -203,9 +200,6 @@ class BallModel(MechModel):
     def potential_gradient(self, q):
         return np.array([self.m * self.g])
 
-    def potential_hessian(self, q):
-        return np.zeros((self.dim, self.dim))
-
     def gaps(self, q):
         return np.array([float(q[0]) - self.radius])
 
@@ -236,9 +230,6 @@ class BilliardsModel(MechModel):
 
     def mass_matrix(self, q):
         return self._mass
-
-    def potential_hessian(self, q):
-        return np.zeros((self.dim, self.dim))
 
     def _separations(self, q):
         q = np.asarray(q, dtype=float)
@@ -355,9 +346,6 @@ class LegTailModel(MechModel):
 
     def potential_gradient(self, q):
         return np.array([0.0, self.m * self.g, 0.0])
-
-    def potential_hessian(self, q):
-        return np.zeros((self.dim, self.dim))
 
     def _rotated(self, theta):
         c, s = math.cos(theta), math.sin(theta)

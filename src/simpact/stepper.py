@@ -253,9 +253,7 @@ def discrete_momenta(model: MechModel, q_a, t_a: float, q_b, t_b: float, forces=
     qm = 0.5 * (q_a + q_b)
     v = (q_b - q_a) / h
     mv = model.mass_matrix(qm) @ v
-    grad = -model.potential_gradient(qm)
-    if not model.constant_mass:
-        grad = 0.5 * model.kinetic_config_grad(qm, v) + grad
+    grad = 0.5 * model.kinetic_config_grad(qm, v) - model.potential_gradient(qm)
     half = 0.5 * h * grad
     force = _force(model, forces, qm, v, 0.5 * (t_a + t_b))
     if force is not None:
@@ -276,9 +274,8 @@ def node_momentum(model: MechModel, q_a, t_a, q_b, t_b, forces=None) -> np.ndarr
 FD_REL = 1e-7
 
 
-def _fd_jacobian(fun, x, r0, cols=None):
-    """Forward-difference Jacobian columns of ``fun`` at ``x``, given ``r0 = fun(x)``."""
-    cols = range(x.size) if cols is None else cols
+def _fd_jacobian(fun, x, r0, cols):
+    """Forward-difference Jacobian columns ``cols`` of ``fun`` at ``x``, given ``r0 = fun(x)``."""
     jac = np.empty((r0.size, len(cols)))
     for j, i in enumerate(cols):
         step = FD_REL * max(1.0, abs(x[i]))
@@ -288,11 +285,11 @@ def _fd_jacobian(fun, x, r0, cols=None):
     return jac
 
 
-def _newton(fun, x0, tol, max_iter, jac=None):
+def _newton(fun, x0, tol, max_iter, jac):
     """Damped Newton iteration.
 
     ``jac(x, r, fun)`` returns the Jacobian at ``x`` given the residual
-    ``r = fun(x)``; it defaults to forward differences of ``fun``.
+    ``r = fun(x)``.
     Raises :class:`StepFailureError` with the last residual norm when it
     cannot reduce the residual below ``tol``.
     """
@@ -302,7 +299,7 @@ def _newton(fun, x0, tol, max_iter, jac=None):
     for it in range(max_iter):
         if rn <= tol:
             return x
-        jmat = _fd_jacobian(fun, x, r) if jac is None else jac(x, r, fun)
+        jmat = jac(x, r, fun)
         try:
             dx = np.linalg.solve(jmat, -r)
         except np.linalg.LinAlgError as exc:
@@ -511,11 +508,13 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
         # Differenced, not assembled: the clamp above makes it piecewise.
         # The residual varies on the scale of the substep, through its
         # 1/h terms, so the step is relative to the substep, not to t;
-        # the floor keeps it well above the rounding of t itself.
+        # the floor keeps it well above the rounding of t itself. It
+        # starts from the clamped time, so the column of an iterate below
+        # the interval is the secant to a point inside it, not zero.
         step = max(FD_REL * (t_star - t_curr), 1e-12 * max(1.0, abs(t_star)))
         z_step = z.copy()
-        z_step[n] += step
-        jac[:, n] = (fun(z_step) - r) / step
+        z_step[n] = t_star + step
+        jac[:, n] = (fun(z_step) - r) / (z_step[n] - z[n])
         jac[:n, n + 1 :] = grads_curr.T
         jac[n:, :n] = model.gap_gradients(q_star)[rows] * gap_scale
         return jac

@@ -122,7 +122,7 @@ class Captured(Exception):
 def _capture(solve):
     seen = {}
 
-    def spy(fun, x0, tol, max_iter, jac=None):
+    def spy(fun, x0, tol, max_iter, jac):
         seen.update(fun=fun, x0=np.array(x0, dtype=float), jac=jac)
         raise Captured
 
@@ -180,3 +180,25 @@ def test_assembled_jacobian_matches_central_differences(case, mode, u):
         tol[model.dim] = 1e-4
     err = np.abs(assembled - reference) / np.maximum(1.0, np.abs(reference).max(axis=0))
     assert np.all(err <= tol)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=15, deadline=None)
+@given(
+    u=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4),
+    below=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]),
+)
+def test_locate_recovers_from_time_below_interval(case, u, below):
+    # The locate residual clamps an impact time at or below the interval
+    # start back into it; its time column must still point Newton there.
+    model, q, p, forces = CASES[case](u)
+    fun, x0, jac = _capture(_run("locate", model, q, p, forces))
+    n = model.dim
+    x = x0.copy()
+    x[n] = T0 - below
+    column = jac(x, fun(x), fun)[:, n]
+    assert np.all(np.isfinite(column)) and np.any(column != 0.0)
+    tol = StepperConfig(h=H).newton_tol * max(1.0, float(np.abs(p).max()))
+    z = stepper._newton(fun, x, tol, StepperConfig(h=H).newton_max_iter, jac)
+    assert z[n] > T0
+    assert np.linalg.norm(fun(z)) <= tol
