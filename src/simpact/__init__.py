@@ -12,7 +12,6 @@ uniquely.
 __version__ = "0.1.0"
 
 from .errors import (
-    CascadeError,
     ConfigError,
     DegenerateNormalsError,
     DesignError,

@@ -381,6 +381,9 @@ def _task_resolve(config, model, out_dir: Path) -> list[Path]:
         # reported, not hidden.
         found = enumerate_outcomes(metric, p_minus, normals, PAIRWISE_DEPTH_CAP)
         xi_max, xi_mean = outcome_xi(metric, p_minus, found.outcomes)
+        if found.truncated and len(found) < 2:
+            # Too few outcomes to measure a distance: xi is unknown, not 0.
+            xi_max = xi_mean = math.nan
         notes = [
             "xi-mode: pairwise-extension",
             f"xi-truncated: {str(found.truncated).lower()}",

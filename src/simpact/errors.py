@@ -26,10 +26,6 @@ class DegenerateNormalsError(SimpactError, ValueError):
         self.indices = tuple(indices)
 
 
-class CascadeError(SimpactError, RuntimeError):
-    """A reflection cascade could not be completed."""
-
-
 class StepFailureError(SimpactError, RuntimeError):
     """An implicit time step did not converge.
 

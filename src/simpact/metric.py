@@ -13,6 +13,7 @@ of the original mass matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
@@ -190,15 +191,64 @@ def is_feasible(
     return all(f is Feasibility.FEASIBLE for f in feasibility(metric, p, normals, tol))
 
 
-def _gram_and_duals(metric, normals):
-    rows = [metric._check(u) for u in normals]
-    duals = [metric.dual(r) for r in rows]
-    k = len(rows)
-    gram = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            gram[i, j] = gram[j, i] = rows[i] @ duals[j]
-    return rows, duals, gram
+class ContactFrame:
+    """Contact normals in contact coordinates, from one mass-matrix solve.
+
+    Impacts move a momentum only inside the span of the normals, so a
+    momentum ``p + lam @ rows`` is carried by ``lam`` and its inner
+    products with the normals, on which the metric is the Gram matrix.
+    Holds ``rows`` (k x n), their ``duals``, ``gram`` (``rows @ duals.T``,
+    symmetrised), ``norms2`` (its diagonal) and ``scales``
+    (``1 / sqrt(norms2)``); given ``p``, also ``p``, ``dual_p``,
+    ``a = duals @ p`` and ``p_norm2``.
+    """
+
+    def __init__(self, metric: KineticMetric, normals: Sequence[CovectorLike], p=None):
+        rows = np.array([metric._check(u) for u in normals], dtype=float).reshape(
+            len(normals), metric.dim
+        )
+        stacked = rows if p is None else np.vstack([rows, metric._check(p)])
+        duals = np.linalg.solve(metric.mass, stacked.T).T
+        k = rows.shape[0]
+        gram = rows @ duals[:k].T
+        self.rows = rows
+        self.duals = duals[:k]
+        self.gram = 0.5 * (gram + gram.T)
+        self.norms2 = np.diag(self.gram).copy()
+        if np.any(self.norms2 <= 0.0):
+            bad = sorted(np.flatnonzero(self.norms2 <= 0.0).tolist())
+            raise DegenerateNormalsError(f"zero-norm normals at indices {bad}", bad)
+        self.scales = 1.0 / np.sqrt(self.norms2)
+        if p is not None:
+            self.p = stacked[k]
+            self.dual_p = duals[k]
+            self.a = self.duals @ self.p
+            self.p_norm2 = float(self.p @ self.dual_p)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def pair_cosine(self) -> float:
+        """Inner product of the first two unit normals."""
+        return float(self.gram[0, 1] * self.scales[0] * self.scales[1])
+
+    def momentum(self, lam: np.ndarray) -> np.ndarray:
+        """The momentum ``p + lam @ rows``."""
+        return self.p + lam @ self.rows
+
+    def dual(self, lam: np.ndarray) -> np.ndarray:
+        """Metric dual of ``p + lam @ rows``, from the stored duals."""
+        return self.dual_p + lam @ self.duals
+
+    def distance(self, lam_a: np.ndarray, lam_b: np.ndarray) -> float:
+        """Metric distance between ``p + lam_a @ rows`` and ``p + lam_b @ rows``.
+
+        The difference is formed before the metric is applied: the
+        quadratic form ``d @ gram @ d`` loses the distance of near-equal
+        outcomes to cancellation when the normals are nearly parallel.
+        """
+        d = lam_a - lam_b
+        return math.sqrt(max(float((d @ self.rows) @ (d @ self.duals)), 0.0))
 
 
 def _check_gram(gram: np.ndarray) -> None:
@@ -224,10 +274,9 @@ def span_coefficients(
     """Coefficients c with span-component of p equal to sum c_i * u_i."""
     if len(normals) == 0:
         return np.zeros(0)
-    rows, duals, gram = _gram_and_duals(metric, normals)
-    _check_gram(gram)
-    rhs = np.array([metric._check(p) @ d for d in duals])
-    return np.linalg.solve(gram, rhs)
+    frame = ContactFrame(metric, normals, p)
+    _check_gram(frame.gram)
+    return np.linalg.solve(frame.gram, frame.a)
 
 
 def project_span(

@@ -159,9 +159,10 @@ def two_contact_reflection_bound(metric: mt.KineticMetric, u, v) -> int:
     of the feasible cone, computed from the unit normals via
     ``sin(gamma) = |u_hat + v_hat| / 2``.
     """
-    u_hat = mt.unit(metric, u)
-    v_hat = mt.unit(metric, v)
-    c = mt.inner(metric, u_hat, v_hat)
+    return _pair_bound(mt.ContactFrame(metric, [u, v]).pair_cosine())
+
+
+def _pair_bound(c: float) -> int:
     if abs(c) >= 1.0 - mt.GRAM_RCOND:
         raise DegenerateNormalsError(
             "contact normals are metric-parallel; the reflection bound "
@@ -173,13 +174,9 @@ def two_contact_reflection_bound(metric: mt.KineticMetric, u, v) -> int:
     return int(math.ceil(math.pi / gamma))
 
 
-def _unit_scales(metric, rows):
-    duals = [metric.dual(r) for r in rows]
-    norms2 = np.array([float(r @ d) for r, d in zip(rows, duals)])
-    if np.any(norms2 <= 0.0):
-        bad = sorted(np.flatnonzero(norms2 <= 0.0).tolist())
-        raise DegenerateNormalsError(f"zero-norm normals at indices {bad}", bad)
-    return duals, norms2, 1.0 / np.sqrt(norms2)
+def _check_normals(normals: Sequence, what: str) -> None:
+    if len(normals) == 0:
+        raise DimensionError(f"{what} requires at least one contact normal")
 
 
 def elastic_cascade(
@@ -198,27 +195,34 @@ def elastic_cascade(
     through the outcome status rather than raised.
     """
     policy = policy or CascadePolicy.most_violating()
-    if len(normals) == 0:
-        raise DimensionError("cascade requires at least one contact normal")
+    _check_normals(normals, "cascade")
     policy.validate_for(len(normals))
-    rows = [metric._check(u) for u in normals]
-    p = metric._check(p_minus).copy()
-    duals, norms2, scales = _unit_scales(metric, rows)
-    dual_mat = np.asarray(duals)
+    return _cascade(mt.ContactFrame(metric, normals, p_minus), policy, feas_tol)[0]
 
-    if len(rows) == 2:
-        cap = two_contact_reflection_bound(metric, rows[0], rows[1])
-    elif len(rows) == 1:
+
+def _cascade(frame: mt.ContactFrame, policy: CascadePolicy, feas_tol: float):
+    """Reflection cascade in contact coordinates.
+
+    Reflecting across normal ``k`` adds ``step * rows[k]`` to the
+    momentum, so its inner products move by ``step * gram[:, k]``.
+    Returns the outcome and the per-normal impulse sums.
+    """
+    k_count = len(frame)
+    if k_count == 2:
+        cap = _pair_bound(frame.pair_cosine())
+    elif k_count == 1:
         cap = 1
     else:
         cap = policy.max_steps
 
+    a = frame.a.copy()
+    lam = np.zeros(k_count)
     sequence: list[int] = []
     impulses: list[float] = []
     status = CascadeStatus.CONVERGED
     while True:
-        values = (dual_mat @ p) * scales
-        infeasible = np.flatnonzero(values < -feas_tol)
+        values = a * frame.scales
+        infeasible = (values < -feas_tol).nonzero()[0]
         if infeasible.size == 0:
             break
         if len(sequence) >= cap:
@@ -236,18 +240,19 @@ def elastic_cascade(
             k = int(infeasible[np.argmax(values[infeasible])])
         else:
             k = next(i for i in policy.order if i in infeasible)
-        lam = -2.0 * float(p @ duals[k]) / norms2[k]
-        p = p + lam * rows[k]
+        step = -2.0 * float(a[k]) / frame.norms2[k]
+        a += step * frame.gram[:, k]
+        lam[k] += step
         sequence.append(k)
-        impulses.append(lam)
-
-    return ImpactOutcome(
-        p_plus=p,
+        impulses.append(step)
+    outcome = ImpactOutcome(
+        p_plus=frame.momentum(lam),
         sequence=tuple(sequence),
         impulses=tuple(impulses),
         status=status,
         kind=ImpactKind.ELASTIC,
     )
+    return outcome, lam
 
 
 def enumerate_outcomes(
@@ -264,42 +269,43 @@ def enumerate_outcomes(
     normal, never repeats the immediately preceding one, and stops each
     branch at the first feasible momentum. Outcomes are deduplicated by
     metric distance; branches that exceed ``depth_cap`` raise the
-    ``truncated`` flag instead of being dropped silently.
+    ``truncated`` flag instead of being dropped silently. Each branch
+    carries its inner products and impulse sums in contact coordinates,
+    so the search solves against the mass matrix once, up front.
     """
     if depth_cap < 1:
         raise ValueError("depth_cap must be at least 1")
-    rows = [metric._check(u) for u in normals]
-    if not rows:
-        raise DimensionError("enumeration requires at least one contact normal")
-    p0 = metric._check(p_minus).copy()
-    duals, norms2, scales = _unit_scales(metric, rows)
-    dual_mat = np.asarray(duals)
-    dedup_tol = dedup_rtol * max(mt.norm(metric, p0), 1e-300)
+    _check_normals(normals, "enumeration")
+    frame = mt.ContactFrame(metric, normals, p_minus)
+    dedup_tol = dedup_rtol * max(math.sqrt(max(frame.p_norm2, 0.0)), 1e-300)
 
-    outcomes: list[ImpactOutcome] = []
+    found: list[tuple[np.ndarray, ImpactOutcome]] = []
     truncated = False
     explored = 0
 
-    def visit(p, sequence, impulses):
+    def visit(a, lam, sequence, impulses):
         nonlocal truncated, explored
         explored += 1
-        values = (dual_mat @ p) * scales
+        values = a * frame.scales
         infeasible = [
             int(i)
-            for i in np.flatnonzero(values < -feas_tol)
+            for i in (values < -feas_tol).nonzero()[0]
             if not sequence or i != sequence[-1]
         ]
         if not infeasible:
-            for prior in outcomes:
-                if mt.norm(metric, p - prior.p_plus) < dedup_tol:
+            for prior, _ in found:
+                if frame.distance(lam, prior) < dedup_tol:
                     return
-            outcomes.append(
-                ImpactOutcome(
-                    p_plus=p,
-                    sequence=tuple(sequence),
-                    impulses=tuple(impulses),
-                    status=CascadeStatus.CONVERGED,
-                    kind=ImpactKind.ELASTIC,
+            found.append(
+                (
+                    lam,
+                    ImpactOutcome(
+                        p_plus=frame.momentum(lam),
+                        sequence=tuple(sequence),
+                        impulses=tuple(impulses),
+                        status=CascadeStatus.CONVERGED,
+                        kind=ImpactKind.ELASTIC,
+                    ),
                 )
             )
             return
@@ -307,11 +313,13 @@ def enumerate_outcomes(
             truncated = True
             return
         for k in infeasible:
-            lam = -2.0 * float(p @ duals[k]) / norms2[k]
-            visit(p + lam * rows[k], sequence + [k], impulses + [lam])
+            step = -2.0 * float(a[k]) / frame.norms2[k]
+            branch = lam.copy()
+            branch[k] += step
+            visit(a + step * frame.gram[:, k], branch, sequence + [k], impulses + [step])
 
-    visit(p0, [], [])
-    return EnumerationResult(tuple(outcomes), truncated, explored)
+    visit(frame.a, np.zeros(len(frame)), [], [])
+    return EnumerationResult(tuple(out for _, out in found), truncated, explored)
 
 
 def plastic_resolve(metric: mt.KineticMetric, p_minus, normals: Sequence) -> ImpactOutcome:
@@ -321,20 +329,21 @@ def plastic_resolve(metric: mt.KineticMetric, p_minus, normals: Sequence) -> Imp
     kinetic energy never increases. Requires the normals to be linearly
     independent under the metric.
     """
-    rows = [metric._check(u) for u in normals]
-    if not rows:
-        raise DimensionError("plastic resolution requires at least one normal")
-    coeffs = mt.span_coefficients(metric, p_minus, rows)
-    p = metric._check(p_minus).copy()
-    for c, row in zip(coeffs, rows):
-        p = p - c * row
-    return ImpactOutcome(
-        p_plus=p,
-        sequence=tuple(range(len(rows))),
-        impulses=tuple(-coeffs),
+    _check_normals(normals, "plastic resolution")
+    return _plastic(mt.ContactFrame(metric, normals, p_minus))[0]
+
+
+def _plastic(frame: mt.ContactFrame):
+    mt._check_gram(frame.gram)
+    lam = -np.linalg.solve(frame.gram, frame.a)
+    outcome = ImpactOutcome(
+        p_plus=frame.momentum(lam),
+        sequence=tuple(range(len(frame))),
+        impulses=tuple(lam),
         status=CascadeStatus.CONVERGED,
         kind=ImpactKind.PLASTIC,
     )
+    return outcome, lam
 
 
 def inelastic_resolve(
@@ -355,23 +364,36 @@ def inelastic_resolve(
     mode uses ``sqrt(1 - R^2)`` instead; it is kept only to reproduce
     that variant and does not satisfy the energy split.
     """
+    alpha = _blend_weight(restitution, alpha_mode)
+    policy = policy or CascadePolicy.most_violating()
+    _check_normals(normals, "cascade")
+    policy.validate_for(len(normals))
+    frame = mt.ContactFrame(metric, normals, p_minus)
+    return _inelastic(frame, restitution, alpha, policy, feas_tol)[0]
+
+
+def _blend_weight(restitution: float, alpha_mode: str) -> float:
+    """Weight of the elastic outcome in the restitution blend."""
     if not 0.0 <= restitution <= 1.0:
         raise ValueError(f"restitution must lie in [0, 1], got {restitution}")
     if alpha_mode not in ALPHA_MODES:
         raise ValueError(f"alpha_mode must be one of {ALPHA_MODES}")
-    elastic = elastic_cascade(metric, p_minus, normals, policy, feas_tol)
-    plastic = plastic_resolve(metric, p_minus, normals)
-    alpha = restitution if alpha_mode == "energy-consistent" else math.sqrt(
-        1.0 - restitution * restitution
-    )
-    p_plus = alpha * elastic.p_plus + (1.0 - alpha) * plastic.p_plus
-    # Net impulse per contact from the total momentum change.
-    coeffs = mt.span_coefficients(metric, p_plus - metric._check(p_minus), normals)
-    return ImpactOutcome(
-        p_plus=p_plus,
-        sequence=tuple(range(len(normals))),
-        impulses=tuple(coeffs),
+    if alpha_mode == "energy-consistent":
+        return restitution
+    return math.sqrt(1.0 - restitution * restitution)
+
+
+def _inelastic(frame, restitution, alpha, policy, feas_tol):
+    elastic, lam_e = _cascade(frame, policy, feas_tol)
+    plastic, lam_p = _plastic(frame)
+    # Net impulse per contact: the same blend of the two impulse sums.
+    lam = alpha * lam_e + (1.0 - alpha) * lam_p
+    outcome = ImpactOutcome(
+        p_plus=alpha * elastic.p_plus + (1.0 - alpha) * plastic.p_plus,
+        sequence=tuple(range(len(frame))),
+        impulses=tuple(lam),
         status=elastic.status,
         kind=ImpactKind.INELASTIC,
         restitution=restitution,
     )
+    return outcome, lam

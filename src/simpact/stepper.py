@@ -43,9 +43,10 @@ from .resolution import (
     CascadePolicy,
     CascadeStatus,
     ImpactKind,
-    elastic_cascade,
-    inelastic_resolve,
-    plastic_resolve,
+    _blend_weight,
+    _cascade,
+    _inelastic,
+    _plastic,
 )
 
 #: Substeps shorter than this fraction of the interval are collapsed.
@@ -289,7 +290,8 @@ def _newton(fun, x0, tol, max_iter, jac):
     """Damped Newton iteration.
 
     ``jac(x, r, fun)`` returns the Jacobian at ``x`` given the residual
-    ``r = fun(x)``.
+    ``r = fun(x)``. The last call of ``fun`` is at the returned point, so
+    callers may keep what that evaluation computed.
     Raises :class:`StepFailureError` with the last residual norm when it
     cannot reduce the residual below ``tol``.
     """
@@ -361,27 +363,35 @@ def _del_block(model, forces, q_a, t_a, q_b, t_b, fun, x, r):
 
 
 def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg):
-    """Solve the DEL for the next configuration given the node momentum."""
+    """Solve the DEL for the next configuration given the node momentum.
+
+    Returns the next configuration and the momentum it carries into the
+    node at ``t_next``, kept from the last residual evaluation.
+    """
     h = t_next - t_curr
     v0 = np.linalg.solve(model.mass_matrix(q_curr), p_in)
     x0 = q_curr + h * v0
+    p_out = [None]
 
     def residual(q_next):
-        return p_in + discrete_momenta(model, q_curr, t_curr, q_next, t_next, forces)[0]
+        p_minus, p_out[0] = discrete_momenta(model, q_curr, t_curr, q_next, t_next, forces)
+        return p_in + p_minus
 
     def jacobian(q_next, r, fun):
         return _del_block(model, forces, q_curr, t_curr, q_next, t_next, fun, q_next, r)
 
     tol = cfg.newton_tol * max(1.0, float(np.abs(p_in).max()))
-    return _newton(residual, x0, tol, cfg.newton_max_iter, jac=jacobian)
+    q_next = _newton(residual, x0, tol, cfg.newton_max_iter, jac=jacobian)
+    return q_next, p_out[0]
 
 
 def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held):
     """Constrained DEL step: held gaps pinned to zero via impulse multipliers.
 
-    Returns the next configuration and the multiplier per held contact.
-    A negative multiplier means the constraint would need to pull; the
-    caller releases such contacts and re-solves.
+    Returns the next configuration, the multiplier per held contact and
+    the momentum carried into the node at ``t_next`` (from the last
+    residual evaluation). A negative multiplier means the constraint
+    would need to pull; the caller releases such contacts and re-solves.
     """
     held = list(held)
     n = model.dim
@@ -391,10 +401,11 @@ def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held):
     x0 = np.concatenate([q_curr + h * v0, np.zeros(len(held))])
     p_scale = max(1.0, float(np.abs(p_in).max()))
     gap_scale = p_scale / model.length_scale
+    p_out = [None]
 
     def residual(z):
         q_next, lam = z[:n], z[n:]
-        p_minus, _ = discrete_momenta(model, q_curr, t_curr, q_next, t_next, forces)
+        p_minus, p_out[0] = discrete_momenta(model, q_curr, t_curr, q_next, t_next, forces)
         r = p_in + lam @ grads_curr + p_minus
         gaps = model.gaps(q_next)[held] * gap_scale
         return np.concatenate([r, gaps])
@@ -408,7 +419,7 @@ def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held):
         return jac
 
     z = _newton(residual, x0, cfg.newton_tol * p_scale, cfg.newton_max_iter, jac=jacobian)
-    return z[:n], dict(zip(held, z[n:]))
+    return z[:n], dict(zip(held, z[n:])), p_out[0]
 
 
 def del_step(
@@ -431,7 +442,7 @@ def del_step(
     q_prev = np.asarray(q_prev, dtype=float)
     q_curr = np.asarray(q_curr, dtype=float)
     p_in = node_momentum(model, q_prev, t_prev, q_curr, t_curr, forces)
-    return _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg)
+    return _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +611,11 @@ def locate_impact(
 
 def _resolve_event(model, q_star, t_star, p_star, contacts, r_eff, cfg, forced):
     """Map the incoming momentum through the contact set at the impact."""
-    metric = model.metric_at(q_star)
-    normals = [model.gap_gradients(q_star)[i] for i in contacts]
-    infeasible = not mt.is_feasible(metric, p_star, normals)
-    e_before = 0.5 * mt.norm(metric, p_star) ** 2
+    grads = model.gap_gradients(q_star)
+    frame = mt.ContactFrame(model.metric_at(q_star), [grads[i] for i in contacts], p_star)
+    e_before = 0.5 * frame.p_norm2
 
-    if not infeasible:
+    if not np.any(frame.a < 0.0):
         # Grazing crossing: nothing to reflect, pass the momentum through.
         event = ImpactEvent(
             t=t_star,
@@ -618,19 +628,20 @@ def _resolve_event(model, q_star, t_star, p_star, contacts, r_eff, cfg, forced):
         )
         return p_star, event, False
 
+    if r_eff > 0.0:
+        cfg.policy.validate_for(len(frame))
     if r_eff >= 1.0:
-        outcome = elastic_cascade(metric, p_star, normals, cfg.policy)
+        outcome, lam = _cascade(frame, cfg.policy, 0.0)
     elif r_eff <= 0.0:
-        outcome = plastic_resolve(metric, p_star, normals)
+        outcome, lam = _plastic(frame)
     else:
-        outcome = inelastic_resolve(
-            metric, p_star, normals, r_eff, cfg.policy, cfg.alpha_mode
-        )
+        alpha = _blend_weight(r_eff, cfg.alpha_mode)
+        outcome, lam = _inelastic(frame, r_eff, alpha, cfg.policy, 0.0)
     if outcome.status is CascadeStatus.STEP_CAP_EXCEEDED:
         # Guaranteed-terminating fallback for three or more contacts.
-        outcome = plastic_resolve(metric, p_star, normals)
+        outcome, lam = _plastic(frame)
         forced = "step-cap"
-    e_after = 0.5 * mt.norm(metric, outcome.p_plus) ** 2
+    e_after = 0.5 * float(outcome.p_plus @ frame.dual(lam))
     if outcome.kind is ImpactKind.ELASTIC:
         if abs(e_after - e_before) > 1e-10 * max(e_before, 1e-300):
             raise VerificationError(
@@ -685,11 +696,11 @@ def impact_step(
         model, q_star, t_star, p_star, tuple(contacts), restitution, cfg, None
     )
     if becomes_held:
-        q_next, _ = _solve_held(
+        q_next, _, _ = _solve_held(
             model, p_mapped, q_star, t_star, t_next, forces, cfg, tuple(contacts)
         )
     else:
-        q_next = _solve_free(model, p_mapped, q_star, t_star, t_next, forces, cfg)
+        q_next, _ = _solve_free(model, p_mapped, q_star, t_star, t_next, forces, cfg)
     return q_next, event
 
 
@@ -841,11 +852,14 @@ class _Sim:
         return sampler
 
     def solve_interval(self, q_c, t_c, p_in, t_target, forces):
-        """One DEL solve with the current held set, releasing as needed."""
+        """One DEL solve with the current held set, releasing as needed.
+
+        Returns the next configuration and its node momentum.
+        """
         cfg = self.cfg
         while True:
             if self.held:
-                q_n, lams = _solve_held(
+                q_n, lams, p_out = _solve_held(
                     self.model, p_in, q_c, t_c, t_target, forces, cfg,
                     tuple(sorted(self.held)),
                 )
@@ -857,7 +871,7 @@ class _Sim:
                 for c, lam in lams.items():
                     self.held[c] = lam
                     self.holds.append((t_target, c, lam))
-                return q_n
+                return q_n, p_out
             return _solve_free(self.model, p_in, q_c, t_c, t_target, forces, cfg)
 
     def _node_contact_split(self, q_c, p_in, crossing, gaps_c, act_tol):
@@ -891,7 +905,7 @@ class _Sim:
         impacts = 0
         while True:
             forces = self.effective_forces(q_c, p_in)
-            q_n = self.solve_interval(q_c, t_c, p_in, t_target, forces)
+            q_n, p_out = self.solve_interval(q_c, t_c, p_in, t_target, forces)
             gaps_c = model.gaps(q_c)
             gaps_n = model.gaps(q_n)
             crossing = [
@@ -902,7 +916,6 @@ class _Sim:
                 and gaps_c[i] >= -act_tol
             ]
             if not crossing:
-                p_out = node_momentum(model, q_c, t_c, q_n, t_target, forces)
                 return q_n, p_out
 
             impacts += 1

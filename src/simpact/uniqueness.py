@@ -11,13 +11,19 @@ incoming momentum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metric as mt
 from .errors import DegenerateNormalsError, VerificationError
-from .resolution import CascadePolicy, elastic_cascade, enumerate_outcomes, reflect
+from .resolution import (
+    CascadePolicy,
+    _cascade,
+    enumerate_outcomes,
+    reflect,
+)
 
 #: Default classification tolerance on unit-normalized inner products.
 #: Configuration-dependent metrics rarely reach exact zeros after
@@ -61,9 +67,7 @@ def classify_pair(metric: mt.KineticMetric, u, v, tol: float = CLASSIFY_TOL) -> 
     order; pairs at minus one half resolve uniquely in three. Parallel
     normals are rejected.
     """
-    u_hat = mt.unit(metric, u)
-    v_hat = mt.unit(metric, v)
-    value = mt.inner(metric, u_hat, v_hat)
+    value = mt.ContactFrame(metric, [u, v]).pair_cosine()
     if abs(value) >= 1.0 - mt.GRAM_RCOND:
         raise DegenerateNormalsError("normals are metric-parallel", (0, 1))
     if abs(value) <= tol:
@@ -83,28 +87,36 @@ def indeterminacy_xi(metric: mt.KineticMetric, p_minus, u, v) -> float:
     the outcomes divided by the incoming momentum norm. Zero means the
     outcome does not depend on the order.
     """
-    p_row = metric._check(p_minus)
-    p_norm = mt.norm(metric, p_row)
+    frame = mt.ContactFrame(metric, [u, v], p_minus)
+    p_norm = math.sqrt(max(frame.p_norm2, 0.0))
     if p_norm == 0.0:
         return 0.0
-    first = elastic_cascade(metric, p_row, [u, v], CascadePolicy.fixed((0, 1)))
-    second = elastic_cascade(metric, p_row, [u, v], CascadePolicy.fixed((1, 0)))
+    first, lam_1 = _cascade(frame, CascadePolicy.fixed((0, 1)), 0.0)
+    second, lam_2 = _cascade(frame, CascadePolicy.fixed((1, 0)), 0.0)
     if not (first.converged and second.converged):
         raise VerificationError("cascade did not converge while measuring xi")
-    return mt.norm(metric, first.p_plus - second.p_plus) / p_norm
+    return frame.distance(lam_1, lam_2) / p_norm
 
 
 def outcome_xi(metric: mt.KineticMetric, p_minus, outcomes) -> tuple[float, float]:
-    """Max and mean normalized metric distance over every outcome pair."""
-    p_norm = mt.norm(metric, metric._check(p_minus))
+    """Max and mean normalized metric distance over every outcome pair.
+
+    The norms of ``p_minus`` and of every pairwise difference come from
+    one stacked solve; the differences are formed before the metric is
+    applied, so near-equal outcomes do not lose their distance to
+    cancellation.
+    """
+    rows = [metric._check(p_minus)] + [
+        a.p_plus - b.p_plus for i, a in enumerate(outcomes) for b in outcomes[i + 1 :]
+    ]
+    stacked = np.array(rows)
+    norms2 = np.einsum("ij,ji->i", stacked, np.linalg.solve(metric.mass, stacked.T))
+    norms = np.sqrt(np.maximum(norms2, 0.0))
+    p_norm = float(norms[0])
     if p_norm == 0.0 or len(outcomes) < 2:
         return 0.0, 0.0
-    gaps = [
-        mt.norm(metric, a.p_plus - b.p_plus) / p_norm
-        for i, a in enumerate(outcomes)
-        for b in outcomes[i + 1 :]
-    ]
-    return max(gaps), float(np.mean(gaps))
+    gaps = norms[1:] / p_norm
+    return float(gaps.max()), float(np.mean(gaps))
 
 
 def pairwise_xi(

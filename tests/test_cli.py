@@ -179,6 +179,10 @@ class TestResolveTask:
         assert "xi-truncated: true" in comments
         (branches,) = [c for c in comments if c.startswith("xi-branches: ")]
         assert int(branches.split(": ")[1]) > 1
+        # No outcome pair was found, so xi is unknown rather than zero.
+        header, (row,) = read_rows(outcome)
+        assert math.isnan(float(row[header.index("xi")]))
+        assert math.isnan(float(row[header.index("xi_mean")]))
 
 
 class TestSimulateTask:

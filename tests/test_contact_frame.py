@@ -1,0 +1,460 @@
+"""Contact-coordinate resolution against an n-space reference.
+
+The reference functions below are the reflection cascade, the outcome
+enumeration and the plastic projection as they were written before the
+resolution moved to contact coordinates: every reflection updates the
+full momentum and every inner product goes through a fresh solve
+against the mass matrix. The resolver must reproduce their sequences,
+statuses and branch counts exactly and their momenta, impulses and xi
+to 1e-12, and must solve against the mass matrix once per call.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from simpact import metric as mt
+from simpact.errors import DegenerateNormalsError
+from simpact.metric import (
+    DEADBAND,
+    ContactFrame,
+    KineticMetric,
+    is_feasible,
+    norm,
+    project_null,
+)
+from simpact.resolution import (
+    CascadePolicy,
+    CascadeStatus,
+    elastic_cascade,
+    enumerate_outcomes,
+    inelastic_resolve,
+    plastic_resolve,
+    two_contact_reflection_bound,
+)
+from simpact.uniqueness import classify_pair, indeterminacy_xi, outcome_xi
+
+from conftest import pair_with_inner, random_metric, random_unit_covector
+
+RTOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# n-space reference
+
+
+def _ref_scales(metric, rows):
+    duals = [metric.dual(r) for r in rows]
+    norms2 = np.array([float(r @ d) for r, d in zip(rows, duals)])
+    return duals, norms2, 1.0 / np.sqrt(norms2)
+
+
+def ref_cascade(metric, p_minus, normals, policy, feas_tol=0.0):
+    rows = [np.asarray(u, float) for u in normals]
+    p = np.asarray(p_minus, float).copy()
+    duals, norms2, scales = _ref_scales(metric, rows)
+    dual_mat = np.asarray(duals)
+    if len(rows) == 2:
+        c = mt.inner(metric, mt.unit(metric, rows[0]), mt.unit(metric, rows[1]))
+        cap = math.ceil(math.pi / math.asin(math.sqrt((1.0 + c) / 2.0)))
+    elif len(rows) == 1:
+        cap = 1
+    else:
+        cap = policy.max_steps
+    sequence, impulses = [], []
+    status = CascadeStatus.CONVERGED
+    while True:
+        values = (dual_mat @ p) * scales
+        infeasible = np.flatnonzero(values < -feas_tol)
+        if infeasible.size == 0:
+            break
+        if len(sequence) >= cap:
+            status = CascadeStatus.STEP_CAP_EXCEEDED
+            break
+        if sequence and sequence[-1] in infeasible:
+            infeasible = infeasible[infeasible != sequence[-1]]
+            if infeasible.size == 0:
+                break
+        if policy.variant == "most-violating":
+            k = int(infeasible[np.argmin(values[infeasible])])
+        elif policy.variant == "least-violating":
+            k = int(infeasible[np.argmax(values[infeasible])])
+        else:
+            k = next(i for i in policy.order if i in infeasible)
+        lam = -2.0 * float(p @ duals[k]) / norms2[k]
+        p = p + lam * rows[k]
+        sequence.append(k)
+        impulses.append(lam)
+    return p, sequence, impulses, status
+
+
+def ref_enumerate(metric, p_minus, normals, depth_cap, feas_tol=0.0, dedup_rtol=1e-9):
+    rows = [np.asarray(u, float) for u in normals]
+    p0 = np.asarray(p_minus, float).copy()
+    duals, norms2, scales = _ref_scales(metric, rows)
+    dual_mat = np.asarray(duals)
+    dedup_tol = dedup_rtol * max(norm(metric, p0), 1e-300)
+    outcomes, state = [], {"truncated": False, "explored": 0}
+
+    def visit(p, sequence, impulses):
+        state["explored"] += 1
+        values = (dual_mat @ p) * scales
+        infeasible = [
+            int(i)
+            for i in np.flatnonzero(values < -feas_tol)
+            if not sequence or i != sequence[-1]
+        ]
+        if not infeasible:
+            if all(norm(metric, p - prior[0]) >= dedup_tol for prior in outcomes):
+                outcomes.append((p, tuple(sequence), tuple(impulses)))
+            return
+        if len(sequence) >= depth_cap:
+            state["truncated"] = True
+            return
+        for k in infeasible:
+            lam = -2.0 * float(p @ duals[k]) / norms2[k]
+            visit(p + lam * rows[k], sequence + [k], impulses + [lam])
+
+    visit(p0, [], [])
+    return outcomes, state["truncated"], state["explored"]
+
+
+def ref_span_coefficients(metric, p, rows):
+    duals = [metric.dual(r) for r in rows]
+    gram = np.array([[r @ d for d in duals] for r in rows])
+    return np.linalg.solve(gram, np.array([p @ d for d in duals]))
+
+
+def ref_plastic(metric, p, rows):
+    coeffs = ref_span_coefficients(metric, p, rows)
+    return p - coeffs @ np.asarray(rows), -coeffs
+
+
+# ---------------------------------------------------------------------------
+# Instances
+
+SHAPES = ("generic", "narrow-wedge", "near-parallel", "criterion-2", "orthogonal", "three-stage")
+PAIR_INNER = {"narrow-wedge": -0.995, "near-parallel": 0.995, "orthogonal": 0.0, "three-stage": -0.5}
+
+
+def _unit_rows(metric, rng, k):
+    rows = [rng.standard_normal(metric.dim) for _ in range(k)]
+    return [r / norm(metric, r) for r in rows]
+
+
+def pair_momentum(metric, rng, u, v):
+    """A momentum infeasible for both unit normals ``u`` and ``v``.
+
+    ``p = -u - t v`` plus a null-space part, with ``t`` drawn from the
+    open interval where both inner products are negative. Unlike the
+    ``-u - v`` fallback of ``doubly_infeasible_momentum``, it never
+    violates both normals equally: between exactly tied normals the
+    policies choose by round-off, in the reference as in the resolver.
+    """
+    c = mt.inner(metric, u, v)
+    lo, hi = max(-c, 0.2), min(-1.0 / c if c < 0.0 else math.inf, 5.0)
+    t = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
+    return -u - t * v + project_null(metric, rng.standard_normal(metric.dim), [u, v])
+
+
+def build_instance(seed, shape, k, extra_dim):
+    """Metric, normals and an incoming momentum infeasible for some normal.
+
+    Pair shapes use two normals at the named unit inner product;
+    ``criterion-2`` draws the pair as acceptance criterion 2 does.
+    """
+    rng = np.random.default_rng(seed)
+    if shape != "generic":
+        k = 2
+    metric = random_metric(rng, k + extra_dim)
+    if shape == "generic":
+        normals = _unit_rows(metric, rng, k)
+        weights = rng.uniform(0.2, 2.0, size=k)
+        p = -weights @ np.asarray(normals) + 0.5 * rng.standard_normal(metric.dim)
+    else:
+        if shape == "criterion-2":
+            normals = [random_unit_covector(metric, rng) for _ in range(2)]
+        else:
+            normals = list(pair_with_inner(metric, rng, PAIR_INNER[shape]))
+        p = pair_momentum(metric, rng, *normals)
+    # Rescale the normals: nothing may depend on their magnitudes.
+    normals = [s * u for s, u in zip(rng.uniform(0.5, 2.0, size=len(normals)), normals)]
+    return metric, normals, p
+
+
+def make_policy(name, k, seed):
+    if name == "fixed":
+        return CascadePolicy.fixed(np.random.default_rng(seed + 1).permutation(k))
+    return CascadePolicy.parse(name)
+
+
+instances = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(SHAPES),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.sampled_from(("most-violating", "least-violating", "fixed")),
+)
+
+
+def pair_rtol(metric, normals):
+    """RTOL, widened by ``0.005 / (1 - |c|)`` for pairs with |c| above 0.995.
+
+    The round-off of both the reference and the resolver grows with the
+    conditioning ``1 / (1 - |c|)`` of the pair, and wedges near c = -1
+    also take up to ``pi * sqrt(2 / (1 - |c|))`` reflections.
+    """
+    if len(normals) != 2:
+        return RTOL
+    c = abs(ContactFrame(metric, normals).pair_cosine())
+    return RTOL * max(1.0, 0.005 / (1.0 - c))
+
+
+def assert_close(got, want, scale, rtol=RTOL):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape
+    if got.size:
+        assert np.abs(got - want).max() <= rtol * scale
+
+
+def _momentum_scale(p, normals, sequence, impulses):
+    """Largest term of ``p + sum(impulse * normal)``, the scale of its round-off."""
+    terms = [np.abs(p).max()] + [
+        abs(lam) * np.abs(normals[k]).max() for k, lam in zip(sequence, impulses)
+    ]
+    return max(terms)
+
+
+def _scale(values):
+    return max(float(np.abs(np.asarray(values, float)).max(initial=0.0)), 1e-300)
+
+
+def _gram_scale(metric, normals, values):
+    """Scale for coefficients solved from the Gram matrix.
+
+    Round-off in the Gram matrix moves its solution by about eps times
+    the condition number, in the reference as in the resolver, so the
+    1e-12 bound widens once the conditioning passes about 5e3.
+    """
+    cond = np.linalg.cond(ContactFrame(metric, normals).gram)
+    return _scale(values) * max(1.0, np.finfo(float).eps * cond / RTOL)
+
+
+# ---------------------------------------------------------------------------
+# Oracle properties
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=instances)
+def test_cascade_matches_reference(case):
+    seed, shape, k, extra, policy_name = case
+    metric, normals, p = build_instance(seed, shape, k, extra)
+    policy = make_policy(policy_name, len(normals), seed)
+    out = elastic_cascade(metric, p, normals, policy)
+    ref_p, ref_seq, ref_imp, ref_status = ref_cascade(metric, p, normals, policy)
+    assert out.sequence == tuple(ref_seq)
+    assert out.status is ref_status
+    rtol = pair_rtol(metric, normals)
+    p_scale = _momentum_scale(p, normals, ref_seq, ref_imp)
+    assert_close(out.p_plus, ref_p, p_scale, rtol)
+    assert_close(out.impulses, ref_imp, _scale(ref_imp), rtol)
+    # Exact elastic energy, and a feasible exit when converged.
+    assert norm(metric, out.p_plus) == pytest.approx(norm(metric, p), rel=rtol)
+    if out.converged:
+        assert is_feasible(metric, out.p_plus, normals, DEADBAND * p_scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=instances)
+def test_enumeration_matches_reference(case):
+    seed, shape, k, extra, _ = case
+    metric, normals, p = build_instance(seed, shape, k, extra)
+    depth_cap = 64 if len(normals) <= 2 else 6
+    found = enumerate_outcomes(metric, p, normals, depth_cap)
+    ref_out, ref_truncated, ref_explored = ref_enumerate(metric, p, normals, depth_cap)
+    assert found.truncated == ref_truncated
+    assert found.branches_explored == ref_explored
+    assert len(found) == len(ref_out)
+    rtol = pair_rtol(metric, normals)
+    for got, (ref_p, ref_seq, ref_imp) in zip(found.outcomes, ref_out):
+        assert got.sequence == ref_seq
+        p_scale = _momentum_scale(p, normals, ref_seq, ref_imp)
+        assert_close(got.p_plus, ref_p, p_scale, rtol)
+        assert_close(got.impulses, ref_imp, _scale(ref_imp), rtol)
+        assert is_feasible(metric, got.p_plus, normals, DEADBAND * p_scale)
+    # Pairwise xi against distances taken one solve at a time.
+    xi_max, xi_mean = outcome_xi(metric, p, found.outcomes)
+    gaps = [
+        norm(metric, a[0] - b[0]) / norm(metric, p)
+        for i, a in enumerate(ref_out)
+        for b in ref_out[i + 1 :]
+    ]
+    if gaps:
+        assert xi_max == pytest.approx(max(gaps), rel=rtol, abs=rtol)
+        assert xi_mean == pytest.approx(float(np.mean(gaps)), rel=rtol, abs=rtol)
+    else:
+        assert (xi_max, xi_mean) == (0.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=instances, restitution=st.floats(0.0, 1.0))
+def test_plastic_and_inelastic_match_reference(case, restitution):
+    seed, shape, k, extra, policy_name = case
+    metric, normals, p = build_instance(seed, shape, k, extra)
+    policy = make_policy(policy_name, len(normals), seed)
+    ref_pe, ref_seq, ref_imp_e, ref_status = ref_cascade(metric, p, normals, policy)
+    ref_pp, ref_lam_p = ref_plastic(metric, p, normals)
+    p_scale = max(
+        _momentum_scale(p, normals, ref_seq, ref_imp_e),
+        _momentum_scale(p, normals, range(len(normals)), ref_lam_p),
+    )
+    rtol = pair_rtol(metric, normals)
+
+    plastic = plastic_resolve(metric, p, normals)
+    assert_close(plastic.p_plus, ref_pp, p_scale, rtol)
+    assert_close(plastic.impulses, ref_lam_p, _gram_scale(metric, normals, ref_lam_p))
+
+    out = inelastic_resolve(metric, p, normals, restitution, policy)
+    assert out.status is ref_status
+    ref_p = restitution * ref_pe + (1.0 - restitution) * ref_pp
+    assert_close(out.p_plus, ref_p, p_scale, rtol)
+    # The net impulses blend the elastic and plastic impulse sums, which
+    # set the scale of their round-off.
+    ref_imp = ref_span_coefficients(metric, ref_p - p, normals)
+    blended = np.concatenate([ref_imp_e, ref_lam_p])
+    assert_close(out.impulses, ref_imp, _gram_scale(metric, normals, blended))
+    # The energy split |p+|^2 = R^2 |p_e|^2 + (1 - R^2) |p_p|^2.
+    r2 = restitution * restitution
+    split = r2 * norm(metric, ref_pe) ** 2 + (1.0 - r2) * norm(metric, ref_pp) ** 2
+    assert norm(metric, out.p_plus) ** 2 == pytest.approx(split, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(SHAPES[1:]),
+    extra=st.integers(0, 3),
+)
+def test_pair_measures_match_reference(seed, shape, extra):
+    metric, (u, v), p = build_instance(seed, shape, 2, extra)
+    first = ref_cascade(metric, p, [u, v], CascadePolicy.fixed((0, 1)))[0]
+    second = ref_cascade(metric, p, [u, v], CascadePolicy.fixed((1, 0)))[0]
+    ref_xi = norm(metric, first - second) / norm(metric, p)
+    rtol = pair_rtol(metric, [u, v])
+    assert indeterminacy_xi(metric, p, u, v) == pytest.approx(ref_xi, rel=rtol, abs=rtol)
+    ref_c = mt.inner(metric, mt.unit(metric, u), mt.unit(metric, v))
+    assert classify_pair(metric, u, v).inner_value == pytest.approx(ref_c, abs=RTOL)
+
+
+# ---------------------------------------------------------------------------
+# The frame itself
+
+
+def test_frame_zero_normal_named():
+    metric = KineticMetric(np.eye(3))
+    with pytest.raises(DegenerateNormalsError) as err:
+        ContactFrame(metric, [np.array([1.0, 0.0, 0.0]), np.zeros(3)])
+    assert err.value.indices == (1,)
+
+
+def test_frame_momentum_identity(rng):
+    metric = random_metric(rng, 5)
+    normals = [rng.standard_normal(5) for _ in range(3)]
+    p = rng.standard_normal(5)
+    frame = ContactFrame(metric, normals, p)
+    lam = rng.standard_normal(3)
+    moved = frame.momentum(lam)
+    np.testing.assert_allclose(moved, p + lam @ np.asarray(normals), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(frame.dual(lam), metric.dual(moved), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(frame.a, [mt.inner(metric, u, p) for u in normals], rtol=1e-12)
+    np.testing.assert_array_equal(frame.gram, frame.gram.T)
+    assert frame.p_norm2 == pytest.approx(norm(metric, p) ** 2, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Solves against the mass matrix
+
+
+@pytest.fixture
+def mass_solves(monkeypatch):
+    """Run ``fn()`` and count its np.linalg.solve calls on ``metric.mass``."""
+    calls = []
+    original = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a)
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+
+    def count(metric, fn):
+        calls.clear()
+        result = fn()
+        return sum(1 for a in calls if a is metric.mass), result
+
+    return count
+
+
+def test_pair_query_solves_at_most_three_times(rng, mass_solves):
+    metric = random_metric(rng, 4)
+    u, v = pair_with_inner(metric, rng, -0.995)
+    p = pair_momentum(metric, rng, u, v)
+
+    def query():
+        out = elastic_cascade(metric, p, [u, v])
+        indeterminacy_xi(metric, p, u, v)
+        classify_pair(metric, u, v)
+        return out
+
+    solves, out = mass_solves(metric, query)
+    assert len(out.sequence) > 20
+    assert solves <= 3
+
+
+PUBLIC_CALLS = {
+    "elastic_cascade": lambda m, p, u, v: elastic_cascade(m, p, [u, v]),
+    "plastic_resolve": lambda m, p, u, v: plastic_resolve(m, p, [u, v]),
+    "inelastic_resolve": lambda m, p, u, v: inelastic_resolve(m, p, [u, v], 0.4),
+    "indeterminacy_xi": lambda m, p, u, v: indeterminacy_xi(m, p, u, v),
+    "classify_pair": lambda m, p, u, v: classify_pair(m, u, v),
+    "two_contact_reflection_bound": lambda m, p, u, v: two_contact_reflection_bound(m, u, v),
+    "span_coefficients": lambda m, p, u, v: mt.span_coefficients(m, p, [u, v]),
+    "outcome_xi": lambda m, p, u, v: outcome_xi(
+        m, p, enumerate_outcomes(m, p, [u, v], 64).outcomes
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
+def test_each_call_solves_once(rng, mass_solves, name):
+    metric = random_metric(rng, 4)
+    u, v = pair_with_inner(metric, rng, -0.9)
+    p = pair_momentum(metric, rng, u, v)
+    solves, _ = mass_solves(metric, lambda: PUBLIC_CALLS[name](metric, p, u, v))
+    # outcome_xi also runs the enumeration that feeds it.
+    assert solves == (2 if name == "outcome_xi" else 1)
+
+
+@pytest.mark.parametrize("masses", [[1.0, 0.01, 1.0, 1.0], [1.0, 0.3, 1.0, 0.5, 1.0]])
+def test_enumeration_solves_once(mass_solves, masses):
+    # Newton's cradle with light balls: the left ball strikes a chain
+    # whose reflections branch many times.
+    n = len(masses)
+    metric = KineticMetric(np.diag(masses))
+    normals = [np.eye(n)[i + 1] - np.eye(n)[i] for i in range(n - 1)]
+    p = np.eye(n)[0]
+    solves, found = mass_solves(metric, lambda: enumerate_outcomes(metric, p, normals, 12))
+    assert found.branches_explored > 100
+    assert solves == 1
+
+
+def test_narrow_wedge_enumeration_solves_once(rng, mass_solves):
+    metric = random_metric(rng, 3)
+    u, v = pair_with_inner(metric, rng, -0.995)
+    p = pair_momentum(metric, rng, u, v)
+    solves, found = mass_solves(metric, lambda: enumerate_outcomes(metric, p, [u, v], 64))
+    assert found.branches_explored > 40
+    assert solves == 1

@@ -281,6 +281,38 @@ class TestDelStep:
         assert abs(p_in[0] + fm[0]) <= cfg.newton_tol * max(1.0, abs(p_in[0]))
 
 
+class TestNodeMomentum:
+    LANDING = LegTailModel(1.0, 0.1, (0.3, -0.2), (-0.3, -0.2), gravity=9.81)
+
+    @pytest.mark.parametrize(
+        "model, q0, qd0, restitution, kind",
+        [
+            (Pendulum(), [0.4], [0.0], 1.0, "free"),
+            (BreathingMass(), [0.2], [1.0], 1.0, "free"),
+            (BallModel(1.0), [0.05], [0.0], 0.5, "free"),
+            (LANDING, [0.0, 0.25, 0.0], [0.0] * 3, 0.0, "held"),
+        ],
+        ids=["pendulum", "variable-mass", "ball", "legtail-landing"],
+    )
+    def test_step_momentum_is_node_momentum(self, model, q0, qd0, restitution, kind):
+        # The momentum a step hands on is kept from the last residual
+        # evaluation of its solve; it must be bit-for-bit the node
+        # momentum of the step's end points.
+        cfg = StepperConfig(h=0.01, restitution=restitution)
+        traj = simulate(model, q0, qd0, 0.6, cfg)
+        event_times = [ev.t for ev in traj.events]
+        held_times = {t for t, _, _ in traj.holds}
+        checked = {"free": 0, "held": 0}
+        for k in range(1, traj.times.size):
+            t_a, t_b = traj.times[k - 1], traj.times[k]
+            if any(t_a <= t <= t_b for t in event_times):
+                continue
+            expected = node_momentum(model, traj.states[k - 1], t_a, traj.states[k], t_b)
+            np.testing.assert_array_equal(traj.momenta[k], expected)
+            checked["held" if t_b in held_times else "free"] += 1
+        assert checked[kind] > 10
+
+
 class TestLocateImpact:
     def test_linear_crossing_at_midpoint(self):
         # Force-free ball moving down at unit speed from half a step
