@@ -64,11 +64,8 @@ from .models import (
     CradleModel,
     LegTailModel,
     MechModel,
-    ball_build,
     billiards_build,
     billiards_pair_inner,
-    cradle_build,
-    legtail_build,
     validate_model,
 )
 from .stepper import (

@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -31,25 +30,18 @@ from .design import (
     billiards_orthogonality_problem,
     legtail_orthogonality_problem,
     solve_orthogonal,
-    sweep_point,
+    theta_sweep,
     xi_at_optimum,
 )
 from .errors import ConfigError, EnergyGainError, SimpactError
-from .models import (
-    BilliardsModel,
-    LegTailModel,
-    ball_build,
-    billiards_build,
-    cradle_build,
-    legtail_build,
-)
+from .models import BallModel, BilliardsModel, CradleModel, LegTailModel, billiards_build
 from .resolution import (
     CascadePolicy,
     elastic_cascade,
     enumerate_outcomes,
     inelastic_resolve,
 )
-from .stepper import FrictionConfig, StepperConfig, Trajectory, simulate
+from .stepper import FrictionConfig, StepperConfig, Trajectory, _fmt, simulate
 from .uniqueness import PAIRWISE_DEPTH_CAP, indeterminacy_xi, outcome_xi
 
 #: Relative energy gain beyond which the ledger raises a hard error.
@@ -152,10 +144,6 @@ SCHEMA = {
 _VALIDATOR = Draft202012Validator(SCHEMA)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def load_config(path) -> dict:
     """Parse and schema-validate a scenario file."""
     path = Path(path)
@@ -181,19 +169,23 @@ def build_model(section: dict):
     kind = section["type"]
     try:
         if kind == "cradle":
-            return cradle_build(
-                len(section["masses"]), section["masses"], section["radii"]
-            )
+            return CradleModel(section["masses"], section["radii"])
         if kind == "billiards":
             return billiards_build(section["masses"], section["radii"])
         if kind == "ball":
-            return ball_build(
+            return BallModel(
                 section["mass"],
                 section.get("gravity", 9.81),
                 section.get("radius", 0.0),
             )
         if kind == "legtail":
-            return legtail_build(section)
+            return LegTailModel(
+                section["mass"],
+                section["inertia"],
+                section["contact_a"],
+                section["contact_b"],
+                section.get("gravity", 9.81),
+            )
     except KeyError as exc:
         raise ConfigError(f"model section is missing field {exc}") from exc
     except (ValueError, SimpactError) as exc:
@@ -414,25 +406,20 @@ def _task_sweep(config, model, out_dir: Path) -> list[Path]:
     for key in ("start", "stop", "samples"):
         if key not in task:
             raise ConfigError(f"sweep task requires {key!r}")
-    start, stop = task["start"], task["stop"]
-    samples = task["samples"]
-    cue_speed = task.get("cue_speed", 1.0)
-    theta_min = model.min_break_angle()
-    if start < theta_min - 1e-12 or stop > math.pi + 1e-12 or stop <= start:
-        raise ConfigError(
-            f"sweep range [{start}, {stop}] outside ({theta_min:.4f}, pi]"
+    try:
+        curve = theta_sweep(
+            model, task["start"], task["stop"], task["samples"], task.get("cue_speed", 1.0)
         )
-    thetas = np.linspace(start, stop, samples)
-    # Sweep points are independent; order of completion does not matter
-    # because results are gathered by index.
-    with ThreadPoolExecutor() as pool:
-        xis = list(pool.map(lambda th: sweep_point(model, th, cue_speed), thetas))
+    except ValueError as exc:
+        # Only the range checks raise it: a billiards break between the
+        # contact limit and pi has well-defined, independent normals.
+        raise ConfigError(f"sweep task invalid: {exc}") from exc
     out_path = out_dir / "sweep.csv"
     _write_csv(
         out_path,
         _header(config),
         "theta,xi",
-        ((_fmt(t), _fmt(x)) for t, x in zip(thetas, xis)),
+        ((_fmt(t), _fmt(x)) for t, x in curve),
     )
     return [out_path]
 

@@ -306,6 +306,8 @@ def theta_sweep(
         )
     if theta_stop > math.pi + 1e-12:
         raise ValueError("theta_stop must not exceed pi")
+    if theta_stop <= theta_start:
+        raise ValueError("theta_stop must exceed theta_start")
     thetas = np.linspace(theta_start, theta_stop, samples)
     out = np.empty((samples, 2))
     for k, theta in enumerate(thetas):

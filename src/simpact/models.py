@@ -368,11 +368,6 @@ class LegTailModel(MechModel):
         wa, wb = self._rotated(q[2])
         return np.array([[1.0, 0.0, -wa[1]], [1.0, 0.0, -wb[1]]])
 
-    def contact_points(self, q):
-        q = np.asarray(q, dtype=float)
-        wa, wb = self._rotated(q[2])
-        return q[:2] + wa, q[:2] + wb
-
     def double_contact_pose(self) -> np.ndarray:
         """A pose with both contacts on the floor, body above it.
 
@@ -394,13 +389,6 @@ class LegTailModel(MechModel):
         )
 
 
-def cradle_build(n: int, masses: Sequence[float], radii: Sequence[float]) -> CradleModel:
-    """Build a cradle and check the requested ball count."""
-    if len(masses) != n or len(radii) != n:
-        raise DimensionError(f"expected {n} masses and radii")
-    return CradleModel(masses, radii)
-
-
 def billiards_build(
     masses: Sequence[float], radii: Sequence[float], q0: Sequence[float] | None = None
 ) -> BilliardsModel:
@@ -418,21 +406,6 @@ def billiards_build(
         if np.linalg.norm(ab) < model.radii[0] + model.radii[1] + tol:
             raise ValueError("balls a and b overlap initially")
     return model
-
-
-def legtail_build(params: dict) -> LegTailModel:
-    """Build the leg-tail body from a parameter mapping."""
-    return LegTailModel(
-        mass=params["mass"],
-        inertia=params["inertia"],
-        contact_a=params["contact_a"],
-        contact_b=params["contact_b"],
-        gravity=params.get("gravity", 9.81),
-    )
-
-
-def ball_build(mass: float, gravity: float = 9.81, radius: float = 0.0) -> BallModel:
-    return BallModel(mass, gravity, radius)
 
 
 def billiards_pair_inner(model: BilliardsModel, q_star) -> float:

@@ -585,28 +585,42 @@ def locate_impact(
     q_candidate = np.asarray(q_candidate, dtype=float)
     p_in = node_momentum(model, q_prev, t_prev, q_curr, t_curr, forces)
 
-    # A contact that is already closed at the node and approached by the
-    # momentum impacts at the node itself; there is no substep to solve.
     act_tol = cfg.activation_tol(model)
     gaps_c = model.gaps(q_curr)
     gaps_n = model.gaps(q_candidate)
-    metric = model.metric_at(q_curr)
-    grads = model.gap_gradients(q_curr)
-    p_tol = 1e-9 * max(1.0, mt.norm(metric, p_in))
-    node_hits = [
-        i
-        for i in range(gaps_c.size)
-        if abs(gaps_c[i]) <= act_tol
-        and gaps_n[i] < -PENETRATION_RTOL * model.length_scale
-        and mt.inner(metric, p_in, mt.unit(metric, grads[i])) < -p_tol
-    ]
-    if node_hits:
-        contacts = sorted(
-            set(node_hits)
-            | set(i for i in range(gaps_c.size) if abs(gaps_c[i]) <= act_tol)
-        )
-        return t_curr, q_curr.copy(), tuple(contacts)
+    penetrating = np.flatnonzero(gaps_n < -PENETRATION_RTOL * model.length_scale)
+    approaching, _, contacts, _ = _node_contacts(
+        model, q_curr, p_in, gaps_c, penetrating.tolist(), act_tol
+    )
+    if approaching:
+        return t_curr, q_curr.copy(), contacts
     return _locate(model, p_in, q_curr, t_curr, q_candidate, t_next, forces, cfg, held=())
+
+
+def _node_contacts(model, q, p, gaps, crossing, act_tol):
+    """Test the crossing contacts closed at the node ``q`` against ``p``.
+
+    Returns ``(approaching, tangent, contacts, energy)``. A closed
+    contact the momentum points into impacts at the node itself; there
+    is no substep to solve, and ``contacts``, the set of that impact,
+    takes in every contact closed at ``q``. A closed contact the
+    momentum is tangent to (within a tolerance relative to ``|p|``)
+    rests on its manifold. Closed contacts with separating momentum are
+    left out: their crossing happens strictly inside the interval. One
+    contact frame gives the unit-normal inner products and the kinetic
+    energy ``|p|²/2``.
+    """
+    touching = [i for i in crossing if abs(gaps[i]) <= act_tol]
+    if not touching:
+        return [], [], (), 0.0
+    frame = mt.ContactFrame(model.metric_at(q), model.gap_gradients(q)[touching], p)
+    values = frame.a * frame.scales
+    p_tol = 1e-9 * max(1.0, math.sqrt(max(frame.p_norm2, 0.0)))
+    approaching = [i for i, v in zip(touching, values) if v < -p_tol]
+    tangent = [i for i, v in zip(touching, values) if abs(v) <= p_tol]
+    closed = np.flatnonzero(np.abs(gaps) <= act_tol).tolist()
+    contacts = tuple(sorted(set(closed) | set(approaching)))
+    return approaching, tangent, contacts, 0.5 * frame.p_norm2
 
 
 def _resolve_event(model, q_star, t_star, p_star, contacts, r_eff, cfg, forced):
@@ -682,7 +696,9 @@ def impact_step(
 
     Computes the incoming discrete momentum over the pre-impact substep,
     maps it through the propagative resolution at the impact metric, and
-    solves the post-impact DEL for the configuration at ``t_next``.
+    solves the post-impact DEL for the configuration at ``t_next``. A
+    plastic impact holds its contacts in that solve, and a held contact
+    whose multiplier would pull is released, as in :func:`simulate`.
     Returns ``(q_next, event)``.
     """
     cfg = config or StepperConfig(h=t_next - t_curr)
@@ -695,12 +711,10 @@ def impact_step(
     p_mapped, event, becomes_held = _resolve_event(
         model, q_star, t_star, p_star, tuple(contacts), restitution, cfg, None
     )
+    sim = _Sim(model, cfg, forces)
     if becomes_held:
-        q_next, _, _ = _solve_held(
-            model, p_mapped, q_star, t_star, t_next, forces, cfg, tuple(contacts)
-        )
-    else:
-        q_next, _ = _solve_free(model, p_mapped, q_star, t_star, t_next, forces, cfg)
+        sim.held = dict.fromkeys(contacts, 0.0)
+    q_next, _ = sim.solve_interval(q_star, t_star, p_mapped, t_next, forces)
     return q_next, event
 
 
@@ -727,25 +741,6 @@ def zeno_guard(
 # ---------------------------------------------------------------------------
 # Friction
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(fun, lo, hi, tol=1e-8):
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
 
 def friction_force(
     model: MechModel,
@@ -758,13 +753,14 @@ def friction_force(
 ) -> np.ndarray:
     """Coulomb friction for a planar single-tangent contact.
 
-    Selects the tangential force in ``[-mu N, mu N]`` that maximizes
-    instantaneous dissipation via a bounded golden-section search: with
-    nonzero slip the minimizer of the sliding power sits at the cone
-    boundary opposing the slip; at zero slip the force that nulls the
-    tangential acceleration is selected (stiction), clamped to the cone.
-    Returns the generalized force row; an inactive contact contributes
-    nothing.
+    Selects the tangential force ``f`` in ``[-mu N, mu N]`` that
+    maximizes instantaneous dissipation. Both objectives are affine in
+    ``f``, so the choice is closed form: with nonzero slip ``v_t`` the
+    sliding power ``f v_t`` is least at the cone boundary opposing the
+    slip; at zero slip the tangential acceleration ``c + f d``, with
+    ``c = t M^-1 F`` and ``d = t M^-1 t``, is nulled by ``f = -c / d``
+    (stiction), clamped to the cone. Returns the generalized force row;
+    an inactive contact contributes nothing.
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
@@ -782,21 +778,14 @@ def friction_force(
         return np.zeros(model.dim)
     v_t = float(trow @ qdot)
     if abs(v_t) > slip_tol:
-        f = _golden_min(lambda f: f * v_t, -bound, bound)
-        # The sliding-power objective is linear; snap to the cone boundary.
-        if bound - abs(f) <= 2e-8 * max(bound, 1.0):
-            f = math.copysign(bound, f)
+        f = -math.copysign(bound, v_t)
     else:
-        mass = model.mass_matrix(q)
         applied = -model.potential_gradient(q)
         own = model.force(q, qdot, 0.0)
         if own is not None:
             applied = applied + np.asarray(own, float)
-
-        def tangential_accel(f):
-            return abs(float(trow @ np.linalg.solve(mass, applied + f * trow)))
-
-        f = _golden_min(tangential_accel, -bound, bound)
+        c, d = trow @ np.linalg.solve(model.mass_matrix(q), np.column_stack([applied, trow]))
+        f = min(max(-c / d, -bound), bound)
     return f * trow
 
 
@@ -874,29 +863,6 @@ class _Sim:
                 return q_n, p_out
             return _solve_free(self.model, p_in, q_c, t_c, t_target, forces, cfg)
 
-    def _node_contact_split(self, q_c, p_in, crossing, gaps_c, act_tol):
-        """Separate crossing contacts that are already closed at the node.
-
-        Returns (approaching, tangent): closed contacts the momentum
-        points into, and closed contacts it merely rests on. Closed
-        contacts with separating momentum are left alone; their crossing
-        happens strictly inside the interval.
-        """
-        touching = [i for i in crossing if gaps_c[i] <= act_tol]
-        if not touching:
-            return [], []
-        metric = self.model.metric_at(q_c)
-        grads = self.model.gap_gradients(q_c)
-        p_tol = 1e-9 * max(1.0, mt.norm(metric, p_in))
-        approaching, tangent = [], []
-        for i in touching:
-            value = mt.inner(metric, p_in, mt.unit(metric, grads[i]))
-            if value < -p_tol:
-                approaching.append(i)
-            elif value <= p_tol:
-                tangent.append(i)
-        return approaching, tangent
-
     def advance(self, q_c, t_c, p_in, t_target):
         """Advance to the target time, resolving any impacts on the way."""
         model, cfg = self.model, self.cfg
@@ -924,23 +890,14 @@ class _Sim:
                     f"more than {cfg.max_impacts_per_step} impacts in one step"
                 )
 
-            approaching, tangent = self._node_contact_split(
-                q_c, p_in, crossing, gaps_c, act_tol
+            approaching, tangent, node_event, energy = _node_contacts(
+                model, q_c, p_in, gaps_c, crossing, act_tol
             )
             if approaching:
-                # The impact is at the node itself: no substep to solve.
-                t_star, q_star, p_star = t_c, q_c, p_in
-                contacts = tuple(
-                    sorted(
-                        set(i for i in range(gaps_c.size) if abs(gaps_c[i]) <= act_tol)
-                        | set(approaching)
-                    )
-                )
+                t_star, q_star, p_star, contacts = t_c, q_c, p_in, node_event
             elif tangent:
                 # A resting contact being pushed through its manifold:
                 # the chattering limit. Hold it as an active constraint.
-                metric = model.metric_at(q_c)
-                energy = 0.5 * mt.norm(metric, p_in) ** 2
                 self.events.append(
                     ImpactEvent(
                         t=t_c,

@@ -204,13 +204,16 @@ class TestSimulateTask:
 
 class TestSweepTask:
     def test_range_validation(self, tmp_path):
-        config = {
-            "model": {"type": "billiards", "masses": [1, 1, 1], "radii": [0.1, 0.1, 0.1]},
-            "task": {"kind": "sweep", "start": 0.2, "stop": 3.0, "samples": 5},
-        }
-        path = write_config(tmp_path, config)
-        with pytest.raises(ConfigError):
-            run(path, out_dir=tmp_path / "out")
+        # Below the contact limit, empty, reversed, beyond pi.
+        for start, stop in [(0.2, 3.0), (2.0, 2.0), (2.5, 1.5), (1.5, 3.5)]:
+            config = {
+                "model": {"type": "billiards", "masses": [1, 1, 1], "radii": [0.1, 0.1, 0.1]},
+                "task": {"kind": "sweep", "start": start, "stop": stop, "samples": 5},
+            }
+            path = write_config(tmp_path, config)
+            with pytest.raises(ConfigError):
+                run(path, out_dir=tmp_path / "out")
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_small_sweep_rows_ordered(self, tmp_path):
         config = {
@@ -296,7 +299,11 @@ class TestDeterminism:
 
 
 def test_cli_import_does_not_load_scipy():
-    code = "import sys, simpact.cli; print('scipy' in sys.modules)"
+    # Nor the thread-pool machinery, which the CLI has no use for.
+    code = (
+        "import sys, simpact.cli; "
+        "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -304,4 +311,4 @@ def test_cli_import_does_not_load_scipy():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"

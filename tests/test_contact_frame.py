@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from simpact import metric as mt
 from simpact.errors import DegenerateNormalsError
+from simpact.models import LegTailModel
 from simpact.metric import (
     DEADBAND,
     ContactFrame,
@@ -35,6 +36,7 @@ from simpact.resolution import (
     plastic_resolve,
     two_contact_reflection_bound,
 )
+from simpact.stepper import locate_impact
 from simpact.uniqueness import classify_pair, indeterminacy_xi, outcome_xi
 
 from conftest import pair_with_inner, random_metric, random_unit_covector
@@ -457,4 +459,19 @@ def test_narrow_wedge_enumeration_solves_once(rng, mass_solves):
     p = pair_momentum(metric, rng, u, v)
     solves, found = mass_solves(metric, lambda: enumerate_outcomes(metric, p, [u, v], 64))
     assert found.branches_explored > 40
+    assert solves == 1
+
+
+def test_node_contact_test_solves_once(monkeypatch, mass_solves):
+    # A body dropping flat onto two contacts closed at the node: the
+    # stepper's node test classifies both from one contact frame.
+    body = LegTailModel(1.0, 0.1, (0.3, -0.2), (-0.3, -0.2), gravity=0.0)
+    q = body.double_contact_pose()
+    metric = body.metric_at(q)
+    monkeypatch.setattr(body, "metric_at", lambda _: metric)
+    qdot, h = np.array([0.0, -1.0, 0.0]), 0.01
+    solves, (t_star, _, contacts) = mass_solves(
+        metric, lambda: locate_impact(body, q - h * qdot, q, q + h * qdot, 0.0, h)
+    )
+    assert (t_star, contacts) == (0.0, (0, 1))
     assert solves == 1

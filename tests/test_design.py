@@ -149,3 +149,5 @@ class TestThetaSweep:
             theta_sweep(model, 0.1, math.pi, 10)
         with pytest.raises(ValueError):
             theta_sweep(model, 2.0, 3.5, 10)  # beyond pi
+        with pytest.raises(ValueError):
+            theta_sweep(model, 2.0, 2.0, 10)  # empty range

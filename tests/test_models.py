@@ -12,11 +12,8 @@ from simpact.models import (
     BilliardsModel,
     CradleModel,
     LegTailModel,
-    ball_build,
     billiards_build,
     billiards_pair_inner,
-    cradle_build,
-    legtail_build,
     validate_model,
 )
 from simpact.uniqueness import classify_pair
@@ -49,7 +46,7 @@ class TestInterfaceSuite:
 
 class TestCradle:
     def test_normals(self):
-        model = cradle_build(3, [1.0, 1.0, 1.0], [0.1, 0.1, 0.1])
+        model = CradleModel([1.0, 1.0, 1.0], [0.1, 0.1, 0.1])
         q = model.touching_positions()
         np.testing.assert_array_equal(
             model.gap_gradients(q), [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]
@@ -57,7 +54,7 @@ class TestCradle:
         np.testing.assert_allclose(model.gaps(q), [0.0, 0.0], atol=1e-15)
 
     def test_equal_masses_adjacent_pairs_three_stage(self, rng):
-        model = cradle_build(4, [2.5] * 4, [0.1] * 4)
+        model = CradleModel([2.5] * 4, [0.1] * 4)
         q = rng.standard_normal(4)
         metric = model.metric_at(q)
         grads = model.gap_gradients(q)
@@ -68,9 +65,9 @@ class TestCradle:
 
     def test_build_errors(self):
         with pytest.raises(ValueError):
-            cradle_build(2, [1.0, -1.0], [0.1, 0.1])
+            CradleModel([1.0, -1.0], [0.1, 0.1])
         with pytest.raises(DimensionError):
-            cradle_build(3, [1.0, 1.0], [0.1, 0.1])
+            CradleModel([1.0, 1.0, 1.0], [0.1, 0.1])
         with pytest.raises(ValueError):
             CradleModel([1.0], [0.1])
 
@@ -167,14 +164,7 @@ class TestLegTail:
 
     def test_coincident_offsets_rejected(self):
         with pytest.raises(DegenerateNormalsError):
-            legtail_build(
-                {
-                    "mass": 1.0,
-                    "inertia": 0.1,
-                    "contact_a": (0.1, -0.2),
-                    "contact_b": (0.1, -0.2),
-                }
-            )
+            LegTailModel(mass=1.0, inertia=0.1, contact_a=(0.1, -0.2), contact_b=(0.1, -0.2))
 
     def test_nonphysical_rejected(self):
         with pytest.raises(ValueError):
@@ -185,9 +175,9 @@ class TestLegTail:
 
 class TestBall:
     def test_gap_offset_by_radius(self):
-        model = ball_build(1.0, radius=0.05)
+        model = BallModel(1.0, radius=0.05)
         assert model.gaps(np.array([0.05]))[0] == pytest.approx(0.0)
 
     def test_potential_gradient(self):
-        model = ball_build(2.0, gravity=9.81)
+        model = BallModel(2.0, gravity=9.81)
         np.testing.assert_allclose(model.potential_gradient(np.array([1.0])), [19.62])

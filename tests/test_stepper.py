@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
@@ -123,6 +125,31 @@ class Slider(MechModel):
 
     def force(self, q, qdot, t):
         return np.array([self.push, 0.0])
+
+
+class LoadedContact(MechModel):
+    """A closed contact under a coupled mass, a tilted tangent and loads."""
+
+    constant_mass = True
+
+    def __init__(self, mass, tangent, load, push):
+        self.dim = len(tangent)
+        self._mass, self._tangent, self._load, self._push = mass, tangent, load, push
+
+    def mass_matrix(self, q):
+        return self._mass
+
+    def potential_gradient(self, q):
+        return self._load
+
+    def gaps(self, q):
+        return np.zeros(1)
+
+    def gap_tangents(self, q):
+        return self._tangent[None, :]
+
+    def force(self, q, qdot, t):
+        return self._push
 
 
 class TestDiscreteLagrangian:
@@ -353,6 +380,25 @@ class TestLocateImpact:
         )
         assert contacts == (0, 1)
         np.testing.assert_allclose(body.gaps(q_star), 0.0, atol=1e-10)
+
+    def test_closed_contact_approached_at_node(self):
+        # Both contacts are closed at the node; the body turns about
+        # contact 1, so the momentum drives contact 0 into the floor and
+        # is tangent to contact 1. The impact sits at the node itself and
+        # takes in the resting contact too.
+        body = LegTailModel(1.0, 0.1, (0.3, -0.2), (-0.3, -0.2), gravity=0.0)
+        q_curr = body.double_contact_pose()
+        qdot = np.array([0.0, -0.3, -1.0])
+        h = 0.01
+        q_cand = q_curr + h * qdot
+        assert body.gaps(q_cand)[0] < 0.0 < body.gaps(q_cand)[1]
+        t_star, q_star, contacts = locate_impact(
+            body, q_curr - h * qdot, q_curr, q_cand, 0.5, 0.5 + h,
+            config=StepperConfig(h=h),
+        )
+        assert t_star == 0.5
+        np.testing.assert_array_equal(q_star, q_curr)
+        assert contacts == (0, 1)
 
     def test_no_crossing_raises(self):
         model = BallModel(1.0, gravity=0.0)
@@ -612,6 +658,38 @@ class TestFriction:
 
         v_bare = run_block(0.0)
         assert v_bare == pytest.approx(1.5, rel=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 4),
+        mu=st.floats(0.01, 2.0),
+        normal_force=st.floats(0.01, 100.0),
+    )
+    def test_closed_forms_on_random_masses(self, seed, dim, mu, normal_force):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((dim, dim))
+        mass = a @ a.T + 0.1 * np.eye(dim)
+        trow = rng.standard_normal(dim)
+        load, push = 5.0 * rng.standard_normal((2, dim))
+        model = LoadedContact(mass, trow, load, push)
+        q, bound = np.zeros(dim), mu * normal_force
+
+        # Slip: the cone boundary opposing the tangential speed, exactly.
+        qdot = rng.standard_normal(dim)
+        v_t = float(trow @ qdot)
+        assume(abs(v_t) > 1e-10)
+        slip = friction_force(model, q, qdot, 0, mu, normal_force)
+        np.testing.assert_array_equal(slip, (-np.sign(v_t) * bound) * trow)
+
+        # Stick: the force that nulls the tangential acceleration,
+        # clamped to the cone.
+        c = trow @ np.linalg.solve(mass, push - load)
+        d = trow @ np.linalg.solve(mass, trow)
+        f = np.clip(-c / d, -bound, bound)
+        stick = friction_force(model, q, np.zeros(dim), 0, mu, normal_force)
+        scale = (abs(c / d) + bound) * np.abs(trow).max()
+        np.testing.assert_allclose(stick, f * trow, rtol=0.0, atol=1e-12 * scale)
 
     def test_matches_scalar_minimization_oracle(self):
         # Independent oracle: bounded scalar minimization of the same
