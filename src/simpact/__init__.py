@@ -89,4 +89,13 @@ from .design import (
     solve_orthogonal,
     theta_sweep,
 )
-from .cli import report_energy, run
+
+
+def __getattr__(name):
+    # The CLI is imported on first use, so that ``python -m simpact.cli``
+    # does not find the module already imported by its own package.
+    if name in ("report_energy", "run"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

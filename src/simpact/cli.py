@@ -13,6 +13,7 @@ runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -22,7 +23,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from . import metric as mt
@@ -141,7 +141,13 @@ SCHEMA = {
     },
 }
 
-_VALIDATOR = Draft202012Validator(SCHEMA)
+
+@functools.cache
+def _validator():
+    """The schema validator, built on first use: only ``load_config`` needs jsonschema."""
+    from jsonschema import Draft202012Validator
+
+    return Draft202012Validator(SCHEMA)
 
 
 def load_config(path) -> dict:
@@ -157,7 +163,7 @@ def load_config(path) -> dict:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
-    errors = sorted(_VALIDATOR.iter_errors(config), key=lambda e: list(e.absolute_path))
+    errors = sorted(_validator().iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
         first = errors[0]
         where = "$" + "".join(f"[{p!r}]" for p in first.absolute_path)

@@ -271,7 +271,9 @@ def enumerate_outcomes(
     metric distance; branches that exceed ``depth_cap`` raise the
     ``truncated`` flag instead of being dropped silently. Each branch
     carries its inner products and impulse sums in contact coordinates,
-    so the search solves against the mass matrix once, up front.
+    so the search solves against the mass matrix once, up front. The
+    impulse sums of the outcomes found so far are the rows of one array,
+    and each leaf is tested against all of them in one array expression.
     """
     if depth_cap < 1:
         raise ValueError("depth_cap must be at least 1")
@@ -279,12 +281,13 @@ def enumerate_outcomes(
     frame = mt.ContactFrame(metric, normals, p_minus)
     dedup_tol = dedup_rtol * max(math.sqrt(max(frame.p_norm2, 0.0)), 1e-300)
 
-    found: list[tuple[np.ndarray, ImpactOutcome]] = []
+    found: list[ImpactOutcome] = []
+    found_lam = np.empty((0, len(frame)))  # row i: impulse sums of found[i]
     truncated = False
     explored = 0
 
     def visit(a, lam, sequence, impulses):
-        nonlocal truncated, explored
+        nonlocal found_lam, truncated, explored
         explored += 1
         values = a * frame.scales
         infeasible = [
@@ -293,19 +296,21 @@ def enumerate_outcomes(
             if not sequence or i != sequence[-1]
         ]
         if not infeasible:
-            for prior, _ in found:
-                if frame.distance(lam, prior) < dedup_tol:
+            if found:
+                # Differences first, as in ContactFrame.distance; the
+                # nearest prior is within dedup_tol exactly when any is.
+                d = found_lam - lam
+                dist2 = ((d @ frame.rows) * (d @ frame.duals)).sum(axis=1)
+                if math.sqrt(max(float(dist2.min()), 0.0)) < dedup_tol:
                     return
+            found_lam = np.vstack([found_lam, lam])
             found.append(
-                (
-                    lam,
-                    ImpactOutcome(
-                        p_plus=frame.momentum(lam),
-                        sequence=tuple(sequence),
-                        impulses=tuple(impulses),
-                        status=CascadeStatus.CONVERGED,
-                        kind=ImpactKind.ELASTIC,
-                    ),
+                ImpactOutcome(
+                    p_plus=frame.momentum(lam),
+                    sequence=tuple(sequence),
+                    impulses=tuple(impulses),
+                    status=CascadeStatus.CONVERGED,
+                    kind=ImpactKind.ELASTIC,
                 )
             )
             return
@@ -319,7 +324,7 @@ def enumerate_outcomes(
             visit(a + step * frame.gram[:, k], branch, sequence + [k], impulses + [step])
 
     visit(frame.a, np.zeros(len(frame)), [], [])
-    return EnumerationResult(tuple(out for _, out in found), truncated, explored)
+    return EnumerationResult(tuple(found), truncated, explored)
 
 
 def plastic_resolve(metric: mt.KineticMetric, p_minus, normals: Sequence) -> ImpactOutcome:

@@ -600,33 +600,41 @@ def locate_impact(
 def _node_contacts(model, q, p, gaps, crossing, act_tol):
     """Test the crossing contacts closed at the node ``q`` against ``p``.
 
-    Returns ``(approaching, tangent, contacts, energy)``. A closed
+    Returns ``(approaching, tangent, contacts, frame)``. A closed
     contact the momentum points into impacts at the node itself; there
     is no substep to solve, and ``contacts``, the set of that impact,
-    takes in every contact closed at ``q``. A closed contact the
-    momentum is tangent to (within a tolerance relative to ``|p|``)
-    rests on its manifold. Closed contacts with separating momentum are
-    left out: their crossing happens strictly inside the interval. One
-    contact frame gives the unit-normal inner products and the kinetic
-    energy ``|p|²/2``.
+    is every contact closed at ``q``. A closed contact the momentum is
+    tangent to (within a tolerance relative to ``|p|``) rests on its
+    manifold. Closed contacts with separating momentum are left out:
+    their crossing happens strictly inside the interval. ``frame`` is
+    the contact frame of ``contacts`` at ``q`` and ``p``: its rows of
+    the crossing contacts give the unit-normal inner products, and it
+    is the frame in which a node impact is resolved.
     """
     touching = [i for i in crossing if abs(gaps[i]) <= act_tol]
     if not touching:
-        return [], [], (), 0.0
-    frame = mt.ContactFrame(model.metric_at(q), model.gap_gradients(q)[touching], p)
-    values = frame.a * frame.scales
+        return [], [], (), None
+    contacts = tuple(np.flatnonzero(np.abs(gaps) <= act_tol).tolist())
+    frame = _contact_frame(model, q, p, contacts)
+    rows = [contacts.index(i) for i in touching]
+    values = frame.a[rows] * frame.scales[rows]
     p_tol = 1e-9 * max(1.0, math.sqrt(max(frame.p_norm2, 0.0)))
     approaching = [i for i, v in zip(touching, values) if v < -p_tol]
     tangent = [i for i, v in zip(touching, values) if abs(v) <= p_tol]
-    closed = np.flatnonzero(np.abs(gaps) <= act_tol).tolist()
-    contacts = tuple(sorted(set(closed) | set(approaching)))
-    return approaching, tangent, contacts, 0.5 * frame.p_norm2
+    return approaching, tangent, contacts, frame
 
 
-def _resolve_event(model, q_star, t_star, p_star, contacts, r_eff, cfg, forced):
-    """Map the incoming momentum through the contact set at the impact."""
-    grads = model.gap_gradients(q_star)
-    frame = mt.ContactFrame(model.metric_at(q_star), [grads[i] for i in contacts], p_star)
+def _contact_frame(model, q, p, contacts):
+    """Contact frame of the given contacts at configuration ``q``."""
+    return mt.ContactFrame(model.metric_at(q), model.gap_gradients(q)[list(contacts)], p)
+
+
+def _resolve_event(frame, t_star, contacts, r_eff, cfg, forced):
+    """Map the incoming momentum through the contact set at the impact.
+
+    ``frame`` is the contact frame of ``contacts`` at the impact
+    configuration and incoming momentum.
+    """
     e_before = 0.5 * frame.p_norm2
 
     if not np.any(frame.a < 0.0):
@@ -640,7 +648,7 @@ def _resolve_event(model, q_star, t_star, p_star, contacts, r_eff, cfg, forced):
             energy_after=e_before,
             forced="graze",
         )
-        return p_star, event, False
+        return frame.p, event, False
 
     if r_eff > 0.0:
         cfg.policy.validate_for(len(frame))
@@ -708,8 +716,9 @@ def impact_step(
     q_prev = np.asarray(q_prev, dtype=float)
     q_star = np.asarray(q_star, dtype=float)
     p_star = node_momentum(model, q_prev, t_curr, q_star, t_star, forces)
+    contacts = tuple(contacts)
     p_mapped, event, becomes_held = _resolve_event(
-        model, q_star, t_star, p_star, tuple(contacts), restitution, cfg, None
+        _contact_frame(model, q_star, p_star, contacts), t_star, contacts, restitution, cfg, None
     )
     sim = _Sim(model, cfg, forces)
     if becomes_held:
@@ -890,11 +899,11 @@ class _Sim:
                     f"more than {cfg.max_impacts_per_step} impacts in one step"
                 )
 
-            approaching, tangent, node_event, energy = _node_contacts(
+            approaching, tangent, node_event, frame = _node_contacts(
                 model, q_c, p_in, gaps_c, crossing, act_tol
             )
             if approaching:
-                t_star, q_star, p_star, contacts = t_c, q_c, p_in, node_event
+                t_star, q_star, contacts = t_c, q_c, node_event
             elif tangent:
                 # A resting contact being pushed through its manifold:
                 # the chattering limit. Hold it as an active constraint.
@@ -904,8 +913,8 @@ class _Sim:
                         contacts=tuple(tangent),
                         kind=ImpactKind.PLASTIC,
                         impulses=tuple(0.0 for _ in tangent),
-                        energy_before=energy,
-                        energy_after=energy,
+                        energy_before=0.5 * frame.p_norm2,
+                        energy_after=0.5 * frame.p_norm2,
                         forced="resting",
                     )
                 )
@@ -922,6 +931,7 @@ class _Sim:
                     p_star = node_momentum(model, q_c, t_c, q_star, t_star, forces)
                 else:
                     p_star, q_star, t_star = p_in, q_c, t_c
+                frame = _contact_frame(model, q_star, p_star, contacts)
 
             forced = None
             r_eff = min(cfg.restitution_for(i) for i in contacts)
@@ -931,7 +941,7 @@ class _Sim:
                     r_eff = 0.0
                     break
             p_mapped, event, becomes_held = _resolve_event(
-                model, q_star, t_star, p_star, contacts, r_eff, cfg, forced
+                frame, t_star, contacts, r_eff, cfg, forced
             )
             self.events.append(event)
             if becomes_held:

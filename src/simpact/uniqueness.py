@@ -101,22 +101,28 @@ def indeterminacy_xi(metric: mt.KineticMetric, p_minus, u, v) -> float:
 def outcome_xi(metric: mt.KineticMetric, p_minus, outcomes) -> tuple[float, float]:
     """Max and mean normalized metric distance over every outcome pair.
 
-    The norms of ``p_minus`` and of every pairwise difference come from
-    one stacked solve; the differences are formed before the metric is
-    applied, so near-equal outcomes do not lose their distance to
-    cancellation.
+    One solve against the mass matrix gives the duals of ``p_minus`` and
+    of every outcome. Each pair's squared distance is then the product
+    of the difference of the two momenta with the difference of their
+    duals, formed one outcome at a time against the later ones, so the
+    work is quadratic in the outcome count but the memory only linear.
+    Differences are taken before the product, so near-equal outcomes do
+    not lose their distance to the cancellation of two large norms.
     """
-    rows = [metric._check(p_minus)] + [
-        a.p_plus - b.p_plus for i, a in enumerate(outcomes) for b in outcomes[i + 1 :]
-    ]
-    stacked = np.array(rows)
-    norms2 = np.einsum("ij,ji->i", stacked, np.linalg.solve(metric.mass, stacked.T))
-    norms = np.sqrt(np.maximum(norms2, 0.0))
-    p_norm = float(norms[0])
-    if p_norm == 0.0 or len(outcomes) < 2:
+    stacked = np.array([metric._check(p_minus)] + [out.p_plus for out in outcomes])
+    duals = np.linalg.solve(metric.mass, stacked.T).T
+    p_norm = math.sqrt(max(float(stacked[0] @ duals[0]), 0.0))
+    m = len(outcomes)
+    if p_norm == 0.0 or m < 2:
         return 0.0, 0.0
-    gaps = norms[1:] / p_norm
-    return float(gaps.max()), float(np.mean(gaps))
+    worst = 0.0
+    total = 0.0
+    for i in range(1, m):
+        gaps2 = np.einsum("ij,ij->i", stacked[i + 1 :] - stacked[i], duals[i + 1 :] - duals[i])
+        gaps = np.sqrt(np.maximum(gaps2, 0.0))
+        worst = max(worst, float(gaps.max()))
+        total += float(gaps.sum())
+    return worst / p_norm, total / p_norm / (m * (m - 1) // 2)
 
 
 def pairwise_xi(

@@ -287,7 +287,9 @@ class TestDeterminism:
         "scenario",
         [
             "cradle_resolve.json",
+            "cradle_restitution.json",
             "ball_zeno.json",
+            "billiards_sweep.json",
             "legtail_optimize.json",
         ],
     )
@@ -299,10 +301,12 @@ class TestDeterminism:
 
 
 def test_cli_import_does_not_load_scipy():
-    # Nor the thread-pool machinery, which the CLI has no use for.
+    # Nor the thread-pool machinery, which the CLI has no use for, nor
+    # jsonschema, which only loading a scenario file needs.
     code = (
         "import sys, simpact.cli; "
-        "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
+        "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules, "
+        "'jsonschema' in sys.modules)"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -311,4 +315,27 @@ def test_cli_import_does_not_load_scipy():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False False"
+    assert done.stdout.strip() == "False False False"
+
+
+def test_module_entry_point_runs_without_warnings():
+    # The package must not import simpact.cli before runpy executes it.
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "simpact.cli", "--version"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.startswith("simpact ")
+
+
+def test_package_exports_cli_entry_points():
+    import simpact
+    import simpact.cli
+
+    assert simpact.run is simpact.cli.run
+    assert simpact.report_energy is simpact.cli.report_energy
+    with pytest.raises(AttributeError):
+        simpact.no_such_name

@@ -10,6 +10,7 @@ to 1e-12, and must solve against the mass matrix once per call.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,13 +31,16 @@ from simpact.metric import (
 from simpact.resolution import (
     CascadePolicy,
     CascadeStatus,
+    EnumerationResult,
     elastic_cascade,
     enumerate_outcomes,
     inelastic_resolve,
+    ImpactKind,
+    ImpactOutcome,
     plastic_resolve,
     two_contact_reflection_bound,
 )
-from simpact.stepper import locate_impact
+from simpact.stepper import StepperConfig, _Sim, locate_impact
 from simpact.uniqueness import classify_pair, indeterminacy_xi, outcome_xi
 
 from conftest import pair_with_inner, random_metric, random_unit_covector
@@ -352,6 +356,145 @@ def test_pair_measures_match_reference(seed, shape, extra):
 
 
 # ---------------------------------------------------------------------------
+# Many-contact enumeration against a per-prior deduplication
+
+
+def prior_loop_enumerate(metric, p_minus, normals, depth_cap, dedup_rtol=1e-9):
+    """The contact-coordinate search with a scalar distance per found outcome."""
+    frame = ContactFrame(metric, normals, p_minus)
+    dedup_tol = dedup_rtol * max(math.sqrt(max(frame.p_norm2, 0.0)), 1e-300)
+    found, state = [], {"truncated": False, "explored": 0}
+
+    def visit(a, lam, sequence, impulses):
+        state["explored"] += 1
+        values = a * frame.scales
+        infeasible = [
+            int(i)
+            for i in (values < 0.0).nonzero()[0]
+            if not sequence or i != sequence[-1]
+        ]
+        if not infeasible:
+            for prior, _ in found:
+                if frame.distance(lam, prior) < dedup_tol:
+                    return
+            outcome = ImpactOutcome(
+                p_plus=frame.momentum(lam),
+                sequence=tuple(sequence),
+                impulses=tuple(impulses),
+                status=CascadeStatus.CONVERGED,
+                kind=ImpactKind.ELASTIC,
+            )
+            found.append((lam, outcome))
+            return
+        if len(sequence) >= depth_cap:
+            state["truncated"] = True
+            return
+        for k in infeasible:
+            step = -2.0 * float(a[k]) / frame.norms2[k]
+            branch = lam.copy()
+            branch[k] += step
+            visit(a + step * frame.gram[:, k], branch, sequence + [k], impulses + [step])
+
+    visit(frame.a, np.zeros(len(frame)), [], [])
+    outcomes = tuple(out for _, out in found)
+    return EnumerationResult(outcomes, state["truncated"], state["explored"])
+
+
+def stacked_difference_xi(metric, p_minus, outcomes):
+    """Pairwise xi from one solve over every pairwise difference at once."""
+    rows = [np.asarray(p_minus, float)] + [
+        a.p_plus - b.p_plus for i, a in enumerate(outcomes) for b in outcomes[i + 1 :]
+    ]
+    stacked = np.array(rows)
+    norms2 = np.einsum("ij,ji->i", stacked, np.linalg.solve(metric.mass, stacked.T))
+    norms = np.sqrt(np.maximum(norms2, 0.0))
+    if norms[0] == 0.0 or len(outcomes) < 2:
+        return 0.0, 0.0
+    gaps = norms[1:] / norms[0]
+    return float(gaps.max()), float(np.mean(gaps))
+
+
+def many_contact_instance(seed, k, kind, extra):
+    """Three or four normals; ``chain`` instances have merged outcomes.
+
+    A chain is Newton's cradle with random masses and every ball faster
+    than its right neighbour: non-adjacent contacts are orthogonal, so
+    reflection orders that differ by commuting steps reach one outcome.
+    """
+    if kind == "generic":
+        return build_instance(seed, "generic", k, extra)
+    rng = np.random.default_rng(seed)
+    n = k + 1
+    masses = rng.uniform(0.05, 2.0, n)
+    normals = [np.eye(n)[i + 1] - np.eye(n)[i] for i in range(k)]
+    p = masses * np.sort(rng.uniform(-1.0, 1.0, n))[::-1]
+    return KineticMetric(np.diag(masses)), normals, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(3, 4),
+    kind=st.sampled_from(("generic", "chain")),
+    extra=st.integers(0, 3),
+    depth_cap=st.integers(3, 9),
+)
+def test_many_contact_enumeration_matches_prior_loop(seed, k, kind, extra, depth_cap):
+    metric, normals, p = many_contact_instance(seed, k, kind, extra)
+    found = enumerate_outcomes(metric, p, normals, depth_cap)
+    ref = prior_loop_enumerate(metric, p, normals, depth_cap)
+    assert (found.truncated, found.branches_explored) == (ref.truncated, ref.branches_explored)
+    assert len(found) == len(ref)
+    for got, want in zip(found.outcomes, ref.outcomes):
+        assert (got.sequence, got.impulses, got.status, got.kind) == (
+            want.sequence,
+            want.impulses,
+            want.status,
+            want.kind,
+        )
+        np.testing.assert_array_equal(got.p_plus, want.p_plus)
+    xi = outcome_xi(metric, p, found.outcomes)
+    ref_xi = stacked_difference_xi(metric, p, ref.outcomes)
+    assert xi == pytest.approx(ref_xi, rel=RTOL, abs=0.0)
+
+
+def generated_four_contact_instance():
+    """Four random unit normals under a random metric with 671 outcomes.
+
+    Gaussian normals, a random SPD mass matrix and a momentum violating
+    every normal, drawn from a fixed seed; at depth 16 the search visits
+    2,771 branches.
+    """
+    rng = np.random.default_rng([20171009, 4, 41])
+    n = int(rng.integers(4, 9))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    mass = (q * np.exp(rng.uniform(-2.0, 2.0, n))) @ q.T
+    inv = np.linalg.inv(mass)
+    normals = rng.standard_normal((4, n))
+    normals /= np.sqrt(np.einsum("ij,jk,ik->i", normals, inv, normals))[:, None]
+    p = -rng.uniform(0.5, 1.5, 4) @ normals + 0.3 * rng.standard_normal(n)
+    return KineticMetric(mass), list(normals), p
+
+
+def test_many_outcomes_in_one_solve_and_linear_memory(mass_solves):
+    metric, normals, p = generated_four_contact_instance()
+    solves, found = mass_solves(metric, lambda: enumerate_outcomes(metric, p, normals, 16))
+    assert len(found) >= 500 and not found.truncated
+    assert solves == 1
+    solves, _ = mass_solves(metric, lambda: outcome_xi(metric, p, found.outcomes))
+    assert solves == 1
+    # Every pairwise difference at once would take about 225k rows.
+    tracemalloc.start()
+    try:
+        xi_max, xi_mean = outcome_xi(metric, p, found.outcomes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert 0.0 < xi_mean < xi_max
+
+
+# ---------------------------------------------------------------------------
 # The frame itself
 
 
@@ -474,4 +617,18 @@ def test_node_contact_test_solves_once(monkeypatch, mass_solves):
         metric, lambda: locate_impact(body, q - h * qdot, q, q + h * qdot, 0.0, h)
     )
     assert (t_star, contacts) == (0.0, (0, 1))
+    assert solves == 1
+
+
+def test_node_impact_builds_one_frame(monkeypatch, mass_solves):
+    # The same drop run through the stepper: the node test's frame is the
+    # frame the impact is resolved in.
+    body = LegTailModel(1.0, 0.1, (0.3, -0.2), (-0.3, -0.2), gravity=0.0)
+    q = body.double_contact_pose()
+    metric = body.metric_at(q)
+    monkeypatch.setattr(body, "metric_at", lambda _: metric)
+    sim = _Sim(body, StepperConfig(h=0.01), None)
+    p_in = body.mass_matrix(q) @ np.array([0.0, -1.0, 0.0])
+    solves, _ = mass_solves(metric, lambda: sim.advance(q, 0.0, p_in, 0.01))
+    assert [(ev.t, ev.contacts) for ev in sim.events] == [(0.0, (0, 1))]
     assert solves == 1
