@@ -535,6 +535,18 @@ def _check_contact_references(config: dict, model) -> None:
             raise ConfigError(f"policy references unknown contacts {bad}")
 
 
+def _failure_site(exc: Exception) -> str:
+    """Where a failed task stopped: the time, contacts and residual it names."""
+    parts = []
+    if getattr(exc, "t", None) is not None:
+        parts.append(f"t={_fmt(exc.t)}")
+    if getattr(exc, "contacts", ()):
+        parts.append("contacts=" + ";".join(str(c) for c in exc.contacts))
+    if getattr(exc, "residual_norm", None) is not None:
+        parts.append(f"residual={exc.residual_norm:.3e}")
+    return f" ({', '.join(parts)})" if parts else ""
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="simpact",
@@ -571,7 +583,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimpactError, ValueError) as exc:
-        print(f"task failed: {exc}", file=sys.stderr)
+        print(f"task failed: {exc}{_failure_site(exc)}", file=sys.stderr)
         return EXIT_TASK
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -39,7 +39,18 @@ class StepFailureError(SimpactError, RuntimeError):
 
 
 class ImpactLocationError(SimpactError, RuntimeError):
-    """Impact time localization failed (no crossing, or Newton failure)."""
+    """Impact time localization failed (no crossing, or Newton failure).
+
+    ``t`` is the start of the step being localized, ``contacts`` the
+    contacts crossing in it, and ``residual_norm`` the last Newton
+    residual norm when Newton failed (None otherwise).
+    """
+
+    def __init__(self, message, t=None, contacts=(), residual_norm=None):
+        super().__init__(message)
+        self.t = t
+        self.contacts = tuple(contacts)
+        self.residual_norm = residual_norm
 
 
 class DesignError(SimpactError, RuntimeError):

@@ -16,6 +16,16 @@ gap gradients for the constraint rows and multiplier columns. Forward
 differences remain for applied forces, for the impact time, and for
 configuration-dependent masses.
 
+Jacobians are kept while they contract (simplified Newton). A
+simulation holds one per held-contact set and substep length. A solve
+first takes the full step of the kept Jacobian when it lowers the
+residual, and keeps the matrix for the next iteration and the next step
+while each step cuts the residual norm to at most ``KEEP_RATE`` of its
+previous value or to the tolerance; otherwise the Jacobian is rebuilt at
+the current iterate and its step is line-searched. Localization and the
+standalone steps keep a Jacobian within one solve only. Convergence is
+decided by the residual alone.
+
 Chattering contacts that impact more often than the Zeno window within
 one nominal step are switched to plastic and then held as active
 constraints (DEL augmented with the gap equation and an impulse
@@ -26,6 +36,7 @@ negative, meaning the constraint would have to pull.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -33,6 +44,7 @@ import numpy as np
 
 from . import metric as mt
 from .errors import (
+    ConfigError,
     ImpactLocationError,
     SimpactError,
     StepFailureError,
@@ -274,6 +286,23 @@ def node_momentum(model: MechModel, q_a, t_a, q_b, t_b, forces=None) -> np.ndarr
 #: Relative step of the forward differences that remain in the Jacobians.
 FD_REL = 1e-7
 
+#: A Newton Jacobian is kept for the next iteration and the next solve
+#: only while each step it makes cuts the residual norm to at most this
+#: fraction of its previous value, or to the tolerance.
+KEEP_RATE = 1e-3
+
+#: Kept Jacobians one simulation holds; the least recently used goes first.
+KEPT_SLOTS = 8
+
+
+class _KeptJacobian:
+    """One Newton Jacobian kept between iterations and between solves."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self):
+        self.matrix = None
+
 
 def _fd_jacobian(fun, x, r0, cols):
     """Forward-difference Jacobian columns ``cols`` of ``fun`` at ``x``, given ``r0 = fun(x)``."""
@@ -286,12 +315,22 @@ def _fd_jacobian(fun, x, r0, cols):
     return jac
 
 
-def _newton(fun, x0, tol, max_iter, jac):
-    """Damped Newton iteration.
+def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian):
+    """Damped simplified Newton iteration.
 
     ``jac(x, r, fun)`` returns the Jacobian at ``x`` given the residual
-    ``r = fun(x)``. The last call of ``fun`` is at the returned point, so
-    callers may keep what that evaluation computed.
+    ``r = fun(x)``. ``kept()`` returns the slot of the Jacobian kept
+    from earlier solves; it is called at the first iteration, so a solve
+    that starts converged does not look it up. By default the Jacobian
+    is kept within this solve only.
+    A kept Jacobian is tried first, with a full step that is taken when
+    it lowers the residual. A Jacobian stays kept while each of its
+    steps cuts the residual norm by the factor ``KEEP_RATE`` or to
+    ``tol`` (a last step is limited by rounding, not by the Jacobian);
+    otherwise it is rebuilt at the current iterate, and the step of the
+    fresh matrix is damped by halving until the residual falls.
+    The last call of ``fun`` is at the returned point, so callers may
+    keep what that evaluation computed.
     Raises :class:`StepFailureError` with the last residual norm when it
     cannot reduce the residual below ``tol``.
     """
@@ -301,6 +340,22 @@ def _newton(fun, x0, tol, max_iter, jac):
     for it in range(max_iter):
         if rn <= tol:
             return x
+        if it == 0:
+            slot = kept()
+        jmat, slot.matrix = slot.matrix, None
+        if jmat is not None:
+            try:
+                x_new = x + np.linalg.solve(jmat, -r)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                r_new = fun(x_new)
+                rn_new = float(np.linalg.norm(r_new))
+                if rn_new < rn or rn_new <= tol:
+                    if rn_new <= max(KEEP_RATE * rn, tol):
+                        slot.matrix = jmat
+                    x, r, rn = x_new, r_new, rn_new
+                    continue
         jmat = jac(x, r, fun)
         try:
             dx = np.linalg.solve(jmat, -r)
@@ -314,6 +369,8 @@ def _newton(fun, x0, tol, max_iter, jac):
             r_new = fun(x_new)
             rn_new = float(np.linalg.norm(r_new))
             if rn_new < rn or rn_new <= tol:
+                if rn_new <= max(KEEP_RATE * rn, tol):
+                    slot.matrix = jmat
                 x, r, rn = x_new, r_new, rn_new
                 break
             alpha *= 0.5
@@ -362,11 +419,12 @@ def _del_block(model, forces, q_a, t_a, q_b, t_b, fun, x, r):
 # DEL steps
 
 
-def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg):
+def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, kept=_KeptJacobian):
     """Solve the DEL for the next configuration given the node momentum.
 
     Returns the next configuration and the momentum it carries into the
-    node at ``t_next``, kept from the last residual evaluation.
+    node at ``t_next``, kept from the last residual evaluation. ``kept()``
+    gives the Newton Jacobian slot shared with earlier solves.
     """
     h = t_next - t_curr
     v0 = np.linalg.solve(model.mass_matrix(q_curr), p_in)
@@ -381,17 +439,18 @@ def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg):
         return _del_block(model, forces, q_curr, t_curr, q_next, t_next, fun, q_next, r)
 
     tol = cfg.newton_tol * max(1.0, float(np.abs(p_in).max()))
-    q_next = _newton(residual, x0, tol, cfg.newton_max_iter, jac=jacobian)
+    q_next = _newton(residual, x0, tol, cfg.newton_max_iter, jac=jacobian, kept=kept)
     return q_next, p_out[0]
 
 
-def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held):
+def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, kept=_KeptJacobian):
     """Constrained DEL step: held gaps pinned to zero via impulse multipliers.
 
     Returns the next configuration, the multiplier per held contact and
     the momentum carried into the node at ``t_next`` (from the last
     residual evaluation). A negative multiplier means the constraint
     would need to pull; the caller releases such contacts and re-solves.
+    ``kept()`` gives the Newton Jacobian slot of this held set.
     """
     held = list(held)
     n = model.dim
@@ -418,7 +477,9 @@ def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held):
         jac[n:, :n] = model.gap_gradients(q_next)[held] * gap_scale
         return jac
 
-    z = _newton(residual, x0, cfg.newton_tol * p_scale, cfg.newton_max_iter, jac=jacobian)
+    z = _newton(
+        residual, x0, cfg.newton_tol * p_scale, cfg.newton_max_iter, jac=jacobian, kept=kept
+    )
     return z[:n], dict(zip(held, z[n:])), p_out[0]
 
 
@@ -473,7 +534,7 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
         and gaps_cand[i] < gaps_curr[i]
     ]
     if not crossing:
-        raise ImpactLocationError("no gap sign change in the step")
+        raise ImpactLocationError("no gap sign change in the step", t_curr)
     h_full = t_next - t_curr
     estimates = {
         i: t_curr
@@ -535,17 +596,19 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
             residual, x0, cfg.newton_tol * p_scale, cfg.newton_max_iter, jac=jacobian
         )
     except StepFailureError as exc:
-        raise ImpactLocationError(f"impact localization failed: {exc}") from exc
+        raise ImpactLocationError(
+            f"impact localization failed: {exc}", t_curr, crossing, exc.residual_norm
+        ) from exc
     q_star, t_star = z[:n], float(z[n])
     if not (t_curr - cfg.time_tol <= t_star <= t_next + cfg.time_tol):
         raise ImpactLocationError(
-            f"impact time {t_star} escaped the step [{t_curr}, {t_next}]"
+            f"impact time {t_star} escaped the step [{t_curr}, {t_next}]", t_curr, crossing
         )
     t_star = min(max(t_star, t_curr + TINY_FRACTION * h_full), t_next)
     gaps_star = model.gaps(q_star)
     if abs(gaps_star[earliest]) > 1e-10 * model.length_scale:
         raise ImpactLocationError(
-            f"gap {earliest} not closed at impact: {gaps_star[earliest]:.3e}"
+            f"gap {earliest} not closed at impact: {gaps_star[earliest]:.3e}", t_curr, crossing
         )
 
     contacts = {earliest}
@@ -650,15 +713,19 @@ def _resolve_event(frame, t_star, contacts, r_eff, cfg, forced):
         )
         return frame.p, event, False
 
-    if r_eff > 0.0:
-        cfg.policy.validate_for(len(frame))
+    policy = cfg.policy
+    if r_eff > 0.0 and policy.variant == "fixed":
+        # The order names model contacts; keep those of this event.
+        order = tuple(contacts.index(c) for c in policy.order if c in contacts)
+        policy = replace(policy, order=order)
+        policy.validate_for(len(frame))
     if r_eff >= 1.0:
-        outcome, lam = _cascade(frame, cfg.policy, 0.0)
+        outcome, lam = _cascade(frame, policy, 0.0)
     elif r_eff <= 0.0:
         outcome, lam = _plastic(frame)
     else:
         alpha = _blend_weight(r_eff, cfg.alpha_mode)
-        outcome, lam = _inelastic(frame, r_eff, alpha, cfg.policy, 0.0)
+        outcome, lam = _inelastic(frame, r_eff, alpha, policy, 0.0)
     if outcome.status is CascadeStatus.STEP_CAP_EXCEEDED:
         # Guaranteed-terminating fallback for three or more contacts.
         outcome, lam = _plastic(frame)
@@ -707,6 +774,7 @@ def impact_step(
     solves the post-impact DEL for the configuration at ``t_next``. A
     plastic impact holds its contacts in that solve, and a held contact
     whose multiplier would pull is released, as in :func:`simulate`.
+    A fixed cascade order names model contacts, as in :func:`simulate`.
     Returns ``(q_next, event)``.
     """
     cfg = config or StepperConfig(h=t_next - t_curr)
@@ -715,12 +783,12 @@ def impact_step(
         cfg = replace(cfg, policy=policy)
     q_prev = np.asarray(q_prev, dtype=float)
     q_star = np.asarray(q_star, dtype=float)
+    sim = _Sim(model, cfg, forces)
     p_star = node_momentum(model, q_prev, t_curr, q_star, t_star, forces)
     contacts = tuple(contacts)
     p_mapped, event, becomes_held = _resolve_event(
         _contact_frame(model, q_star, p_star, contacts), t_star, contacts, restitution, cfg, None
     )
-    sim = _Sim(model, cfg, forces)
     if becomes_held:
         sim.held = dict.fromkeys(contacts, 0.0)
     q_next, _ = sim.solve_interval(q_star, t_star, p_mapped, t_next, forces)
@@ -806,12 +874,49 @@ class _Sim:
     """Mutable state of one simulation run; single threaded by design."""
 
     def __init__(self, model, config, forces):
+        try:
+            config.policy.validate_for(model.n_contacts)
+        except ValueError as exc:
+            raise ConfigError(f"cascade policy does not fit the model: {exc}") from exc
         self.model = model
         self.cfg = config
         self.user_forces = forces
         self.held: dict[int, float] = {}
         self.events: list[ImpactEvent] = []
         self.holds: list[tuple[float, int, float]] = []
+        # Newton Jacobian slots by (held set, substep length in steps),
+        # least recently used first.
+        self.kept: dict[tuple, _KeptJacobian] = {}
+        # The last zeno_window event times of each contact.
+        self.hits: dict[int, deque] = {}
+
+    def kept_jacobian(self, held, h):
+        """The Newton Jacobian slot of a held set and a substep length."""
+        key = (held, round(h / self.cfg.h, 9))
+        slot = self.kept.pop(key, None) or _KeptJacobian()
+        self.kept[key] = slot
+        if len(self.kept) > KEPT_SLOTS:
+            del self.kept[next(iter(self.kept))]
+        return slot
+
+    def log(self, event):
+        """Record an event and the hit times of its contacts."""
+        self.events.append(event)
+        for c in event.contacts:
+            self.hits.setdefault(c, deque(maxlen=self.cfg.zeno_window)).append(event.t)
+
+    def zeno_forced(self, contacts, now):
+        """Whether :func:`zeno_guard` forces any of ``contacts`` plastic at ``now``.
+
+        Event times never decrease, so a contact's hits within one
+        nominal step of ``now`` are its latest ones, and there are
+        ``zeno_window`` of them exactly when the oldest kept one is.
+        """
+        for c in contacts:
+            window = self.hits.get(c, ())
+            if len(window) == self.cfg.zeno_window and now - self.cfg.h < window[0]:
+                return True
+        return False
 
     def effective_forces(self, q_c, p_in):
         """Compose user forcing with friction on held contacts.
@@ -857,9 +962,10 @@ class _Sim:
         cfg = self.cfg
         while True:
             if self.held:
+                held = tuple(sorted(self.held))
                 q_n, lams, p_out = _solve_held(
-                    self.model, p_in, q_c, t_c, t_target, forces, cfg,
-                    tuple(sorted(self.held)),
+                    self.model, p_in, q_c, t_c, t_target, forces, cfg, held,
+                    lambda: self.kept_jacobian(held, t_target - t_c),
                 )
                 negative = [c for c, lam in lams.items() if lam < 0.0]
                 if negative:
@@ -870,7 +976,10 @@ class _Sim:
                     self.held[c] = lam
                     self.holds.append((t_target, c, lam))
                 return q_n, p_out
-            return _solve_free(self.model, p_in, q_c, t_c, t_target, forces, cfg)
+            return _solve_free(
+                self.model, p_in, q_c, t_c, t_target, forces, cfg,
+                lambda: self.kept_jacobian((), t_target - t_c),
+            )
 
     def advance(self, q_c, t_c, p_in, t_target):
         """Advance to the target time, resolving any impacts on the way."""
@@ -907,7 +1016,7 @@ class _Sim:
             elif tangent:
                 # A resting contact being pushed through its manifold:
                 # the chattering limit. Hold it as an active constraint.
-                self.events.append(
+                self.log(
                     ImpactEvent(
                         t=t_c,
                         contacts=tuple(tangent),
@@ -935,15 +1044,13 @@ class _Sim:
 
             forced = None
             r_eff = min(cfg.restitution_for(i) for i in contacts)
-            for i in contacts:
-                if zeno_guard(self.events, i, cfg, now=t_star) == "force-plastic":
-                    forced = "zeno"
-                    r_eff = 0.0
-                    break
+            if self.zeno_forced(contacts, t_star):
+                forced = "zeno"
+                r_eff = 0.0
             p_mapped, event, becomes_held = _resolve_event(
                 frame, t_star, contacts, r_eff, cfg, forced
             )
-            self.events.append(event)
+            self.log(event)
             if becomes_held:
                 for i in contacts:
                     self.held.setdefault(i, 0.0)
@@ -965,7 +1072,9 @@ def simulate(
     Samples are taken on the nominal time grid (the duration is rounded
     to a whole number of steps); impact events carry their exact
     in-step times. The initial discrete momentum is the continuous
-    momentum of the initial state.
+    momentum of the initial state. A fixed cascade order must be a
+    permutation of the model's contacts (else :class:`ConfigError`);
+    each event reflects its own contacts in that order.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")

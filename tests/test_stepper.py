@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from simpact.errors import ImpactLocationError, StepFailureError
+from simpact import stepper
+from simpact.errors import ConfigError, ImpactLocationError, SimpactError, StepFailureError
 from simpact.models import BallModel, BilliardsModel, CradleModel, LegTailModel, MechModel
-from simpact.resolution import ImpactKind
+from simpact.resolution import CascadePolicy, ImpactKind
 from simpact.stepper import (
     FrictionConfig,
     ImpactEvent,
     StepperConfig,
     Trajectory,
+    _newton,
+    _Sim,
     del_step,
     discrete_lagrangian,
     discrete_momenta,
@@ -567,6 +570,110 @@ class TestZeno:
         held_lams = [lam for (t, c, lam) in traj.holds if t < 0.25]
         assert held_lams and min(held_lams) >= 0.0
         assert traj.states[-1, 0] > 0.05  # released and climbing
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    window=st.integers(min_value=1, max_value=5),
+    history=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0005, 0.002, 0.004, 0.01, 0.02]),
+            st.sets(st.integers(min_value=0, max_value=2), min_size=1),
+        ),
+        max_size=40,
+    ),
+)
+def test_zeno_window_matches_full_history_guard(window, history):
+    # The simulation keeps the last zeno_window hit times per contact;
+    # the guard over the whole history is the oracle at every event.
+    cfg = StepperConfig(h=0.01, zeno_window=window)
+    sim = _Sim(CradleModel([1.0] * 4, [0.1] * 4), cfg, None)
+    t = 0.0
+    for dt, contacts in history:
+        t += dt
+        contacts = tuple(sorted(contacts))
+        expected = any(
+            zeno_guard(sim.events, c, cfg, now=t) == "force-plastic" for c in contacts
+        )
+        assert sim.zeno_forced(contacts, t) == expected
+        sim.log(
+            ImpactEvent(
+                t=t,
+                contacts=contacts,
+                kind=ImpactKind.INELASTIC,
+                impulses=(1.0,) * len(contacts),
+                energy_before=1.0,
+                energy_after=0.5,
+            )
+        )
+
+
+class TestFixedOrderPolicy:
+    MODEL = LegTailModel(1.2, 0.08, [0.3, -0.25], [-0.1, -0.25])
+
+    def _drop(self, order, restitution):
+        q0 = self.MODEL.double_contact_pose()
+        q0[1] += 0.05
+        cfg = StepperConfig(
+            h=0.005, restitution=restitution, policy=CascadePolicy.fixed(order)
+        )
+        return simulate(self.MODEL, q0, np.zeros(3), 0.3, cfg)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("restitution", [0.5, 1.0])
+    def test_legtail_drop_restricts_order_to_each_event(self, order, restitution):
+        # The order names the model's contacts; an event on one contact
+        # reflects across that contact alone.
+        try:
+            traj = self._drop(order, restitution)
+        except SimpactError:
+            return
+        single = [ev for ev in traj.events if len(ev.contacts) == 1]
+        assert single
+        for ev in single:
+            assert ev.sequence == ev.contacts
+
+    def test_completes_with_order_covering_both_contacts(self):
+        traj = self._drop((0, 1), 1.0)
+        assert [ev.sequence for ev in traj.events] == [(0, 1), (1,)]
+
+    @pytest.mark.parametrize("order", [(0,), (0, 2), (1, 1)])
+    def test_order_not_fitting_the_model_is_a_config_error(self, order):
+        with pytest.raises(ConfigError):
+            self._drop(order, 1.0)
+
+
+class TestLocationFailure:
+    @staticmethod
+    def _failing_locate(fun, x0, tol, max_iter, jac, **kwargs):
+        # The ball's locate solve has two unknowns, its free solve one.
+        if len(x0) == 2:
+            raise StepFailureError("forced failure", 0.25, 3)
+        return _newton(fun, x0, tol, max_iter, jac, **kwargs)
+
+    def test_error_names_time_contacts_and_residual(self, monkeypatch):
+        monkeypatch.setattr(stepper, "_newton", self._failing_locate)
+        with pytest.raises(ImpactLocationError) as err:
+            simulate(BallModel(1.0), [0.05], [0.0], 0.3, StepperConfig(h=0.01))
+        exc = err.value
+        # The ball falls 0.05 in 0.101 s: the step starting at t = 0.1.
+        assert exc.t == pytest.approx(0.1)
+        assert exc.contacts == (0,)
+        assert exc.residual_norm == 0.25
+
+    def test_cli_failure_line(self, monkeypatch, tmp_path, capsys):
+        from simpact.cli import EXIT_TASK, main
+
+        monkeypatch.setattr(stepper, "_newton", self._failing_locate)
+        config = tmp_path / "drop.json"
+        config.write_text(
+            '{"model": {"type": "ball", "mass": 1.0}, "initial": {"q": [0.05]},'
+            ' "stepper": {"h": 0.01}, "task": {"kind": "simulate", "duration": 0.3}}'
+        )
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == EXIT_TASK
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("task failed: impact localization failed: forced failure")
+        assert err.endswith("(t=0.10000000000000001, contacts=0, residual=2.500e-01)")
 
 
 class TestHeldContacts:

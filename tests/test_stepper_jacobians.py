@@ -3,7 +3,10 @@
 The free, held and locate solves hand ``_newton`` a residual and a
 Jacobian assembled from model derivatives. A spy captures both at the
 first Newton call; the Jacobian is then compared with central
-differences of the residual around the initial guess.
+differences of the residual around the initial guess. The same cases
+check that a Jacobian kept across iterations and steps changes no
+result beyond the Newton tolerance and is rebuilt when it stops
+contracting.
 """
 
 import math
@@ -122,7 +125,7 @@ class Captured(Exception):
 def _capture(solve):
     seen = {}
 
-    def spy(fun, x0, tol, max_iter, jac):
+    def spy(fun, x0, tol, max_iter, jac, kept=None):
         seen.update(fun=fun, x0=np.array(x0, dtype=float), jac=jac)
         raise Captured
 
@@ -202,3 +205,117 @@ def test_locate_recovers_from_time_below_interval(case, u, below):
     z = stepper._newton(fun, x, tol, StepperConfig(h=H).newton_max_iter, jac)
     assert z[n] > T0
     assert np.linalg.norm(fun(z)) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Kept Jacobians
+
+
+class Oscillator(MechModel):
+    """Mass on a linear spring, free of contacts."""
+
+    dim = 1
+    constant_mass = True
+
+    def mass_matrix(self, q):
+        return np.array([[1.0]])
+
+    def potential_gradient(self, q):
+        return np.array([q[0]])
+
+    def gaps(self, q):
+        return np.zeros(0)
+
+    def gap_gradients(self, q):
+        return np.zeros((0, 1))
+
+
+def _counting_newton(counts):
+    """``_newton`` with every Jacobian build counted in ``counts["jac"]``."""
+    newton = stepper._newton
+
+    def spy(fun, x0, tol, max_iter, jac, **kwargs):
+        def counted(x, r, f):
+            counts["jac"] += 1
+            return jac(x, r, f)
+
+        return newton(fun, x0, tol, max_iter, counted, **kwargs)
+
+    return spy
+
+
+def test_oscillator_keeps_one_jacobian_across_steps():
+    # The DEL Jacobian of a linear spring is the same at every step, so a
+    # kept one contracts to rounding and is never rebuilt; rebuilding it
+    # at every step would make one build per step.
+    counts = {"jac": 0}
+    cfg = StepperConfig(h=2 * math.pi / 100, newton_tol=1e-14)
+    with mock.patch.object(stepper, "_newton", _counting_newton(counts)):
+        traj = stepper.simulate(Oscillator(), [1.0], [0.3], 1000 * cfg.h, cfg)
+    assert traj.times.size == 1001
+    assert 1 <= counts["jac"] <= 2
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda j: -j, lambda j: 1e3 * j, lambda j: np.zeros_like(j), lambda j: j + 5.0],
+    ids=["negated", "scaled", "singular", "shifted"],
+)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_corrupted_kept_jacobian_is_rebuilt(case, corrupt):
+    model, q, p, forces = CASES[case]([0.3, -0.2, 0.5, 0.1])
+    fun, x0, jac = _capture(_run("free", model, q, p, forces))
+    # Start off the root: the free-flight guess of a potential-free
+    # model already solves its DEL.
+    x0 = x0 + 1e-3 * model.length_scale
+    slot = stepper._KeptJacobian()
+    bad = corrupt(jac(x0, fun(x0), fun))
+    slot.matrix = bad
+    counts = {"jac": 0}
+
+    def counted(x, r, f):
+        counts["jac"] += 1
+        return jac(x, r, f)
+
+    cfg = StepperConfig(h=H)
+    tol = cfg.newton_tol * max(1.0, float(np.abs(p).max()))
+    x = stepper._newton(fun, x0, tol, cfg.newton_max_iter, counted, kept=lambda: slot)
+    assert counts["jac"] >= 1
+    assert slot.matrix is not bad
+    assert np.linalg.norm(fun(x)) <= tol
+
+
+def _solve(mode, model, q, p, forces, k, kept):
+    """Step ``k`` of a free or held chain, or one locate, from ``(q, p)``.
+
+    ``kept()`` gives the Jacobian slot of the free and held solves.
+    """
+    cfg = StepperConfig(h=H)
+    t0, t1 = T0 + k * H, T0 + (k + 1) * H
+    if mode == "free":
+        return stepper._solve_free(model, p, q, t0, t1, forces, cfg, kept)
+    if mode == "held":
+        held = (model.gaps(q).size - 1,)
+        q, lams, p = stepper._solve_held(model, p, q, t0, t1, forces, cfg, held, kept)
+        return q, p, np.array(list(lams.values()))
+    q_cand = q + 2.0 * H * np.linalg.solve(model.mass_matrix(q), p)
+    t_star, q_star, _ = stepper._locate(model, p, q, t0, q_cand, t1, forces, cfg, ())
+    return q_star, p, np.array([t_star])
+
+
+@pytest.mark.parametrize("mode", ["free", "held", "locate"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kept_jacobian_solves_match_fresh_ones(case, mode):
+    # Free and held solves share one slot over consecutive steps; each
+    # step is repeated from the same state with a fresh Jacobian at every
+    # iteration. Locate keeps its Jacobian within the one solve.
+    model, q, p, forces = CASES[case]([0.3, -0.2, 0.5, 0.1])
+    slot = stepper._KeptJacobian()
+    tol = StepperConfig(h=H).newton_tol * max(1.0, float(np.abs(p).max()))
+    for k in range(1 if mode == "locate" else 4):
+        with mock.patch.object(stepper, "KEEP_RATE", 0.0):
+            fresh = _solve(mode, model, q, p, forces, k, stepper._KeptJacobian)
+        out = _solve(mode, model, q, p, forces, k, lambda: slot)
+        for a, b in zip(out, fresh):
+            assert np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b)))
+        q, p = out[:2]
