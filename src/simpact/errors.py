@@ -30,12 +30,16 @@ class StepFailureError(SimpactError, RuntimeError):
     """An implicit time step did not converge.
 
     Carries the last residual norm and iteration count for diagnostics.
+    A failure in a simulation also names ``t``, the start of the step,
+    and ``contacts``, the contacts held in it (empty for a free step).
     """
 
-    def __init__(self, message, residual_norm=None, iterations=None):
+    def __init__(self, message, residual_norm=None, iterations=None, t=None, contacts=()):
         super().__init__(message)
         self.residual_norm = residual_norm
         self.iterations = iterations
+        self.t = t
+        self.contacts = tuple(contacts)
 
 
 class ImpactLocationError(SimpactError, RuntimeError):

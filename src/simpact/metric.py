@@ -102,13 +102,15 @@ class KineticMetric:
             raise NotPositiveDefiniteError("mass matrix is not symmetric")
         mass = 0.5 * (mass + mass.T)
         try:
-            np.linalg.cholesky(mass)
+            chol = np.linalg.cholesky(mass)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 f"mass matrix is not positive definite: {exc}"
             ) from exc
         self._mass = mass
         self._mass.setflags(write=False)
+        self._chol = chol
+        self._chol.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -117,6 +119,11 @@ class KineticMetric:
     @property
     def mass(self) -> np.ndarray:
         return self._mass
+
+    @property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor ``L`` of the mass matrix, ``M = L L^T``."""
+        return self._chol
 
     def dual(self, a: CovectorLike) -> np.ndarray:
         """Apply the inverse mass matrix to a row covector."""

@@ -25,6 +25,10 @@ from .errors import DegenerateNormalsError, DimensionError
 #: termination is not guaranteed. Cap overruns surface as a status.
 DEFAULT_MAX_STEPS = 64
 
+#: Branches one enumeration may explore before it stops and reports the
+#: search as truncated (at a few microseconds per branch, seconds).
+MAX_BRANCHES = 1_000_000
+
 #: Outcomes closer than this (relative to the incoming momentum norm)
 #: are merged during enumeration.
 DEDUP_RTOL = 1e-9
@@ -268,63 +272,108 @@ def enumerate_outcomes(
     Depth-first search that branches on each currently infeasible
     normal, never repeats the immediately preceding one, and stops each
     branch at the first feasible momentum. Outcomes are deduplicated by
-    metric distance; branches that exceed ``depth_cap`` raise the
-    ``truncated`` flag instead of being dropped silently. Each branch
-    carries its inner products and impulse sums in contact coordinates,
-    so the search solves against the mass matrix once, up front. The
-    impulse sums of the outcomes found so far are the rows of one array,
-    and each leaf is tested against all of them in one array expression.
+    metric distance, the first found outcome of a cluster kept; branches
+    that exceed ``depth_cap``, or a search that reaches
+    :data:`MAX_BRANCHES`, raise the ``truncated`` flag instead of being
+    dropped silently. The search walks an explicit stack of branches in
+    contact coordinates (inner products and impulse sums as Python
+    floats), so it solves against the mass matrix once, up front, and
+    its depth is not bounded by the interpreter's recursion limit.
+    Deduplication runs once, after the walk, over the leaves sorted by
+    their momentum's inner product with the first unit normal: no two
+    leaves are closer in the metric than along that direction, so each
+    leaf is compared only with the earlier kept leaves near it.
     """
     if depth_cap < 1:
         raise ValueError("depth_cap must be at least 1")
     _check_normals(normals, "enumeration")
     frame = mt.ContactFrame(metric, normals, p_minus)
     dedup_tol = dedup_rtol * max(math.sqrt(max(frame.p_norm2, 0.0)), 1e-300)
+    k_count = len(frame)
+    columns = frame.gram.T.tolist()
+    scales = frame.scales.tolist()
+    norms2 = frame.norms2.tolist()
 
-    found: list[ImpactOutcome] = []
-    found_lam = np.empty((0, len(frame)))  # row i: impulse sums of found[i]
+    leaves = []  # (impulse sums, sequence, impulses) in search order
     truncated = False
     explored = 0
-
-    def visit(a, lam, sequence, impulses):
-        nonlocal found_lam, truncated, explored
+    stack = [(frame.a.tolist(), [0.0] * k_count, (), ())]
+    while stack:
+        if explored == MAX_BRANCHES:
+            truncated = True
+            break
+        a, lam, sequence, impulses = stack.pop()
         explored += 1
-        values = a * frame.scales
+        last = sequence[-1] if sequence else -1
         infeasible = [
-            int(i)
-            for i in (values < -feas_tol).nonzero()[0]
-            if not sequence or i != sequence[-1]
+            i for i in range(k_count) if a[i] * scales[i] < -feas_tol and i != last
         ]
         if not infeasible:
-            if found:
-                # Differences first, as in ContactFrame.distance; the
-                # nearest prior is within dedup_tol exactly when any is.
-                d = found_lam - lam
-                dist2 = ((d @ frame.rows) * (d @ frame.duals)).sum(axis=1)
-                if math.sqrt(max(float(dist2.min()), 0.0)) < dedup_tol:
-                    return
-            found_lam = np.vstack([found_lam, lam])
-            found.append(
-                ImpactOutcome(
-                    p_plus=frame.momentum(lam),
-                    sequence=tuple(sequence),
-                    impulses=tuple(impulses),
-                    status=CascadeStatus.CONVERGED,
-                    kind=ImpactKind.ELASTIC,
-                )
-            )
-            return
-        if len(sequence) >= depth_cap:
+            leaves.append((lam, sequence, impulses))
+        elif len(sequence) >= depth_cap:
             truncated = True
-            return
-        for k in infeasible:
-            step = -2.0 * float(a[k]) / frame.norms2[k]
-            branch = lam.copy()
-            branch[k] += step
-            visit(a + step * frame.gram[:, k], branch, sequence + [k], impulses + [step])
+        else:
+            # Reversed, so that the first infeasible normal is popped first.
+            for k in reversed(infeasible):
+                step = -2.0 * a[k] / norms2[k]
+                branch = lam.copy()
+                branch[k] += step
+                stack.append((
+                    [ai + step * gi for ai, gi in zip(a, columns[k])],
+                    branch,
+                    sequence + (k,),
+                    impulses + (step,),
+                ))
+    if not leaves:
+        return EnumerationResult((), truncated, explored)
 
-    visit(frame.a, np.zeros(len(frame)), [], [])
-    return EnumerationResult(tuple(found), truncated, explored)
+    lams = np.array([leaf[0] for leaf in leaves])
+    kept = _first_of_clusters(frame, lams, dedup_tol)
+    outcomes = tuple(
+        ImpactOutcome(
+            p_plus=frame.momentum(lams[i]),
+            sequence=leaves[i][1],
+            impulses=leaves[i][2],
+            status=CascadeStatus.CONVERGED,
+            kind=ImpactKind.ELASTIC,
+        )
+        for i in np.flatnonzero(kept)
+    )
+    return EnumerationResult(outcomes, truncated, explored)
+
+
+def _first_of_clusters(frame: mt.ContactFrame, lams: np.ndarray, dedup_tol: float) -> np.ndarray:
+    """Which leaves are at least ``dedup_tol`` from every earlier kept leaf.
+
+    Row ``i`` of ``lams`` holds the impulse sums of leaf ``i``. The
+    inner product of the momentum with the first unit normal moves by
+    at most the metric distance (Cauchy-Schwarz), so a leaf within
+    ``dedup_tol`` of an earlier one lies within ``dedup_tol`` of it
+    along that direction, give or take rounding. The difference-first
+    distance, as in :meth:`ContactFrame.distance`, is taken only to the
+    earlier kept leaves in that window.
+    """
+    key = lams @ frame.gram[:, 0] * frame.scales[0]
+    # Slack for rounding: the keys carry it relative to their terms, and
+    # a distance among near-parallel normals may read low by a fraction
+    # of dedup_tol.
+    key_scale = float((np.abs(lams) @ np.abs(frame.gram[:, 0])).max()) * frame.scales[0]
+    window = 2.0 * dedup_tol + 1e-12 * key_scale
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    lo = np.searchsorted(ranked, key - window, side="left")
+    hi = np.searchsorted(ranked, key + window, side="right")
+    kept = np.ones(len(lams), dtype=bool)
+    # A leaf alone in its window is the only member of its cluster.
+    for i in np.flatnonzero(hi - lo > 1).tolist():
+        near = order[lo[i]:hi[i]]
+        near = near[(near < i) & kept[near]]
+        if near.size:
+            d = lams[near] - lams[i]
+            dist2 = ((d @ frame.rows) * (d @ frame.duals)).sum(axis=1)
+            if math.sqrt(max(float(dist2.min()), 0.0)) < dedup_tol:
+                kept[i] = False
+    return kept
 
 
 def plastic_resolve(metric: mt.KineticMetric, p_minus, normals: Sequence) -> ImpactOutcome:

@@ -315,7 +315,7 @@ def _fd_jacobian(fun, x, r0, cols):
     return jac
 
 
-def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian):
+def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian, floor=None):
     """Damped simplified Newton iteration.
 
     ``jac(x, r, fun)`` returns the Jacobian at ``x`` given the residual
@@ -331,6 +331,9 @@ def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian):
     fresh matrix is damped by halving until the residual falls.
     The last call of ``fun`` is at the returned point, so callers may
     keep what that evaluation computed.
+    ``floor(x)``, when given, is the rounding floor of the residual at
+    ``x``: a point whose line search stalls is accepted when its
+    residual norm is within it, since no step can then lower it.
     Raises :class:`StepFailureError` with the last residual norm when it
     cannot reduce the residual below ``tol``.
     """
@@ -375,6 +378,9 @@ def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian):
                 break
             alpha *= 0.5
             if alpha < 1e-8:
+                if floor is not None and rn <= floor(x):
+                    fun(x)
+                    return x
                 raise StepFailureError(
                     "step rejected by line search", rn, it
                 )
@@ -438,8 +444,17 @@ def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, kept=_KeptJaco
     def jacobian(q_next, r, fun):
         return _del_block(model, forces, q_curr, t_curr, q_next, t_next, fun, q_next, r)
 
+    def floor(q_next):
+        # The residual cancels p_in against M (q_next - q_curr) / h, whose
+        # rounding grows with |q|; a tight newton_tol can fall below it.
+        mass = np.linalg.norm(model.mass_matrix(0.5 * (q_curr + q_next)))
+        q_size = np.linalg.norm(q_curr) + np.linalg.norm(q_next)
+        return 8.0 * np.finfo(float).eps * (np.linalg.norm(p_in) + mass * q_size / h)
+
     tol = cfg.newton_tol * max(1.0, float(np.abs(p_in).max()))
-    q_next = _newton(residual, x0, tol, cfg.newton_max_iter, jac=jacobian, kept=kept)
+    q_next = _newton(
+        residual, x0, tol, cfg.newton_max_iter, jac=jacobian, kept=kept, floor=floor
+    )
     return q_next, p_out[0]
 
 
@@ -957,29 +972,35 @@ class _Sim:
     def solve_interval(self, q_c, t_c, p_in, t_target, forces):
         """One DEL solve with the current held set, releasing as needed.
 
-        Returns the next configuration and its node momentum.
+        Returns the next configuration and its node momentum. A failed
+        solve raises :class:`StepFailureError` naming the step start and
+        the contacts held in it.
         """
         cfg = self.cfg
-        while True:
-            if self.held:
-                held = tuple(sorted(self.held))
-                q_n, lams, p_out = _solve_held(
-                    self.model, p_in, q_c, t_c, t_target, forces, cfg, held,
-                    lambda: self.kept_jacobian(held, t_target - t_c),
+        try:
+            while True:
+                if self.held:
+                    held = tuple(sorted(self.held))
+                    q_n, lams, p_out = _solve_held(
+                        self.model, p_in, q_c, t_c, t_target, forces, cfg, held,
+                        lambda: self.kept_jacobian(held, t_target - t_c),
+                    )
+                    negative = [c for c, lam in lams.items() if lam < 0.0]
+                    if negative:
+                        for c in negative:
+                            del self.held[c]
+                        continue
+                    for c, lam in lams.items():
+                        self.held[c] = lam
+                        self.holds.append((t_target, c, lam))
+                    return q_n, p_out
+                return _solve_free(
+                    self.model, p_in, q_c, t_c, t_target, forces, cfg,
+                    lambda: self.kept_jacobian((), t_target - t_c),
                 )
-                negative = [c for c, lam in lams.items() if lam < 0.0]
-                if negative:
-                    for c in negative:
-                        del self.held[c]
-                    continue
-                for c, lam in lams.items():
-                    self.held[c] = lam
-                    self.holds.append((t_target, c, lam))
-                return q_n, p_out
-            return _solve_free(
-                self.model, p_in, q_c, t_c, t_target, forces, cfg,
-                lambda: self.kept_jacobian((), t_target - t_c),
-            )
+        except StepFailureError as exc:
+            exc.t, exc.contacts = t_c, tuple(sorted(self.held))
+            raise
 
     def advance(self, q_c, t_c, p_in, t_target):
         """Advance to the target time, resolving any impacts on the way."""
@@ -1005,7 +1026,9 @@ class _Sim:
             impacts += 1
             if impacts > cfg.max_impacts_per_step:
                 raise StepFailureError(
-                    f"more than {cfg.max_impacts_per_step} impacts in one step"
+                    f"more than {cfg.max_impacts_per_step} impacts in one step",
+                    t=t_c,
+                    contacts=crossing,
                 )
 
             approaching, tangent, node_event, frame = _node_contacts(

@@ -30,6 +30,9 @@ from .resolution import (
 #: design optimization, so the window must be finite.
 CLASSIFY_TOL = 1e-9
 
+#: Elements of one block of outcome differences in :func:`outcome_xi`.
+XI_BLOCK = 1 << 16
+
 #: Default reflection-depth cap of the pairwise outcome enumeration.
 PAIRWISE_DEPTH_CAP = 16
 
@@ -102,12 +105,14 @@ def outcome_xi(metric: mt.KineticMetric, p_minus, outcomes) -> tuple[float, floa
     """Max and mean normalized metric distance over every outcome pair.
 
     One solve against the mass matrix gives the duals of ``p_minus`` and
-    of every outcome. Each pair's squared distance is then the product
-    of the difference of the two momenta with the difference of their
-    duals, formed one outcome at a time against the later ones, so the
-    work is quadratic in the outcome count but the memory only linear.
-    Differences are taken before the product, so near-equal outcomes do
-    not lose their distance to the cancellation of two large norms.
+    of every outcome. Multiplied by the Cholesky factor ``L`` of the
+    mass matrix (``M = L L^T``), the duals become points whose Euclidean
+    distances are the metric distances of the outcomes. The pairwise
+    differences of these points are taken in blocks of rows of at most
+    :data:`XI_BLOCK` elements, so the work is quadratic in the outcome
+    count but the memory only linear. Differences are taken before the
+    norm, so near-equal outcomes do not lose their distance to the
+    cancellation of two large norms.
     """
     stacked = np.array([metric._check(p_minus)] + [out.p_plus for out in outcomes])
     duals = np.linalg.solve(metric.mass, stacked.T).T
@@ -115,13 +120,19 @@ def outcome_xi(metric: mt.KineticMetric, p_minus, outcomes) -> tuple[float, floa
     m = len(outcomes)
     if p_norm == 0.0 or m < 2:
         return 0.0, 0.0
+    points = duals[1:] @ metric.chol
     worst = 0.0
     total = 0.0
-    for i in range(1, m):
-        gaps2 = np.einsum("ij,ij->i", stacked[i + 1 :] - stacked[i], duals[i + 1 :] - duals[i])
-        gaps = np.sqrt(np.maximum(gaps2, 0.0))
+    start = 0
+    while start < m - 1:
+        # Rows start..stop-1 against their later partners start+1..m-1;
+        # row r pairs with the columns c >= r of the block.
+        stop = min(m - 1, start + max(1, XI_BLOCK // ((m - start - 1) * metric.dim)))
+        diff = points[start:stop, None, :] - points[None, start + 1 :, :]
+        gaps = np.triu(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
         worst = max(worst, float(gaps.max()))
         total += float(gaps.sum())
+        start = stop
     return worst / p_norm, total / p_norm / (m * (m - 1) // 2)
 
 

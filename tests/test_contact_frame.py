@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpact import metric as mt
+from simpact import resolution
 from simpact.errors import DegenerateNormalsError
 from simpact.models import LegTailModel
 from simpact.metric import (
@@ -492,6 +493,59 @@ def test_many_outcomes_in_one_solve_and_linear_memory(mass_solves):
         tracemalloc.stop()
     assert peak < 4e6
     assert 0.0 < xi_mean < xi_max
+
+
+def _assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.sequence, a.impulses, a.status, a.kind) == (
+            b.sequence,
+            b.impulses,
+            b.status,
+            b.kind,
+        )
+        np.testing.assert_array_equal(a.p_plus, b.p_plus)
+
+
+def test_many_outcome_instance_matches_prior_loop():
+    metric, normals, p = generated_four_contact_instance()
+    found = enumerate_outcomes(metric, p, normals, 16)
+    ref = prior_loop_enumerate(metric, p, normals, 16)
+    assert (found.truncated, found.branches_explored) == (False, 2771)
+    assert ref.branches_explored == 2771
+    _assert_same_outcomes(found.outcomes, ref.outcomes)
+    xi = outcome_xi(metric, p, found.outcomes)
+    ref_xi = stacked_difference_xi(metric, p, ref.outcomes)
+    assert xi == pytest.approx(ref_xi, rel=RTOL, abs=0.0)
+
+
+def test_branch_budget_truncates_to_a_prefix(monkeypatch):
+    metric, normals, p = generated_four_contact_instance()
+    full = enumerate_outcomes(metric, p, normals, 16)
+    monkeypatch.setattr(resolution, "MAX_BRANCHES", 100)
+    cut = enumerate_outcomes(metric, p, normals, 16)
+    assert cut.branches_explored == 100
+    assert cut.truncated
+    assert 0 < len(cut) < len(full)
+    _assert_same_outcomes(cut.outcomes, full.outcomes[: len(cut)])
+
+
+def test_narrow_wedge_deeper_than_the_recursion_limit():
+    # Two normals 179.96 degrees apart: each order alternates about 4,200
+    # times before the momentum is feasible.
+    metric = KineticMetric(np.eye(3))
+    c = -0.99999972
+    u = np.array([1.0, 0.0, 0.0])
+    v = np.array([c, math.sqrt(1.0 - c * c), 0.0])
+    p = np.array([-1e-5, -1.0, 0.2])
+    found = enumerate_outcomes(metric, p, [u, v], depth_cap=9000)
+    assert not found.truncated
+    assert [len(out.sequence) for out in found.outcomes] == [4199, 4198]
+    cascades = [
+        elastic_cascade(metric, p, [u, v], CascadePolicy.fixed(order))
+        for order in ((0, 1), (1, 0))
+    ]
+    _assert_same_outcomes(found.outcomes, cascades)
 
 
 # ---------------------------------------------------------------------------

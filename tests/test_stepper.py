@@ -19,6 +19,7 @@ from simpact.stepper import (
     StepperConfig,
     Trajectory,
     _newton,
+    _solve_free,
     _Sim,
     del_step,
     discrete_lagrangian,
@@ -674,6 +675,56 @@ class TestLocationFailure:
         err = capsys.readouterr().err.strip()
         assert err.startswith("task failed: impact localization failed: forced failure")
         assert err.endswith("(t=0.10000000000000001, contacts=0, residual=2.500e-01)")
+
+
+class TestStepFailure:
+    @staticmethod
+    def _failing_free(model, p_in, q_curr, t_curr, *args):
+        # The ball is still falling freely at t = 0.05.
+        if t_curr >= 0.05:
+            raise StepFailureError("forced failure", 0.5, 7)
+        return _solve_free(model, p_in, q_curr, t_curr, *args)
+
+    def test_error_names_time_and_no_contacts(self, monkeypatch):
+        monkeypatch.setattr(stepper, "_solve_free", self._failing_free)
+        with pytest.raises(StepFailureError) as err:
+            simulate(BallModel(1.0), [0.05], [0.0], 0.3, StepperConfig(h=0.01))
+        exc = err.value
+        assert exc.t == 0.05
+        assert exc.contacts == ()
+        assert (exc.residual_norm, exc.iterations) == (0.5, 7)
+
+    def test_held_failure_names_held_contacts(self, monkeypatch):
+        # A plastic landing holds the ball's contact; fail its next solve.
+        def failing_held(*args):
+            raise StepFailureError("forced failure", 0.5, 7)
+
+        monkeypatch.setattr(stepper, "_solve_held", failing_held)
+        with pytest.raises(StepFailureError) as err:
+            simulate(BallModel(1.0), [0.05], [0.0], 0.3, StepperConfig(h=0.01, restitution=0.0))
+        assert err.value.contacts == (0,)
+        assert 0.1 <= err.value.t < 0.11
+
+    def test_impact_cap_names_time_and_crossing_contacts(self):
+        cfg = StepperConfig(h=0.01, max_impacts_per_step=0)
+        with pytest.raises(StepFailureError) as err:
+            simulate(BallModel(1.0), [0.05], [0.0], 0.3, cfg)
+        # The ball falls 0.05 in 0.101 s: the step starting at t = 0.1.
+        assert err.value.t == pytest.approx(0.1)
+        assert err.value.contacts == (0,)
+
+    def test_cli_failure_line(self, monkeypatch, tmp_path, capsys):
+        from simpact.cli import EXIT_TASK, main
+
+        monkeypatch.setattr(stepper, "_solve_free", self._failing_free)
+        config = tmp_path / "drop.json"
+        config.write_text(
+            '{"model": {"type": "ball", "mass": 1.0}, "initial": {"q": [0.05]},'
+            ' "stepper": {"h": 0.01}, "task": {"kind": "simulate", "duration": 0.3}}'
+        )
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == EXIT_TASK
+        err = capsys.readouterr().err.strip()
+        assert err == "task failed: forced failure (t=0.050000000000000003, residual=5.000e-01)"
 
 
 class TestHeldContacts:

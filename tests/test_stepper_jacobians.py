@@ -125,7 +125,7 @@ class Captured(Exception):
 def _capture(solve):
     seen = {}
 
-    def spy(fun, x0, tol, max_iter, jac, kept=None):
+    def spy(fun, x0, tol, max_iter, jac, kept=None, floor=None):
         seen.update(fun=fun, x0=np.array(x0, dtype=float), jac=jac)
         raise Captured
 
@@ -217,11 +217,14 @@ class Oscillator(MechModel):
     dim = 1
     constant_mass = True
 
+    def __init__(self, mass=1.0, stiffness=1.0):
+        self.mass, self.stiffness = mass, stiffness
+
     def mass_matrix(self, q):
-        return np.array([[1.0]])
+        return np.array([[self.mass]])
 
     def potential_gradient(self, q):
-        return np.array([q[0]])
+        return np.array([self.stiffness * q[0]])
 
     def gaps(self, q):
         return np.zeros(0)
@@ -254,6 +257,22 @@ def test_oscillator_keeps_one_jacobian_across_steps():
         traj = stepper.simulate(Oscillator(), [1.0], [0.3], 1000 * cfg.h, cfg)
     assert traj.times.size == 1001
     assert 1 <= counts["jac"] <= 2
+
+
+@pytest.mark.parametrize(
+    "mass, stiffness, q0, qdot0, h",
+    [(1.3, 4.0, 1.0, 0.3, 0.01), (0.7, 9.0, -2.0, 1.1, 0.01), (2.5, 0.5, 3.0, -0.4, 0.02)],
+)
+def test_tolerance_below_rounding_floor_completes(mass, stiffness, q0, qdot0, h):
+    # At newton_tol 1e-14 the residual p_in + p_minus stalls at the
+    # rounding of its cancelling terms, slightly above the tolerance; the
+    # step is accepted there instead of failing its line search.
+    cfg = StepperConfig(h=h, newton_tol=1e-14)
+    model = Oscillator(mass, stiffness)
+    traj = stepper.simulate(model, [q0], [qdot0], 2000 * h, cfg)
+    assert traj.times.size == 2001
+    energy = 0.5 * traj.momenta[:, 0] ** 2 / mass + 0.5 * stiffness * traj.states[:, 0] ** 2
+    assert np.ptp(energy) <= 1e-11 * energy[0]
 
 
 @pytest.mark.parametrize(
