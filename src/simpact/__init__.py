@@ -24,15 +24,10 @@ from .errors import (
     VerificationError,
 )
 from .metric import (
-    Covector,
-    Feasibility,
     KineticMetric,
-    feasibility,
     inner,
     is_feasible,
-    momentum,
     norm,
-    normal,
     project_null,
     project_span,
     unit,

@@ -36,12 +36,13 @@ from .design import (
 from .errors import ConfigError, EnergyGainError, SimpactError
 from .models import BallModel, BilliardsModel, CradleModel, LegTailModel, billiards_build
 from .resolution import (
+    ALPHA_MODES,
     CascadePolicy,
     elastic_cascade,
     enumerate_outcomes,
     inelastic_resolve,
 )
-from .stepper import FrictionConfig, StepperConfig, Trajectory, _fmt, simulate
+from .stepper import ACTIVATION_RTOL, FrictionConfig, StepperConfig, Trajectory, _fmt, simulate
 from .uniqueness import PAIRWISE_DEPTH_CAP, indeterminacy_xi, outcome_xi
 
 #: Relative energy gain beyond which the ledger raises a hard error.
@@ -131,7 +132,7 @@ SCHEMA = {
             "additionalProperties": False,
         },
         "policy": {"type": "string"},
-        "alpha_mode": {"enum": ["energy-consistent", "as-printed"]},
+        "alpha_mode": {"enum": list(ALPHA_MODES)},
         "seed": {"type": "integer"},
         "output": {
             "type": "object",
@@ -357,7 +358,11 @@ def _task_resolve(config, model, out_dir: Path) -> list[Path]:
     if p_minus.size != model.dim:
         raise ConfigError("p_minus length must equal the model dimension")
     metric = model.metric_at(q0)
-    idx, normals = _active_normals(model, q0, 1e-9 * model.length_scale)
+    idx, normals = _active_normals(model, q0, ACTIVATION_RTOL * model.length_scale)
+    try:
+        policy = policy.for_contacts(idx)
+    except ValueError as exc:
+        raise ConfigError(f"cascade policy does not fit the closed contacts: {exc}") from exc
     restitution = task.get("restitution", 1.0)
     if restitution >= 1.0:
         outcome = elastic_cascade(metric, p_minus, normals, policy)
@@ -497,16 +502,19 @@ def run(
     if seed is not None:
         config["seed"] = seed
     if policy is not None:
-        CascadePolicy.parse(policy)  # fail fast on bad text
         config["policy"] = policy
     if alpha_mode is not None:
-        if alpha_mode not in ("energy-consistent", "as-printed"):
+        if alpha_mode not in ALPHA_MODES:
             raise ConfigError(f"unknown alpha mode {alpha_mode!r}")
         config["alpha_mode"] = alpha_mode
     config.setdefault("seed", 0)
+    try:
+        cascade = CascadePolicy.parse(config.get("policy", "most-violating"))
+    except ValueError as exc:
+        raise ConfigError(f"invalid cascade policy: {exc}") from exc
 
     model = build_model(config["model"])
-    _check_contact_references(config, model)
+    _check_contact_references(config, model, cascade)
     out = Path(out_dir) if out_dir is not None else Path(
         config.get("output", {}).get("dir", "out")
     )
@@ -515,7 +523,7 @@ def run(
     return _TASKS[task_kind](config, model, out)
 
 
-def _check_contact_references(config: dict, model) -> None:
+def _check_contact_references(config: dict, model, policy: CascadePolicy) -> None:
     n = model.n_contacts
     rest = config.get("stepper", {}).get("restitution")
     if isinstance(rest, list) and len(rest) != n:
@@ -527,12 +535,9 @@ def _check_contact_references(config: dict, model) -> None:
         bad = [c for c in friction.get("contacts", ()) if not 0 <= c < n]
         if bad:
             raise ConfigError(f"friction references unknown contacts {bad}")
-    policy = config.get("policy", "most-violating")
-    if policy.startswith("fixed:"):
-        order = CascadePolicy.parse(policy).order
-        bad = [c for c in order if not 0 <= c < n]
-        if bad:
-            raise ConfigError(f"policy references unknown contacts {bad}")
+    bad = [c for c in policy.order or () if not 0 <= c < n]
+    if bad:
+        raise ConfigError(f"policy references unknown contacts {bad}")
 
 
 def _failure_site(exc: Exception) -> str:
@@ -566,7 +571,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     run_parser.add_argument(
         "--alpha-mode",
         default=None,
-        choices=["energy-consistent", "as-printed"],
+        choices=ALPHA_MODES,
         help="restitution blend weighting",
     )
     args = parser.parse_args(argv)

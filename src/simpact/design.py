@@ -12,7 +12,7 @@ nearest orthogonal configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +40,8 @@ class DesignProblem:
     ``free_q`` and ``free_params`` select which entries of the
     configuration and parameter vectors the optimizer may move. The
     number of free variables must be at least the residual count (3).
+    The residuals are the first two gaps, over the length scale of the
+    initial design, and the inner product of their unit normals.
     """
 
     model_factory: Callable[[np.ndarray], MechModel]
@@ -47,11 +49,9 @@ class DesignProblem:
     params0: np.ndarray
     free_q: tuple[int, ...]
     free_params: tuple[int, ...] = ()
-    gap_pair: tuple[int, int] = (0, 1)
-    length_scale: float | None = None
     tol_inner: float = INNER_TOL
-    tol_gap: float = GAP_RTOL
     max_iter: int = 200
+    length_scale: float = field(init=False)
 
     def __post_init__(self):
         self.q0 = np.asarray(self.q0, dtype=float)
@@ -62,8 +62,7 @@ class DesignProblem:
             raise DimensionError(
                 "need at least three free variables for the three residuals"
             )
-        if self.length_scale is None:
-            self.length_scale = self.model_factory(self.params0).length_scale
+        self.length_scale = self.model_factory(self.params0).length_scale
 
     @property
     def n_free(self) -> int:
@@ -88,21 +87,20 @@ class DesignProblem:
         gaps = model.gaps(q)
         grads = model.gap_gradients(q)
         metric = model.metric_at(q)
-        i, j = self.gap_pair
-        u = mt.unit(metric, grads[i])
-        v = mt.unit(metric, grads[j])
+        u = mt.unit(metric, grads[0])
+        v = mt.unit(metric, grads[1])
         return np.array(
             [
-                gaps[i] / self.length_scale,
-                gaps[j] / self.length_scale,
+                gaps[0] / self.length_scale,
+                gaps[1] / self.length_scale,
                 mt.inner(metric, u, v),
             ]
         )
 
     def converged(self, r: np.ndarray) -> bool:
         return (
-            abs(r[0]) <= self.tol_gap
-            and abs(r[1]) <= self.tol_gap
+            abs(r[0]) <= GAP_RTOL
+            and abs(r[1]) <= GAP_RTOL
             and abs(r[2]) <= self.tol_inner
         )
 
@@ -122,7 +120,7 @@ class OrthogonalityResult:
     def inner_value(self) -> float:
         return float(self.residuals[2])
 
-    def report(self, free_names: Sequence[str] | None = None, x0=None, x_opt=None) -> str:
+    def report(self, free_names: Sequence[str], x0, x_opt) -> str:
         lines = [
             "orthogonality optimization report",
             f"  iterations        : {self.iterations}",
@@ -130,11 +128,10 @@ class OrthogonalityResult:
             f"  normal inner start: {self.initial_residuals[2]: .6e}",
             f"  normal inner final: {self.residuals[2]: .6e}",
             f"  free displacement : {self.displacement:.6e}",
+            "  variable          : initial -> final (delta)",
         ]
-        if free_names is not None and x0 is not None and x_opt is not None:
-            lines.append("  variable          : initial -> final (delta)")
-            for name, a, b in zip(free_names, x0, x_opt):
-                lines.append(f"    {name:<16}: {a: .8f} -> {b: .8f} ({b - a:+.3e})")
+        for name, a, b in zip(free_names, x0, x_opt):
+            lines.append(f"    {name:<16}: {a: .8f} -> {b: .8f} ({b - a:+.3e})")
         return "\n".join(lines)
 
 
@@ -221,7 +218,6 @@ def billiards_orthogonality_problem(
         params0=np.zeros(0),
         free_q=tuple(free_q),
         tol_inner=tol_inner,
-        length_scale=model.length_scale,
     )
 
 
@@ -255,18 +251,17 @@ def legtail_orthogonality_problem(
         free_q=tuple(LEGTAIL_Q_NAMES.index(n) for n in free_q),
         free_params=tuple(LEGTAIL_PARAM_NAMES.index(n) for n in free_params),
         tol_inner=tol_inner,
-        length_scale=model.length_scale,
     )
 
 
 def xi_at_optimum(
-    model: MechModel, q_opt: np.ndarray, gap_pair=(0, 1), samples: int = 100, seed: int = 0
+    model: MechModel, q_opt: np.ndarray, samples: int = 100, seed: int = 0
 ) -> float:
     """Largest order-indeterminacy over random infeasible momenta."""
     metric = model.metric_at(q_opt)
     grads = model.gap_gradients(q_opt)
-    u = mt.unit(metric, grads[gap_pair[0]])
-    v = mt.unit(metric, grads[gap_pair[1]])
+    u = mt.unit(metric, grads[0])
+    v = mt.unit(metric, grads[1])
     rng = np.random.default_rng(seed)
     worst = 0.0
     found = 0

@@ -14,9 +14,7 @@ of the original mass matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -31,57 +29,6 @@ DEADBAND = 1e-12
 
 #: Relative threshold below which a Gram matrix is treated as singular.
 GRAM_RCOND = 1e-12
-
-
-class Feasibility(Enum):
-    """Sign classification of a momentum against one contact normal."""
-
-    FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class Covector:
-    """Row covector with a role tag.
-
-    ``role`` is ``"momentum"`` for momenta and ``"normal"`` for gap
-    gradients; the tag is bookkeeping only and does not change any
-    arithmetic.
-    """
-
-    components: np.ndarray
-    role: str = "momentum"
-
-    def __post_init__(self):
-        comps = np.atleast_1d(np.asarray(self.components, dtype=float))
-        if comps.ndim != 1:
-            raise DimensionError("covector components must be one dimensional")
-        if self.role not in ("momentum", "normal"):
-            raise ValueError(f"unknown covector role {self.role!r}")
-        object.__setattr__(self, "components", comps)
-
-    def __len__(self) -> int:
-        return self.components.size
-
-
-CovectorLike = Union[Covector, Sequence[float], np.ndarray]
-
-
-def momentum(components) -> Covector:
-    return Covector(np.asarray(components, dtype=float), role="momentum")
-
-
-def normal(components) -> Covector:
-    return Covector(np.asarray(components, dtype=float), role="normal")
-
-
-def _row(a: CovectorLike) -> np.ndarray:
-    if isinstance(a, Covector):
-        return a.components
-    arr = np.atleast_1d(np.asarray(a, dtype=float))
-    if arr.ndim != 1:
-        raise DimensionError("expected a one dimensional covector")
-    return arr
 
 
 class KineticMetric:
@@ -125,37 +72,34 @@ class KineticMetric:
         """Lower Cholesky factor ``L`` of the mass matrix, ``M = L L^T``."""
         return self._chol
 
-    def dual(self, a: CovectorLike) -> np.ndarray:
+    def dual(self, a) -> np.ndarray:
         """Apply the inverse mass matrix to a row covector."""
         row = self._check(a)
         return np.linalg.solve(self._mass, row)
 
-    def apply_mass(self, v: np.ndarray) -> np.ndarray:
-        return self._mass @ np.asarray(v, dtype=float)
-
-    def _check(self, a: CovectorLike) -> np.ndarray:
-        row = _row(a)
-        if row.size != self.dim:
+    def _check(self, a) -> np.ndarray:
+        row = np.atleast_1d(np.asarray(a, dtype=float))
+        if row.shape != (self.dim,):
             raise DimensionError(
-                f"covector of length {row.size} does not match metric dim {self.dim}"
+                f"covector of shape {row.shape} does not match metric dim {self.dim}"
             )
         return row
 
 
-def inner(metric: KineticMetric, a: CovectorLike, b: CovectorLike) -> float:
+def inner(metric: KineticMetric, a, b) -> float:
     """Kinetic-metric inner product of two covectors."""
     row_a = metric._check(a)
     return float(row_a @ metric.dual(b))
 
 
-def norm(metric: KineticMetric, a: CovectorLike) -> float:
+def norm(metric: KineticMetric, a) -> float:
     """Kinetic-metric norm; zero exactly when the covector is zero."""
     row = metric._check(a)
     # Round-off can make the quadratic form marginally negative at zero.
     return float(np.sqrt(max(row @ metric.dual(row), 0.0)))
 
 
-def unit(metric: KineticMetric, a: CovectorLike) -> np.ndarray:
+def unit(metric: KineticMetric, a) -> np.ndarray:
     """Rescale a covector to unit metric norm."""
     row = metric._check(a)
     n = norm(metric, row)
@@ -164,13 +108,8 @@ def unit(metric: KineticMetric, a: CovectorLike) -> np.ndarray:
     return row / n
 
 
-def feasibility(
-    metric: KineticMetric,
-    p: CovectorLike,
-    normals: Sequence[CovectorLike],
-    tol: float = 0.0,
-) -> list[Feasibility]:
-    """Classify a momentum against each normal.
+def is_feasible(metric: KineticMetric, p, normals: Sequence, tol: float = 0.0) -> bool:
+    """True when ``p`` is feasible with respect to every normal.
 
     A momentum is infeasible with respect to a normal when their inner
     product is below ``-tol``; the boundary (zero inner product) counts
@@ -179,23 +118,8 @@ def feasibility(
     """
     if tol < 0.0:
         raise ValueError("feasibility tolerance must be nonnegative")
-    dual_p = metric.dual(p)
-    out = []
-    for u in normals:
-        row = metric._check(u)
-        value = float(row @ dual_p)
-        out.append(Feasibility.INFEASIBLE if value < -tol else Feasibility.FEASIBLE)
-    return out
-
-
-def is_feasible(
-    metric: KineticMetric,
-    p: CovectorLike,
-    normals: Sequence[CovectorLike],
-    tol: float = 0.0,
-) -> bool:
-    """True when ``p`` is feasible with respect to every normal."""
-    return all(f is Feasibility.FEASIBLE for f in feasibility(metric, p, normals, tol))
+    rows = np.array([metric._check(u) for u in normals]).reshape(-1, metric.dim)
+    return bool(np.all(rows @ metric.dual(p) >= -tol))
 
 
 class ContactFrame:
@@ -210,7 +134,7 @@ class ContactFrame:
     ``a = duals @ p`` and ``p_norm2``.
     """
 
-    def __init__(self, metric: KineticMetric, normals: Sequence[CovectorLike], p=None):
+    def __init__(self, metric: KineticMetric, normals: Sequence, p=None):
         rows = np.array([metric._check(u) for u in normals], dtype=float).reshape(
             len(normals), metric.dim
         )
@@ -276,7 +200,7 @@ def _check_gram(gram: np.ndarray) -> None:
 
 
 def span_coefficients(
-    metric: KineticMetric, p: CovectorLike, normals: Sequence[CovectorLike]
+    metric: KineticMetric, p, normals: Sequence
 ) -> np.ndarray:
     """Coefficients c with span-component of p equal to sum c_i * u_i."""
     if len(normals) == 0:
@@ -287,7 +211,7 @@ def span_coefficients(
 
 
 def project_span(
-    metric: KineticMetric, p: CovectorLike, normals: Sequence[CovectorLike]
+    metric: KineticMetric, p, normals: Sequence
 ) -> np.ndarray:
     """Metric-orthogonal component of ``p`` inside the span of the normals."""
     row = metric._check(p)
@@ -296,12 +220,12 @@ def project_span(
     coeffs = span_coefficients(metric, p, normals)
     out = np.zeros_like(row)
     for c, u in zip(coeffs, normals):
-        out += c * _row(u)
+        out += c * metric._check(u)
     return out
 
 
 def project_null(
-    metric: KineticMetric, p: CovectorLike, normals: Sequence[CovectorLike]
+    metric: KineticMetric, p, normals: Sequence
 ) -> np.ndarray:
     """Remove the span component: the result is orthogonal to every normal.
 

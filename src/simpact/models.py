@@ -85,7 +85,7 @@ class MechModel:
         qdot = np.asarray(qdot, dtype=float)
         return 0.5 * float(qdot @ self.mass_matrix(q) @ qdot) - self.potential(q)
 
-    def kinetic_config_grad(self, q: np.ndarray, v: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    def kinetic_config_grad(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Gradient of v' M(q) v with respect to q; zero for constant mass.
 
         The default uses central differences of the mass matrix, which
@@ -97,7 +97,7 @@ class MechModel:
         q = np.asarray(q, dtype=float)
         out = np.zeros(self.dim)
         for i in range(self.dim):
-            step = h * max(1.0, abs(q[i]))
+            step = 1e-6 * max(1.0, abs(q[i]))
             qp = q.copy()
             qp[i] += step
             qm = q.copy()
@@ -435,7 +435,7 @@ def billiards_pair_inner(model: BilliardsModel, q_star) -> float:
     return value
 
 
-def validate_model(model: MechModel, q_samples: Sequence[np.ndarray], fd_step: float = 1e-7):
+def validate_model(model: MechModel, q_samples: Sequence[np.ndarray]):
     """Interface invariant suite: SPD mass and gradient consistency.
 
     Checks that the mass matrix is symmetric positive definite and that
@@ -448,7 +448,7 @@ def validate_model(model: MechModel, q_samples: Sequence[np.ndarray], fd_step: f
         grads = model.gap_gradients(q)
         fd = np.zeros_like(grads)
         for i in range(model.dim):
-            step = fd_step * max(1.0, abs(q[i]))
+            step = 1e-7 * max(1.0, abs(q[i]))
             qp = q.copy()
             qp[i] += step
             qm = q.copy()

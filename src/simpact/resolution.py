@@ -12,7 +12,7 @@ between the plastic and elastic outcomes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -103,6 +103,22 @@ class CascadePolicy:
                     f"fixed order {self.order} is not a permutation of range({n_normals})"
                 )
 
+    def for_contacts(self, contacts: Sequence[int]) -> "CascadePolicy":
+        """This policy for an impact on the given model contacts.
+
+        A fixed order names model contacts. It keeps those in
+        ``contacts``, renumbered to their positions there, and must
+        name each of them once.
+        """
+        if self.variant != "fixed":
+            return self
+        named = [c for c in self.order if c in contacts]
+        if sorted(named) != sorted(contacts):
+            raise ValueError(
+                f"fixed order {self.order} does not name contacts {tuple(contacts)} once each"
+            )
+        return replace(self, order=tuple(contacts.index(c) for c in named))
+
 
 @dataclass(frozen=True)
 class ImpactOutcome:
@@ -188,7 +204,6 @@ def elastic_cascade(
     p_minus,
     normals: Sequence,
     policy: CascadePolicy | None = None,
-    feas_tol: float = 0.0,
 ) -> ImpactOutcome:
     """Run the propagative reflection cascade to a feasible momentum.
 
@@ -201,10 +216,10 @@ def elastic_cascade(
     policy = policy or CascadePolicy.most_violating()
     _check_normals(normals, "cascade")
     policy.validate_for(len(normals))
-    return _cascade(mt.ContactFrame(metric, normals, p_minus), policy, feas_tol)[0]
+    return _cascade(mt.ContactFrame(metric, normals, p_minus), policy)[0]
 
 
-def _cascade(frame: mt.ContactFrame, policy: CascadePolicy, feas_tol: float):
+def _cascade(frame: mt.ContactFrame, policy: CascadePolicy):
     """Reflection cascade in contact coordinates.
 
     Reflecting across normal ``k`` adds ``step * rows[k]`` to the
@@ -226,15 +241,15 @@ def _cascade(frame: mt.ContactFrame, policy: CascadePolicy, feas_tol: float):
     status = CascadeStatus.CONVERGED
     while True:
         values = a * frame.scales
-        infeasible = (values < -feas_tol).nonzero()[0]
+        infeasible = (values < 0.0).nonzero()[0]
         if infeasible.size == 0:
             break
         if len(sequence) >= cap:
             status = CascadeStatus.STEP_CAP_EXCEEDED
             break
         if sequence and sequence[-1] in infeasible:
-            # A reflected normal flips to feasible, so this is unreachable
-            # unless feas_tol interacts badly with round-off.
+            # A reflected normal flips to feasible, so this is reachable
+            # only through round-off.
             infeasible = infeasible[infeasible != sequence[-1]]
             if infeasible.size == 0:
                 break
@@ -264,8 +279,6 @@ def enumerate_outcomes(
     p_minus,
     normals: Sequence,
     depth_cap: int,
-    feas_tol: float = 0.0,
-    dedup_rtol: float = DEDUP_RTOL,
 ) -> EnumerationResult:
     """Enumerate every distinct minimal-sequence outcome.
 
@@ -288,7 +301,7 @@ def enumerate_outcomes(
         raise ValueError("depth_cap must be at least 1")
     _check_normals(normals, "enumeration")
     frame = mt.ContactFrame(metric, normals, p_minus)
-    dedup_tol = dedup_rtol * max(math.sqrt(max(frame.p_norm2, 0.0)), 1e-300)
+    dedup_tol = DEDUP_RTOL * max(math.sqrt(max(frame.p_norm2, 0.0)), 1e-300)
     k_count = len(frame)
     columns = frame.gram.T.tolist()
     scales = frame.scales.tolist()
@@ -306,7 +319,7 @@ def enumerate_outcomes(
         explored += 1
         last = sequence[-1] if sequence else -1
         infeasible = [
-            i for i in range(k_count) if a[i] * scales[i] < -feas_tol and i != last
+            i for i in range(k_count) if a[i] * scales[i] < 0.0 and i != last
         ]
         if not infeasible:
             leaves.append((lam, sequence, impulses))
@@ -407,7 +420,6 @@ def inelastic_resolve(
     restitution: float,
     policy: CascadePolicy | None = None,
     alpha_mode: str = "energy-consistent",
-    feas_tol: float = 0.0,
 ) -> ImpactOutcome:
     """Blend the plastic and elastic outcomes for a restitution in [0, 1].
 
@@ -423,7 +435,7 @@ def inelastic_resolve(
     _check_normals(normals, "cascade")
     policy.validate_for(len(normals))
     frame = mt.ContactFrame(metric, normals, p_minus)
-    return _inelastic(frame, restitution, alpha, policy, feas_tol)[0]
+    return _inelastic(frame, restitution, alpha, policy)[0]
 
 
 def _blend_weight(restitution: float, alpha_mode: str) -> float:
@@ -437,8 +449,8 @@ def _blend_weight(restitution: float, alpha_mode: str) -> float:
     return math.sqrt(1.0 - restitution * restitution)
 
 
-def _inelastic(frame, restitution, alpha, policy, feas_tol):
-    elastic, lam_e = _cascade(frame, policy, feas_tol)
+def _inelastic(frame, restitution, alpha, policy):
+    elastic, lam_e = _cascade(frame, policy)
     plastic, lam_p = _plastic(frame)
     # Net impulse per contact: the same blend of the two impulse sums.
     lam = alpha * lam_e + (1.0 - alpha) * lam_p

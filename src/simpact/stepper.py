@@ -68,6 +68,9 @@ TINY_FRACTION = 1e-9
 #: a crossing; resting contacts at exactly zero never trigger.
 PENETRATION_RTOL = 1e-12
 
+#: Gaps within this fraction of the length scale count as closed.
+ACTIVATION_RTOL = 1e-9
+
 ForceSampler = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 
@@ -104,7 +107,6 @@ class StepperConfig:
     policy: CascadePolicy = field(default_factory=CascadePolicy.most_violating)
     friction: FrictionConfig | None = None
     max_impacts_per_step: int = 200
-    contact_tol: float | None = None  # activation tolerance, scaled by length
 
     def __post_init__(self):
         if self.h <= 0.0:
@@ -128,11 +130,6 @@ class StepperConfig:
         if np.isscalar(self.restitution):
             return float(self.restitution)
         return float(self.restitution[contact])
-
-    def activation_tol(self, model: MechModel) -> float:
-        if self.contact_tol is not None:
-            return self.contact_tol
-        return 1e-9 * model.length_scale
 
 
 @dataclass(frozen=True)
@@ -536,7 +533,7 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
     multipliers of any held contacts; the crossing contact's gap is
     driven to zero while the substep dynamics stay exactly satisfied.
     """
-    act_tol = cfg.activation_tol(model)
+    act_tol = ACTIVATION_RTOL * model.length_scale
     pen_tol = PENETRATION_RTOL * model.length_scale
     gaps_curr = model.gaps(q_curr)
     gaps_cand = model.gaps(q_cand)
@@ -663,7 +660,7 @@ def locate_impact(
     q_candidate = np.asarray(q_candidate, dtype=float)
     p_in = node_momentum(model, q_prev, t_prev, q_curr, t_curr, forces)
 
-    act_tol = cfg.activation_tol(model)
+    act_tol = ACTIVATION_RTOL * model.length_scale
     gaps_c = model.gaps(q_curr)
     gaps_n = model.gaps(q_candidate)
     penetrating = np.flatnonzero(gaps_n < -PENETRATION_RTOL * model.length_scale)
@@ -728,19 +725,14 @@ def _resolve_event(frame, t_star, contacts, r_eff, cfg, forced):
         )
         return frame.p, event, False
 
-    policy = cfg.policy
-    if r_eff > 0.0 and policy.variant == "fixed":
-        # The order names model contacts; keep those of this event.
-        order = tuple(contacts.index(c) for c in policy.order if c in contacts)
-        policy = replace(policy, order=order)
-        policy.validate_for(len(frame))
+    policy = cfg.policy.for_contacts(contacts)
     if r_eff >= 1.0:
-        outcome, lam = _cascade(frame, policy, 0.0)
+        outcome, lam = _cascade(frame, policy)
     elif r_eff <= 0.0:
         outcome, lam = _plastic(frame)
     else:
         alpha = _blend_weight(r_eff, cfg.alpha_mode)
-        outcome, lam = _inelastic(frame, r_eff, alpha, policy, 0.0)
+        outcome, lam = _inelastic(frame, r_eff, alpha, policy)
     if outcome.status is CascadeStatus.STEP_CAP_EXCEEDED:
         # Guaranteed-terminating fallback for three or more contacts.
         outcome, lam = _plastic(frame)
@@ -841,13 +833,12 @@ def friction_force(
     contact: int,
     mu: float,
     normal_force: float,
-    slip_tol: float = 1e-10,
 ) -> np.ndarray:
     """Coulomb friction for a planar single-tangent contact.
 
     Selects the tangential force ``f`` in ``[-mu N, mu N]`` that
     maximizes instantaneous dissipation. Both objectives are affine in
-    ``f``, so the choice is closed form: with nonzero slip ``v_t`` the
+    ``f``, so the choice is closed form: with slip ``|v_t| > 1e-10`` the
     sliding power ``f v_t`` is least at the cone boundary opposing the
     slip; at zero slip the tangential acceleration ``c + f d``, with
     ``c = t M^-1 F`` and ``d = t M^-1 t``, is nulled by ``f = -c / d``
@@ -869,7 +860,7 @@ def friction_force(
     if bound == 0.0:
         return np.zeros(model.dim)
     v_t = float(trow @ qdot)
-    if abs(v_t) > slip_tol:
+    if abs(v_t) > 1e-10:
         f = -math.copysign(bound, v_t)
     else:
         applied = -model.potential_gradient(q)
@@ -1005,7 +996,7 @@ class _Sim:
     def advance(self, q_c, t_c, p_in, t_target):
         """Advance to the target time, resolving any impacts on the way."""
         model, cfg = self.model, self.cfg
-        act_tol = cfg.activation_tol(model)
+        act_tol = ACTIVATION_RTOL * model.length_scale
         pen_tol = PENETRATION_RTOL * model.length_scale
         impacts = 0
         while True:

@@ -94,8 +94,8 @@ def indeterminacy_xi(metric: mt.KineticMetric, p_minus, u, v) -> float:
     p_norm = math.sqrt(max(frame.p_norm2, 0.0))
     if p_norm == 0.0:
         return 0.0
-    first, lam_1 = _cascade(frame, CascadePolicy.fixed((0, 1)), 0.0)
-    second, lam_2 = _cascade(frame, CascadePolicy.fixed((1, 0)), 0.0)
+    first, lam_1 = _cascade(frame, CascadePolicy.fixed((0, 1)))
+    second, lam_2 = _cascade(frame, CascadePolicy.fixed((1, 0)))
     if not (first.converged and second.converged):
         raise VerificationError("cascade did not converge while measuring xi")
     return frame.distance(lam_1, lam_2) / p_norm

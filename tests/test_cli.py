@@ -45,6 +45,15 @@ def cradle_resolve_config(**overrides):
     return config
 
 
+def two_of_three_closed_config():
+    """A four-ball cradle with only contacts 1 and 2 closed."""
+    return {
+        "model": {"type": "cradle", "masses": [1.0] * 4, "radii": [0.1] * 4},
+        "initial": {"q": [-0.5, 0.2, 0.4, 0.6]},
+        "task": {"kind": "resolve", "p_minus": [0.0, 1.0, 0.0, 0.0]},
+    }
+
+
 def read_rows(path):
     lines = [l for l in Path(path).read_text().splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
@@ -81,6 +90,14 @@ class TestConfigValidation:
         path = write_config(tmp_path, cradle_resolve_config(policy="fixed:0,1,5"))
         with pytest.raises(ConfigError):
             run(path, out_dir=tmp_path / "out")
+
+    @pytest.mark.parametrize("policy", ["Fixed:0,5", " fixed:0,5"])
+    def test_policy_contacts_checked_as_parsed(self, tmp_path, policy):
+        # The check sees the order the cascade would use, whatever the case
+        # and spacing of the text.
+        path = write_config(tmp_path, cradle_resolve_config())
+        argv = ["run", str(path), "--out", str(tmp_path / "out"), "--policy", policy]
+        assert main(argv) == EXIT_CONFIG
 
     def test_exit_codes(self, tmp_path, capsys):
         bad = tmp_path / "missing.json"
@@ -120,6 +137,20 @@ class TestResolveTask:
         _, rows_a = read_rows(a)
         _, rows_b = read_rows(b)
         assert rows_a[0][:3] == rows_b[0][:3]
+
+    @pytest.mark.parametrize("policy", ["fixed:1,2", "fixed:2,1"])
+    def test_fixed_order_names_model_contacts(self, tmp_path, policy):
+        path = write_config(tmp_path, two_of_three_closed_config())
+        (outcome,) = run(path, out_dir=tmp_path / "out", policy=policy)
+        header, (row,) = read_rows(outcome)
+        assert row[header.index("sequence")] == "c1;c2"
+        p_plus = [float(row[header.index(f"p_plus{i}")]) for i in range(1, 5)]
+        assert p_plus == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-14)
+
+    def test_fixed_order_must_name_the_closed_contacts(self, tmp_path):
+        path = write_config(tmp_path, two_of_three_closed_config())
+        argv = ["run", str(path), "--out", str(tmp_path / "out"), "--policy", "fixed:0,1"]
+        assert main(argv) == EXIT_CONFIG
 
     def test_restitution_blend(self, tmp_path):
         config = cradle_resolve_config()

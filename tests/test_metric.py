@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simpact.errors import (
@@ -11,15 +11,11 @@ from simpact.errors import (
     NotPositiveDefiniteError,
 )
 from simpact.metric import (
-    Covector,
-    Feasibility,
+    DEADBAND,
     KineticMetric,
-    feasibility,
     inner,
     is_feasible,
-    momentum,
     norm,
-    normal,
     project_null,
     project_span,
     unit,
@@ -60,16 +56,8 @@ class TestConstruction:
             n = rng.integers(1, 9)
             metric = random_metric(rng, n)
             v = rng.standard_normal(n)
-            back = metric.dual(metric.apply_mass(v))
+            back = metric.dual(metric.mass @ v)
             assert np.abs(back - v).max() <= 1e-10 * max(1.0, np.abs(v).max())
-
-    def test_covector_roles(self):
-        p = momentum([1.0, 2.0])
-        u = normal([0.0, 1.0])
-        assert p.role == "momentum" and u.role == "normal"
-        assert len(p) == 2
-        with pytest.raises(ValueError):
-            Covector(np.ones(2), role="torque")
 
 
 class TestInnerAndNorm:
@@ -143,12 +131,10 @@ class TestFeasibility:
         m = euclidean3()
         u = [-1.0, 1.0, 0.0]
         v = [0.0, -1.0, 1.0]
-        assert feasibility(m, [1.0, 0.0, 0.0], [u]) == [Feasibility.INFEASIBLE]
-        assert feasibility(m, np.zeros(3), [u]) == [Feasibility.FEASIBLE]
-        assert feasibility(m, [0.0, 0.0, 1.0], [u, v]) == [
-            Feasibility.FEASIBLE,
-            Feasibility.FEASIBLE,
-        ]
+        assert not is_feasible(m, [1.0, 0.0, 0.0], [u])
+        assert is_feasible(m, np.zeros(3), [u])
+        assert is_feasible(m, [0.0, 0.0, 1.0], [u])
+        assert is_feasible(m, [0.0, 0.0, 1.0], [v])
 
     def test_boundary_counts_as_feasible(self):
         m = euclidean3()
@@ -159,8 +145,27 @@ class TestFeasibility:
         m = KineticMetric(np.eye(2))
         p = [-1e-13, 1.0]
         u = [1.0, 0.0]
-        assert feasibility(m, p, [u]) == [Feasibility.INFEASIBLE]
-        assert feasibility(m, p, [u], tol=1e-12) == [Feasibility.FEASIBLE]
+        assert not is_feasible(m, p, [u])
+        assert is_feasible(m, p, [u], tol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        k=st.integers(0, 4),
+        tol=st.sampled_from([0.0, DEADBAND]),
+        zero_p=st.booleans(),
+    )
+    @example(seed=0, n=3, k=0, tol=0.0, zero_p=False)
+    @example(seed=1, n=3, k=2, tol=0.0, zero_p=True)
+    def test_matches_per_normal_inner_products(self, seed, n, k, tol, zero_p):
+        # The zero momentum has an exactly zero inner product with every normal.
+        rng = np.random.default_rng(seed)
+        metric = random_metric(rng, n)
+        normals = list(rng.standard_normal((k, n)))
+        p = np.zeros(n) if zero_p else rng.standard_normal(n)
+        expected = all(inner(metric, p, u) >= -tol for u in normals)
+        assert is_feasible(metric, p, normals, tol) == expected
 
 
 class TestProjections:
