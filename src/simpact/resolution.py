@@ -224,7 +224,10 @@ def _cascade(frame: mt.ContactFrame, policy: CascadePolicy):
 
     Reflecting across normal ``k`` adds ``step * rows[k]`` to the
     momentum, so its inner products move by ``step * gram[:, k]``.
-    Returns the outcome and the per-normal impulse sums.
+    Returns the outcome and the per-normal impulse sums. The walk runs
+    on Python floats, with the IEEE operations of the elementwise array
+    update in the same order, so long wedges pay no per-reflection
+    array overhead.
     """
     k_count = len(frame)
     if k_count == 2:
@@ -234,15 +237,18 @@ def _cascade(frame: mt.ContactFrame, policy: CascadePolicy):
     else:
         cap = policy.max_steps
 
-    a = frame.a.copy()
-    lam = np.zeros(k_count)
+    a = frame.a.tolist()
+    columns = frame.gram.T.tolist()
+    scales = frame.scales.tolist()
+    norms2 = frame.norms2.tolist()
+    lam = [0.0] * k_count
     sequence: list[int] = []
     impulses: list[float] = []
     status = CascadeStatus.CONVERGED
     while True:
-        values = a * frame.scales
-        infeasible = (values < 0.0).nonzero()[0]
-        if infeasible.size == 0:
+        values = [ai * si for ai, si in zip(a, scales)]
+        infeasible = [i for i in range(k_count) if values[i] < 0.0]
+        if not infeasible:
             break
         if len(sequence) >= cap:
             status = CascadeStatus.STEP_CAP_EXCEEDED
@@ -250,20 +256,22 @@ def _cascade(frame: mt.ContactFrame, policy: CascadePolicy):
         if sequence and sequence[-1] in infeasible:
             # A reflected normal flips to feasible, so this is reachable
             # only through round-off.
-            infeasible = infeasible[infeasible != sequence[-1]]
-            if infeasible.size == 0:
+            infeasible.remove(sequence[-1])
+            if not infeasible:
                 break
+        # min and max keep the first of tied values, as argmin and argmax do.
         if policy.variant == "most-violating":
-            k = int(infeasible[np.argmin(values[infeasible])])
+            k = min(infeasible, key=values.__getitem__)
         elif policy.variant == "least-violating":
-            k = int(infeasible[np.argmax(values[infeasible])])
+            k = max(infeasible, key=values.__getitem__)
         else:
             k = next(i for i in policy.order if i in infeasible)
-        step = -2.0 * float(a[k]) / frame.norms2[k]
-        a += step * frame.gram[:, k]
+        step = -2.0 * a[k] / norms2[k]
+        a = [ai + step * gi for ai, gi in zip(a, columns[k])]
         lam[k] += step
         sequence.append(k)
         impulses.append(step)
+    lam = np.array(lam)
     outcome = ImpactOutcome(
         p_plus=frame.momentum(lam),
         sequence=tuple(sequence),

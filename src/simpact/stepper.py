@@ -52,6 +52,7 @@ from .errors import (
 )
 from .models import MechModel
 from .resolution import (
+    ALPHA_MODES,
     CascadePolicy,
     CascadeStatus,
     ImpactKind,
@@ -121,6 +122,8 @@ class StepperConfig:
             raise ValueError("restitution must lie in [0, 1]")
         if not np.isscalar(rest):
             object.__setattr__(self, "restitution", tuple(float(r) for r in rest))
+        if self.alpha_mode not in ALPHA_MODES:
+            raise ValueError(f"alpha_mode must be one of {ALPHA_MODES}")
 
     @property
     def time_tol(self) -> float:

@@ -11,6 +11,7 @@ to 1e-12, and must solve against the mass matrix once per call.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,6 +273,132 @@ def test_cascade_matches_reference(case):
     assert norm(metric, out.p_plus) == pytest.approx(norm(metric, p), rel=rtol)
     if out.converged:
         assert is_feasible(metric, out.p_plus, normals, DEADBAND * p_scale)
+
+
+# ---------------------------------------------------------------------------
+# The float cascade against the array loop it replaced
+
+
+def array_loop_cascade(frame, policy):
+    """The contact-coordinate cascade as an array loop: one numpy update per reflection."""
+    k_count = len(frame)
+    if k_count == 2:
+        cap = resolution._pair_bound(frame.pair_cosine())
+    elif k_count == 1:
+        cap = 1
+    else:
+        cap = policy.max_steps
+
+    a = frame.a.copy()
+    lam = np.zeros(k_count)
+    sequence: list[int] = []
+    impulses: list[float] = []
+    status = CascadeStatus.CONVERGED
+    while True:
+        values = a * frame.scales
+        infeasible = (values < 0.0).nonzero()[0]
+        if infeasible.size == 0:
+            break
+        if len(sequence) >= cap:
+            status = CascadeStatus.STEP_CAP_EXCEEDED
+            break
+        if sequence and sequence[-1] in infeasible:
+            infeasible = infeasible[infeasible != sequence[-1]]
+            if infeasible.size == 0:
+                break
+        if policy.variant == "most-violating":
+            k = int(infeasible[np.argmin(values[infeasible])])
+        elif policy.variant == "least-violating":
+            k = int(infeasible[np.argmax(values[infeasible])])
+        else:
+            k = next(i for i in policy.order if i in infeasible)
+        step = -2.0 * float(a[k]) / frame.norms2[k]
+        a += step * frame.gram[:, k]
+        lam[k] += step
+        sequence.append(k)
+        impulses.append(step)
+    outcome = ImpactOutcome(
+        p_plus=frame.momentum(lam),
+        sequence=tuple(sequence),
+        impulses=tuple(impulses),
+        status=status,
+        kind=ImpactKind.ELASTIC,
+    )
+    return outcome, lam
+
+
+def assert_cascade_bitwise_equal(frame, policy):
+    """Sequence, impulses, status, impulse sums and momentum equal, with no tolerance."""
+    got, lam = resolution._cascade(frame, policy)
+    want, want_lam = array_loop_cascade(frame, policy)
+    assert got.sequence == want.sequence
+    assert got.impulses == want.impulses
+    assert all(type(x) is float for x in got.impulses)
+    assert got.status is want.status
+    assert np.array_equal(lam, want_lam)
+    assert np.array_equal(got.p_plus, want.p_plus)
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=instances, max_steps=st.sampled_from((1, 2, 3, resolution.DEFAULT_MAX_STEPS)))
+def test_cascade_bitwise_equals_array_loop(case, max_steps):
+    seed, shape, k, extra, policy_name = case
+    metric, normals, p = build_instance(seed, shape, k, extra)
+    policy = replace(make_policy(policy_name, len(normals), seed), max_steps=max_steps)
+    assert_cascade_bitwise_equal(ContactFrame(metric, normals, p), policy)
+
+
+def _wedge(c):
+    """Unit normals at inner product ``c`` and a momentum violating both."""
+    u = np.array([1.0, 0.0, 0.0])
+    v = np.array([c, math.sqrt(1.0 - c * c), 0.0])
+    return [u, v], -0.7 * u - 0.4 * v + np.array([0.0, 0.0, 0.3])
+
+
+@pytest.mark.parametrize("c", [-0.995, -0.5, 0.0, 0.995])
+@pytest.mark.parametrize("policy_name", ["most-violating", "least-violating", "fixed:0,1", "fixed:1,0"])
+def test_wedge_cascades_bitwise_equal_array_loop(c, policy_name):
+    normals, p = _wedge(c)
+    metric = KineticMetric(np.diag([1.0, 2.5, 0.7]))
+    out = assert_cascade_bitwise_equal(
+        ContactFrame(metric, normals, p), CascadePolicy.parse(policy_name)
+    )
+    assert out.converged
+
+
+@pytest.mark.parametrize("order, length", [((0, 1), 4199), ((1, 0), 4198)])
+def test_criterion_2_wedge_bitwise_equals_array_loop(order, length):
+    metric = KineticMetric(np.eye(3))
+    normals, _ = _wedge(-0.99999972)
+    p = np.array([-1e-5, -1.0, 0.2])
+    out = assert_cascade_bitwise_equal(
+        ContactFrame(metric, normals, p), CascadePolicy.fixed(order)
+    )
+    assert len(out.sequence) == length
+
+
+def test_cradle_boundary_cascade_bitwise_equals_array_loop():
+    # Three equal balls, the first moving: after u and then v the inner
+    # product with u is exactly 0.0, so the cascade stops at (0, 1).
+    metric = KineticMetric(np.eye(3))
+    normals = [np.array([-1.0, 1.0, 0.0]), np.array([0.0, -1.0, 1.0])]
+    frame = ContactFrame(metric, normals, np.array([1.0, 0.0, 0.0]))
+    out = assert_cascade_bitwise_equal(frame, CascadePolicy.most_violating())
+    assert out.sequence == (0, 1)
+    assert float(normals[0] @ metric.dual(out.p_plus)) == 0.0
+    np.testing.assert_array_equal(out.p_plus, [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("max_steps", [1, 2, 3])
+def test_capped_cradle_cascade_bitwise_equals_array_loop(max_steps):
+    # Four equal balls need three reflections, so smaller caps overrun.
+    metric = KineticMetric(np.eye(4))
+    normals = [np.eye(4)[i + 1] - np.eye(4)[i] for i in range(3)]
+    frame = ContactFrame(metric, normals, np.array([1.0, 0.0, 0.0, 0.0]))
+    out = assert_cascade_bitwise_equal(frame, CascadePolicy.most_violating(max_steps))
+    assert out.converged is (max_steps == 3)
+    assert len(out.sequence) == max_steps
 
 
 @settings(max_examples=200, deadline=None)

@@ -921,6 +921,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             StepperConfig(h=-0.01)
 
+    def test_unknown_alpha_mode_rejected_at_construction(self):
+        # Unchecked, it surfaced only at the first inelastic impact.
+        with pytest.raises(ValueError, match="alpha_mode"):
+            StepperConfig(h=0.01, restitution=0.5, alpha_mode="bogus")
+        with pytest.raises(ValueError, match="alpha_mode"):
+            impact_step(
+                BallModel(1.0), [0.02], [0.0], 0.0, 0.03, 0.08, (0,), 0.5, alpha_mode="bogus"
+            )
+        for mode in ("energy-consistent", "as-printed"):
+            assert StepperConfig(h=0.01, alpha_mode=mode).alpha_mode == mode
+
     def test_multi_contact_event_uses_most_dissipative(self):
         # The cradle event spans both contacts; the smaller coefficient
         # governs the whole event.
