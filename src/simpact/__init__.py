@@ -28,9 +28,6 @@ from .metric import (
     inner,
     is_feasible,
     norm,
-    project_null,
-    project_span,
-    unit,
 )
 from .resolution import (
     CascadePolicy,

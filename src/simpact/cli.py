@@ -307,8 +307,7 @@ def _task_simulate(config, model, out_dir: Path) -> list[Path]:
     cfg = build_stepper_config(config)
     q0, qdot0 = _initial_state(config, model)
     trajectory = simulate(model, q0, qdot0, task["duration"], cfg)
-    metric0 = model.metric_at(q0)
-    e0 = 0.5 * mt.norm(metric0, qdot0 @ model.mass_matrix(q0)) ** 2 + model.potential(q0)
+    e0 = 0.5 * qdot0 @ model.mass_matrix(q0) @ qdot0 + model.potential(q0)
     ledger = report_energy(trajectory, initial_energy=e0)
 
     header = _header(config)

@@ -86,14 +86,11 @@ class DesignProblem:
         model = self.model_factory(params)
         gaps = model.gaps(q)
         grads = model.gap_gradients(q)
-        metric = model.metric_at(q)
-        u = mt.unit(metric, grads[0])
-        v = mt.unit(metric, grads[1])
         return np.array(
             [
                 gaps[0] / self.length_scale,
                 gaps[1] / self.length_scale,
-                mt.inner(metric, u, v),
+                mt.ContactFrame(model.metric_at(q), grads[:2]).pair_cosine(),
             ]
         )
 
@@ -257,19 +254,24 @@ def legtail_orthogonality_problem(
 def xi_at_optimum(
     model: MechModel, q_opt: np.ndarray, samples: int = 100, seed: int = 0
 ) -> float:
-    """Largest order-indeterminacy over random infeasible momenta."""
+    """Largest order-indeterminacy over random infeasible momenta.
+
+    A sample that does not violate both normals is negated, and drawn
+    again if its negation does not either. Feasibility is read from the
+    duals of one contact frame, so only the xi of each sample solves
+    against the mass matrix.
+    """
     metric = model.metric_at(q_opt)
-    grads = model.gap_gradients(q_opt)
-    u = mt.unit(metric, grads[0])
-    v = mt.unit(metric, grads[1])
+    u, v = model.gap_gradients(q_opt)[:2]
+    duals = mt.ContactFrame(metric, [u, v]).duals
     rng = np.random.default_rng(seed)
     worst = 0.0
     found = 0
     while found < samples:
         p = rng.standard_normal(model.dim)
-        if mt.inner(metric, p, u) >= 0 or mt.inner(metric, p, v) >= 0:
+        if np.any(duals @ p >= 0):
             p = -p
-        if mt.inner(metric, p, u) >= 0 or mt.inner(metric, p, v) >= 0:
+        if np.any(duals @ p >= 0):
             continue
         worst = max(worst, indeterminacy_xi(metric, p, u, v))
         found += 1

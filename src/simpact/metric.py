@@ -6,9 +6,11 @@ the inverse mass matrix as the bilinear form, so "orthogonal" always
 means orthogonal in the kinetic-energy sense, not the Euclidean one.
 The metric object checks positive definiteness once, with a Cholesky
 factorization, and never forms the explicit inverse: each dual is one
-linear solve against the mass matrix, and projections solve small Gram
-systems built from metric inner products, which keeps the conditioning
-of the original mass matrix.
+linear solve against the mass matrix. A :class:`ContactFrame` makes
+that one solve for a set of contact normals (and a momentum) and
+carries their Gram matrix and inner products, from which the resolver,
+the uniqueness checks and the design residual read every metric
+quantity of the normals.
 """
 
 from __future__ import annotations
@@ -97,15 +99,6 @@ def norm(metric: KineticMetric, a) -> float:
     row = metric._check(a)
     # Round-off can make the quadratic form marginally negative at zero.
     return float(np.sqrt(max(row @ metric.dual(row), 0.0)))
-
-
-def unit(metric: KineticMetric, a) -> np.ndarray:
-    """Rescale a covector to unit metric norm."""
-    row = metric._check(a)
-    n = norm(metric, row)
-    if n == 0.0:
-        raise DimensionError("cannot normalize a zero covector")
-    return row / n
 
 
 def is_feasible(metric: KineticMetric, p, normals: Sequence, tol: float = 0.0) -> bool:
@@ -197,43 +190,3 @@ def _check_gram(gram: np.ndarray) -> None:
             f"normals at indices {bad} are linearly dependent under the metric",
             bad,
         )
-
-
-def span_coefficients(
-    metric: KineticMetric, p, normals: Sequence
-) -> np.ndarray:
-    """Coefficients c with span-component of p equal to sum c_i * u_i."""
-    if len(normals) == 0:
-        return np.zeros(0)
-    frame = ContactFrame(metric, normals, p)
-    _check_gram(frame.gram)
-    return np.linalg.solve(frame.gram, frame.a)
-
-
-def project_span(
-    metric: KineticMetric, p, normals: Sequence
-) -> np.ndarray:
-    """Metric-orthogonal component of ``p`` inside the span of the normals."""
-    row = metric._check(p)
-    if len(normals) == 0:
-        return np.zeros_like(row)
-    coeffs = span_coefficients(metric, p, normals)
-    out = np.zeros_like(row)
-    for c, u in zip(coeffs, normals):
-        out += c * metric._check(u)
-    return out
-
-
-def project_null(
-    metric: KineticMetric, p, normals: Sequence
-) -> np.ndarray:
-    """Remove the span component: the result is orthogonal to every normal.
-
-    Idempotent, and the exact complement of :func:`project_span` as
-    computed (the two parts sum back to ``p`` up to round-off in the
-    final subtraction).
-    """
-    row = metric._check(p)
-    if len(normals) == 0:
-        return row.copy()
-    return row - project_span(metric, row, normals)

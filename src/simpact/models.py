@@ -422,8 +422,7 @@ def billiards_pair_inner(model: BilliardsModel, q_star) -> float:
     if np.any(np.abs(gaps) > tol):
         raise SimpactError(f"both contacts must be closed, gaps {gaps}")
     grads = model.gap_gradients(q_star)
-    metric = model.metric_at(q_star)
-    value = mt.inner(metric, grads[0], grads[1])
+    value = float(mt.ContactFrame(model.metric_at(q_star), grads[:2]).gram[0, 1])
     theta = model.contact_angle(q_star)
     closed_form = math.cos(theta) / model.masses[2]
     denom = max(abs(value), abs(closed_form), 1e-30)

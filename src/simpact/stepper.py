@@ -813,8 +813,8 @@ def zeno_guard(
 ) -> str:
     """Decide whether a contact must switch to plastic.
 
-    Returns ``"force-plastic"`` when the contact already produced more
-    than ``zeno_window`` impacts within one nominal step of ``now`` (the
+    Returns ``"force-plastic"`` when the contact already produced at
+    least ``zeno_window`` impacts within one nominal step of ``now`` (the
     latest event time by default), and ``"elastic"`` otherwise.
     """
     hits = [ev.t for ev in event_history if contact in ev.contacts]

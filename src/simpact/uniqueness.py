@@ -18,12 +18,7 @@ import numpy as np
 
 from . import metric as mt
 from .errors import DegenerateNormalsError, VerificationError
-from .resolution import (
-    CascadePolicy,
-    _cascade,
-    enumerate_outcomes,
-    reflect,
-)
+from .resolution import CascadePolicy, _cascade, enumerate_outcomes
 
 #: Default classification tolerance on unit-normalized inner products.
 #: Configuration-dependent metrics rarely reach exact zeros after
@@ -165,25 +160,23 @@ def verify_commutation(
     orthogonal normal pair: the sampled maximum gap is below ``tol``
     exactly when the unit inner product is. Also reports the gap of the
     three-step alternating products, which closes for pairs at minus one
-    half. Raises on inconsistency.
+    half. Raises on inconsistency. The products run in the contact
+    coordinates of one frame over ``u`` and ``v``, and each gap is a
+    frame distance over the metric norm of the sampled momentum.
     """
-    u_hat = mt.unit(metric, u)
-    v_hat = mt.unit(metric, v)
-    value = mt.inner(metric, u_hat, v_hat)
+    frame = mt.ContactFrame(metric, [u, v])
+    value = frame.pair_cosine()
     rng = np.random.default_rng(seed)
     max_two = 0.0
     max_three = 0.0
     for _ in range(samples):
         p = rng.standard_normal(metric.dim)
-        p /= mt.norm(metric, p)
-        p_uv, _ = reflect(metric, p, u_hat)
-        p_uv, _ = reflect(metric, p_uv, v_hat)
-        p_vu, _ = reflect(metric, p, v_hat)
-        p_vu, _ = reflect(metric, p_vu, u_hat)
-        max_two = max(max_two, mt.norm(metric, p_uv - p_vu))
-        p_uvu, _ = reflect(metric, p_uv, u_hat)
-        p_vuv, _ = reflect(metric, p_vu, v_hat)
-        max_three = max(max_three, mt.norm(metric, p_uvu - p_vuv))
+        a = frame.duals @ p
+        uvu = _alternate(frame, a, 0)
+        vuv = _alternate(frame, a, 1)
+        p_norm = mt.norm(metric, p)
+        max_two = max(max_two, frame.distance(uvu[1], vuv[1]) / p_norm)
+        max_three = max(max_three, frame.distance(uvu[2], vuv[2]) / p_norm)
     orthogonal = abs(value) < tol
     commutes = max_two < tol
     if commutes != orthogonal:
@@ -200,3 +193,22 @@ def verify_commutation(
         samples=samples,
         seed=seed,
     )
+
+
+def _alternate(frame: mt.ContactFrame, a: np.ndarray, first: int) -> list[np.ndarray]:
+    """Impulse sums after one, two and three alternating reflections.
+
+    The walk starts across normal ``first`` of a two-normal frame, from
+    a momentum whose inner products with the normals are ``a``.
+    """
+    a = a.copy()
+    lam = np.zeros(2)
+    sums = []
+    k = first
+    for _ in range(3):
+        step = -2.0 * a[k] / frame.norms2[k]
+        a += step * frame.gram[:, k]
+        lam[k] += step
+        sums.append(lam.copy())
+        k = 1 - k
+    return sums

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from simpact.metric import KineticMetric, inner, norm, project_null, unit
+from simpact.metric import KineticMetric, inner, norm
+from simpact.resolution import plastic_resolve
 
 
 def random_spd(rng, n, spread=2.0):
@@ -20,7 +21,7 @@ def random_metric(rng, n, spread=2.0):
 
 def random_unit_covector(metric, rng):
     row = rng.standard_normal(metric.dim)
-    return unit(metric, row)
+    return row / norm(metric, row)
 
 
 def metric_orthonormal_set(metric, rng, k):
@@ -54,10 +55,30 @@ def doubly_infeasible_momentum(metric, rng, u, v, tangent_scale=1.0):
     c = inner(metric, u, v)
     if -(a + b * c) >= 0 or -(a * c + b) >= 0:
         p = -u - v  # fallback always works since 1 + c > 0 for non-parallel pairs
-    extra = project_null(metric, rng.standard_normal(metric.dim) * tangent_scale, [u, v])
-    return p + extra
+    tangent = rng.standard_normal(metric.dim) * tangent_scale
+    return p + plastic_resolve(metric, tangent, [u, v]).p_plus
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def mass_solves(monkeypatch):
+    """Run ``fn()`` and count its np.linalg.solve calls on ``metric.mass``."""
+    calls = []
+    original = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a)
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+
+    def count(metric, fn):
+        calls.clear()
+        result = fn()
+        return sum(1 for a in calls if a is metric.mass), result
+
+    return count

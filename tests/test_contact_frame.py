@@ -12,6 +12,7 @@ to 1e-12, and must solve against the mass matrix once per call.
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,15 +21,16 @@ from hypothesis import strategies as st
 
 from simpact import metric as mt
 from simpact import resolution
+from simpact.cli import build_model, load_config
+from simpact.design import legtail_orthogonality_problem, solve_orthogonal, xi_at_optimum
 from simpact.errors import DegenerateNormalsError
-from simpact.models import LegTailModel
+from simpact.models import BilliardsModel, LegTailModel, billiards_pair_inner
 from simpact.metric import (
     DEADBAND,
     ContactFrame,
     KineticMetric,
     is_feasible,
     norm,
-    project_null,
 )
 from simpact.resolution import (
     CascadePolicy,
@@ -43,11 +45,13 @@ from simpact.resolution import (
     two_contact_reflection_bound,
 )
 from simpact.stepper import StepperConfig, _Sim, locate_impact
-from simpact.uniqueness import classify_pair, indeterminacy_xi, outcome_xi
+from simpact.uniqueness import classify_pair, indeterminacy_xi, outcome_xi, verify_commutation
 
 from conftest import pair_with_inner, random_metric, random_unit_covector
 
 RTOL = 1e-12
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +70,7 @@ def ref_cascade(metric, p_minus, normals, policy, feas_tol=0.0):
     duals, norms2, scales = _ref_scales(metric, rows)
     dual_mat = np.asarray(duals)
     if len(rows) == 2:
-        c = mt.inner(metric, mt.unit(metric, rows[0]), mt.unit(metric, rows[1]))
+        c = mt.inner(metric, rows[0], rows[1]) / (norm(metric, rows[0]) * norm(metric, rows[1]))
         cap = math.ceil(math.pi / math.asin(math.sqrt((1.0 + c) / 2.0)))
     elif len(rows) == 1:
         cap = 1
@@ -165,7 +169,7 @@ def pair_momentum(metric, rng, u, v):
     c = mt.inner(metric, u, v)
     lo, hi = max(-c, 0.2), min(-1.0 / c if c < 0.0 else math.inf, 5.0)
     t = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
-    return -u - t * v + project_null(metric, rng.standard_normal(metric.dim), [u, v])
+    return -u - t * v + plastic_resolve(metric, rng.standard_normal(metric.dim), [u, v]).p_plus
 
 
 def build_instance(seed, shape, k, extra_dim):
@@ -479,7 +483,7 @@ def test_pair_measures_match_reference(seed, shape, extra):
     ref_xi = norm(metric, first - second) / norm(metric, p)
     rtol = pair_rtol(metric, [u, v])
     assert indeterminacy_xi(metric, p, u, v) == pytest.approx(ref_xi, rel=rtol, abs=rtol)
-    ref_c = mt.inner(metric, mt.unit(metric, u), mt.unit(metric, v))
+    ref_c = mt.inner(metric, u, v) / (norm(metric, u) * norm(metric, v))
     assert classify_pair(metric, u, v).inner_value == pytest.approx(ref_c, abs=RTOL)
 
 
@@ -704,26 +708,6 @@ def test_frame_momentum_identity(rng):
 # Solves against the mass matrix
 
 
-@pytest.fixture
-def mass_solves(monkeypatch):
-    """Run ``fn()`` and count its np.linalg.solve calls on ``metric.mass``."""
-    calls = []
-    original = np.linalg.solve
-
-    def counting(a, b):
-        calls.append(a)
-        return original(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
-
-    def count(metric, fn):
-        calls.clear()
-        result = fn()
-        return sum(1 for a in calls if a is metric.mass), result
-
-    return count
-
-
 def test_pair_query_solves_at_most_three_times(rng, mass_solves):
     metric = random_metric(rng, 4)
     u, v = pair_with_inner(metric, rng, -0.995)
@@ -747,7 +731,6 @@ PUBLIC_CALLS = {
     "indeterminacy_xi": lambda m, p, u, v: indeterminacy_xi(m, p, u, v),
     "classify_pair": lambda m, p, u, v: classify_pair(m, u, v),
     "two_contact_reflection_bound": lambda m, p, u, v: two_contact_reflection_bound(m, u, v),
-    "span_coefficients": lambda m, p, u, v: mt.span_coefficients(m, p, [u, v]),
     "outcome_xi": lambda m, p, u, v: outcome_xi(
         m, p, enumerate_outcomes(m, p, [u, v], 64).outcomes
     ),
@@ -813,3 +796,88 @@ def test_node_impact_builds_one_frame(monkeypatch, mass_solves):
     solves, _ = mass_solves(metric, lambda: sim.advance(q, 0.0, p_in, 0.01))
     assert [(ev.t, ev.contacts) for ev in sim.events] == [(0.0, (0, 1))]
     assert solves == 1
+
+
+# ---------------------------------------------------------------------------
+# Edge callers: the design loop, the commutation check and the billiards
+# closed form read the pair cosine and feasibility from one contact frame.
+
+
+def shipped_legtail_optimum():
+    """The problem, result and optimal model of ``scenarios/legtail_optimize.json``."""
+    config = load_config(SCENARIOS / "legtail_optimize.json")
+    task = config["task"]
+    problem = legtail_orthogonality_problem(
+        build_model(config["model"]),
+        config["initial"]["q"],
+        free_q=tuple(task["free_q"]),
+        free_params=tuple(task["free_params"]),
+        tol_inner=task["tol_inner"],
+    )
+    result = solve_orthogonal(problem)
+    return problem, result, problem.model_factory(result.params_opt)
+
+
+def pinned_metric(model, q):
+    """The model's metric at ``q``, returned for every ``metric_at`` call."""
+    metric = model.metric_at(q)
+    model.metric_at = lambda _: metric
+    return metric
+
+
+def test_design_residual_solves_once(mass_solves):
+    problem, result, opt_model = shipped_legtail_optimum()
+    metric = pinned_metric(opt_model, result.q_opt)
+    problem.model_factory = lambda params: opt_model
+    x_opt = problem.pack(result.q_opt, result.params_opt)
+    solves, r = mass_solves(metric, lambda: problem.residuals(x_opt))
+    assert solves == 1
+    assert abs(r[2]) <= problem.tol_inner
+
+
+def test_xi_at_optimum_solves_once_per_sample(mass_solves):
+    _, result, opt_model = shipped_legtail_optimum()
+    metric = pinned_metric(opt_model, result.q_opt)
+    samples = 100
+    solves, xi = mass_solves(
+        metric, lambda: xi_at_optimum(opt_model, result.q_opt, samples=samples)
+    )
+    assert solves <= samples + 1
+    assert xi < 1e-12
+
+
+def test_verify_commutation_solves_once_per_sample(rng, mass_solves):
+    metric = random_metric(rng, 4)
+    u, v = pair_with_inner(metric, rng, 0.3)
+    samples = 256
+    solves, report = mass_solves(metric, lambda: verify_commutation(metric, u, v, samples))
+    assert solves <= samples + 1
+    assert not report.commutes and report.max_two_step_gap > 1e-6
+
+
+def test_billiards_pair_inner_solves_once(mass_solves):
+    model = BilliardsModel([1.0, 2.0, 1.5], [0.1, 0.15, 0.12])
+    q = model.double_contact_configuration(2.0)
+    metric = pinned_metric(model, q)
+    solves, value = mass_solves(metric, lambda: billiards_pair_inner(model, q))
+    assert solves == 1
+    assert value == pytest.approx(math.cos(2.0) / 1.5, rel=1e-12)
+
+
+def test_one_pair_cosine_on_random_pairs(rng):
+    for _ in range(50):
+        metric = random_metric(rng, int(rng.integers(2, 7)))
+        u, v = pair_with_inner(metric, rng, rng.uniform(-0.9, 0.9))
+        u, v = rng.uniform(0.5, 2.0) * u, rng.uniform(0.5, 2.0) * v
+        value = classify_pair(metric, u, v).inner_value
+        assert verify_commutation(metric, u, v, samples=4).inner_value == value
+
+
+def test_one_pair_cosine_at_design_optimum():
+    problem, result, opt_model = shipped_legtail_optimum()
+    metric = opt_model.metric_at(result.q_opt)
+    u, v = opt_model.gap_gradients(result.q_opt)[:2]
+    value = classify_pair(metric, u, v).inner_value
+    assert verify_commutation(metric, u, v).inner_value == value
+    assert problem.residuals(problem.pack(result.q_opt, result.params_opt))[2] == value
+    assert abs(value) <= problem.tol_inner

@@ -31,9 +31,9 @@ def random_legtail_start(rng, inertia=0.07):
             continue
         grads = model.gap_gradients(q)
         metric = model.metric_at(q)
-        from simpact.metric import inner, unit
+        from simpact.metric import inner, norm
 
-        value = inner(metric, unit(metric, grads[0]), unit(metric, grads[1]))
+        value = inner(metric, grads[0], grads[1]) / (norm(metric, grads[0]) * norm(metric, grads[1]))
         if 1e-3 < abs(value) < 0.95:
             return model, q
 
