@@ -26,6 +26,19 @@ the current iterate and its step is line-searched. Localization and the
 standalone steps keep a Jacobian within one solve only. Convergence is
 decided by the residual alone.
 
+Square solves divide by the diagonal when the matrix is diagonal with no
+zero on it, as a constant diagonal mass and its DEL Jacobian are; the
+mass is factored once per simulation and a kept Jacobian carries its
+diagonal. The quotient is bitwise what LAPACK's ``gesv`` returns: it
+factors a diagonal matrix without pivoting into ``L = I`` and ``U`` the
+matrix, and its substitutions divide each entry by its pivot after
+subtracting products of the zero off-diagonal entries. Those products
+leave a nonzero entry as it is but can flip the sign of a zero one, or
+turn an infinite one into NaN, so a system of two or more unknowns whose
+right-hand side has a zero entry, or whose quotient is not finite, still
+goes to LAPACK. Every other system, the bordered held and localization
+ones among them, goes to ``np.linalg.solve``.
+
 Chattering contacts that impact more often than the Zeno window within
 one nominal step are switched to plastic and then held as active
 constraints (DEL augmented with the gap equation and an impulse
@@ -266,7 +279,11 @@ def discrete_momenta(model: MechModel, q_a, t_a: float, q_b, t_b: float, forces=
     qm = 0.5 * (q_a + q_b)
     v = (q_b - q_a) / h
     mv = model.mass_matrix(qm) @ v
-    grad = 0.5 * model.kinetic_config_grad(qm, v) - model.potential_gradient(qm)
+    if model.constant_mass:
+        # 0.0 - g, not -g: the same bits as 0.5 * 0.0 - g, zeros included.
+        grad = 0.0 - model.potential_gradient(qm)
+    else:
+        grad = 0.5 * model.kinetic_config_grad(qm, v) - model.potential_gradient(qm)
     half = 0.5 * h * grad
     force = _force(model, forces, qm, v, 0.5 * (t_a + t_b))
     if force is not None:
@@ -295,13 +312,58 @@ KEEP_RATE = 1e-3
 KEPT_SLOTS = 8
 
 
-class _KeptJacobian:
-    """One Newton Jacobian kept between iterations and between solves."""
+def _diagonal(matrix):
+    """The diagonal of ``matrix`` when it is its only nonzero entries, else None."""
+    diag = matrix.diagonal()
+    if np.count_nonzero(matrix) == diag.size and diag.all():
+        return diag
+    return None
 
-    __slots__ = ("matrix",)
+
+def _solve(matrix, diag, rhs):
+    """``np.linalg.solve(matrix, rhs)`` for a 1-D ``rhs``, bit for bit.
+
+    ``diag`` is ``_diagonal(matrix)``. The quotient ``rhs / diag`` is
+    returned where it equals LAPACK's solution (see the module
+    docstring); a singular matrix still raises ``LinAlgError``.
+    """
+    if diag is not None:
+        x = rhs / diag
+        if diag.size == 1 or (rhs.all() and np.isfinite(x).all()):
+            return x
+    return np.linalg.solve(matrix, rhs)
+
+
+def _mass_solve(model, mass, q, p):
+    """Velocity ``M(q)^-1 p``; ``mass`` is a constant mass and its diagonal, or None."""
+    if mass is None:
+        matrix = model.mass_matrix(q)
+        mass = (matrix, _diagonal(matrix))
+    return _solve(*mass, p)
+
+
+class _KeptJacobian:
+    """One Newton Jacobian kept between iterations and between solves.
+
+    Setting ``matrix`` also sets ``diag``, its :func:`_diagonal`.
+    """
+
+    __slots__ = ("_matrix", "diag")
 
     def __init__(self):
-        self.matrix = None
+        self.keep(None, None)
+
+    @property
+    def matrix(self):
+        return self._matrix
+
+    @matrix.setter
+    def matrix(self, matrix):
+        self.keep(matrix, None if matrix is None else _diagonal(matrix))
+
+    def keep(self, matrix, diag):
+        """Keep ``matrix`` with its diagonal ``diag``, already computed."""
+        self._matrix, self.diag = matrix, diag
 
 
 def _fd_jacobian(fun, x, r0, cols):
@@ -339,29 +401,32 @@ def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian, floor=None):
     """
     x = np.asarray(x0, dtype=float).copy()
     r = fun(x)
-    rn = float(np.linalg.norm(r))
+    # The 2-norm as np.linalg.norm computes it for a 1-D float array.
+    rn = math.sqrt(float(r @ r))
     for it in range(max_iter):
         if rn <= tol:
             return x
         if it == 0:
             slot = kept()
-        jmat, slot.matrix = slot.matrix, None
+        jmat, jdiag = slot.matrix, slot.diag
+        slot.keep(None, None)
         if jmat is not None:
             try:
-                x_new = x + np.linalg.solve(jmat, -r)
+                x_new = x + _solve(jmat, jdiag, -r)
             except np.linalg.LinAlgError:
                 pass
             else:
                 r_new = fun(x_new)
-                rn_new = float(np.linalg.norm(r_new))
+                rn_new = math.sqrt(float(r_new @ r_new))
                 if rn_new < rn or rn_new <= tol:
                     if rn_new <= max(KEEP_RATE * rn, tol):
-                        slot.matrix = jmat
+                        slot.keep(jmat, jdiag)
                     x, r, rn = x_new, r_new, rn_new
                     continue
         jmat = jac(x, r, fun)
+        jdiag = _diagonal(jmat)
         try:
-            dx = np.linalg.solve(jmat, -r)
+            dx = _solve(jmat, jdiag, -r)
         except np.linalg.LinAlgError as exc:
             raise StepFailureError(
                 f"singular Jacobian in implicit step: {exc}", rn, it
@@ -370,10 +435,10 @@ def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian, floor=None):
         while True:
             x_new = x + alpha * dx
             r_new = fun(x_new)
-            rn_new = float(np.linalg.norm(r_new))
+            rn_new = math.sqrt(float(r_new @ r_new))
             if rn_new < rn or rn_new <= tol:
                 if rn_new <= max(KEEP_RATE * rn, tol):
-                    slot.matrix = jmat
+                    slot.keep(jmat, jdiag)
                 x, r, rn = x_new, r_new, rn_new
                 break
             alpha *= 0.5
@@ -425,15 +490,17 @@ def _del_block(model, forces, q_a, t_a, q_b, t_b, fun, x, r):
 # DEL steps
 
 
-def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, kept=_KeptJacobian):
+def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, kept=_KeptJacobian,
+                mass=None):
     """Solve the DEL for the next configuration given the node momentum.
 
     Returns the next configuration and the momentum it carries into the
     node at ``t_next``, kept from the last residual evaluation. ``kept()``
-    gives the Newton Jacobian slot shared with earlier solves.
+    gives the Newton Jacobian slot shared with earlier solves; ``mass``
+    is the constant mass and its diagonal, or None to evaluate ``M(q)``.
     """
     h = t_next - t_curr
-    v0 = np.linalg.solve(model.mass_matrix(q_curr), p_in)
+    v0 = _mass_solve(model, mass, q_curr, p_in)
     x0 = q_curr + h * v0
     p_out = [None]
 
@@ -458,20 +525,22 @@ def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, kept=_KeptJaco
     return q_next, p_out[0]
 
 
-def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, kept=_KeptJacobian):
+def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, kept=_KeptJacobian,
+                mass=None):
     """Constrained DEL step: held gaps pinned to zero via impulse multipliers.
 
     Returns the next configuration, the multiplier per held contact and
     the momentum carried into the node at ``t_next`` (from the last
     residual evaluation). A negative multiplier means the constraint
     would need to pull; the caller releases such contacts and re-solves.
-    ``kept()`` gives the Newton Jacobian slot of this held set.
+    ``kept()`` gives the Newton Jacobian slot of this held set and
+    ``mass`` is as in :func:`_solve_free`.
     """
     held = list(held)
     n = model.dim
     h = t_next - t_curr
     grads_curr = model.gap_gradients(q_curr)[held]
-    v0 = np.linalg.solve(model.mass_matrix(q_curr), p_in)
+    v0 = _mass_solve(model, mass, q_curr, p_in)
     x0 = np.concatenate([q_curr + h * v0, np.zeros(len(held))])
     p_scale = max(1.0, float(np.abs(p_in).max()))
     gap_scale = p_scale / model.length_scale
@@ -883,10 +952,19 @@ class _Sim:
     """Mutable state of one simulation run; single threaded by design."""
 
     def __init__(self, model, config, forces):
+        n = model.n_contacts
         try:
-            config.policy.validate_for(model.n_contacts)
+            config.policy.validate_for(n)
         except ValueError as exc:
             raise ConfigError(f"cascade policy does not fit the model: {exc}") from exc
+        if not np.isscalar(config.restitution) and len(config.restitution) != n:
+            raise ConfigError(
+                f"per-contact restitution needs {n} entries, got {len(config.restitution)}"
+            )
+        if config.friction is not None:
+            bad = [c for c in config.friction.contacts if not 0 <= c < n]
+            if bad:
+                raise ConfigError(f"friction references unknown contacts {bad}")
         self.model = model
         self.cfg = config
         self.user_forces = forces
@@ -898,6 +976,11 @@ class _Sim:
         self.kept: dict[tuple, _KeptJacobian] = {}
         # The last zeno_window event times of each contact.
         self.hits: dict[int, deque] = {}
+        # A constant mass and its diagonal, for the velocity solves.
+        self.mass = None
+        if model.constant_mass:
+            matrix = model.mass_matrix(np.zeros(model.dim))
+            self.mass = (matrix, _diagonal(matrix))
 
     def kept_jacobian(self, held, h):
         """The Newton Jacobian slot of a held set and a substep length."""
@@ -940,7 +1023,7 @@ class _Sim:
             return self.user_forces
         fr = cfg.friction
         model = self.model
-        qdot = np.linalg.solve(model.mass_matrix(q_c), p_in)
+        qdot = _mass_solve(model, self.mass, q_c, p_in)
         frozen = np.zeros(model.dim)
         active = False
         for contact, lam in self.held.items():
@@ -977,7 +1060,7 @@ class _Sim:
                     held = tuple(sorted(self.held))
                     q_n, lams, p_out = _solve_held(
                         self.model, p_in, q_c, t_c, t_target, forces, cfg, held,
-                        lambda: self.kept_jacobian(held, t_target - t_c),
+                        lambda: self.kept_jacobian(held, t_target - t_c), self.mass,
                     )
                     negative = [c for c, lam in lams.items() if lam < 0.0]
                     if negative:
@@ -990,7 +1073,7 @@ class _Sim:
                     return q_n, p_out
                 return _solve_free(
                     self.model, p_in, q_c, t_c, t_target, forces, cfg,
-                    lambda: self.kept_jacobian((), t_target - t_c),
+                    lambda: self.kept_jacobian((), t_target - t_c), self.mass,
                 )
         except StepFailureError as exc:
             exc.t, exc.contacts = t_c, tuple(sorted(self.held))
