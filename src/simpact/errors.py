@@ -47,7 +47,7 @@ class ImpactLocationError(SimpactError, RuntimeError):
 
     ``t`` is the start of the step being localized, ``contacts`` the
     contacts crossing in it, and ``residual_norm`` the last Newton
-    residual norm when Newton failed (None otherwise).
+    residual norm when Newton ran (None when no crossing was found).
     """
 
     def __init__(self, message, t=None, contacts=(), residual_norm=None):

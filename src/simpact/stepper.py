@@ -14,7 +14,8 @@ Every Newton solve uses a Jacobian assembled from model derivatives:
 the mass matrix and potential Hessian for the momentum block, and the
 gap gradients for the constraint rows and multiplier columns. Forward
 differences remain for applied forces, for the impact time, and for
-configuration-dependent masses.
+the first build of a configuration-dependent mass's free-step Jacobian
+and its fallback rebuilds.
 
 Jacobians are kept while they contract (simplified Newton). A
 simulation holds one per held-contact set and substep length. A solve
@@ -25,6 +26,15 @@ previous value or to the tolerance; otherwise the Jacobian is rebuilt at
 the current iterate and its step is line-searched. Localization and the
 standalone steps keep a Jacobian within one solve only. Convergence is
 decided by the residual alone.
+
+The free step of a configuration-dependent mass keeps the inverse of
+its differenced Jacobian instead, and refines it after every accepted
+step by Broyden's rank-one secant update in Sherman-Morrison form
+(C. G. Broyden, Math. Comp. 19, 1965), so it is rebuilt only when a
+secant step fails to lower the residual or the update degenerates.
+Such a Jacobian changes within a step by more than ``KEEP_RATE`` allows,
+and re-differencing it at every step costs one residual evaluation per
+unknown.
 
 Square solves divide by the diagonal when the matrix is diagonal with no
 zero on it, as a constant diagonal mass and its DEL Jacobian are; the
@@ -37,7 +47,8 @@ leave a nonzero entry as it is but can flip the sign of a zero one, or
 turn an infinite one into NaN, so a system of two or more unknowns whose
 right-hand side has a zero entry, or whose quotient is not finite, still
 goes to LAPACK. Every other system, the bordered held and localization
-ones among them, goes to ``np.linalg.solve``.
+ones among them, goes to ``np.linalg.solve``. A secant inverse takes one
+such solve per column when it is built and none while it is updated.
 
 Chattering contacts that impact more often than the Zeno window within
 one nominal step are switched to plastic and then held as active
@@ -345,12 +356,16 @@ def _mass_solve(model, mass, q, p):
 class _KeptJacobian:
     """One Newton Jacobian kept between iterations and between solves.
 
-    Setting ``matrix`` also sets ``diag``, its :func:`_diagonal`.
+    Setting ``matrix`` also sets ``diag``, its :func:`_diagonal`, and
+    clears ``inverse``. A ``secant`` slot keeps ``inverse`` instead: the
+    inverse of its last built Jacobian, refined by :func:`_broyden` after
+    each accepted step.
     """
 
-    __slots__ = ("_matrix", "diag")
+    __slots__ = ("_matrix", "diag", "inverse", "secant")
 
     def __init__(self):
+        self.secant = False
         self.keep(None, None)
 
     @property
@@ -364,6 +379,35 @@ class _KeptJacobian:
     def keep(self, matrix, diag):
         """Keep ``matrix`` with its diagonal ``diag``, already computed."""
         self._matrix, self.diag = matrix, diag
+        self.inverse = None
+
+
+def _inverse(matrix):
+    """The inverse of ``matrix``, one column solve at a time, or None when it is singular.
+
+    Not ``np.linalg.inv``: LAPACK takes a matrix right-hand side through
+    level-3 BLAS, whose first call alone adds about 0.3 MB to the
+    resident set; a vector one does not.
+    """
+    try:
+        return np.column_stack([np.linalg.solve(matrix, e) for e in np.eye(len(matrix))])
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _broyden(inverse, dx, dr):
+    """Broyden's update of an inverse Jacobian after the step ``dx`` changed the residual by ``dr``.
+
+    The rank-one secant update in Sherman-Morrison form, so that the
+    result maps ``dr`` to ``dx``; None when its denominator is zero or
+    not finite.
+    """
+    h_dr = inverse @ dr
+    dx_h = dx @ inverse
+    denom = float(dx_h @ dr)
+    if denom == 0.0 or not math.isfinite(denom):
+        return None
+    return inverse + np.outer(dx - h_dr, dx_h / denom)
 
 
 def _fd_jacobian(fun, x, r0, cols):
@@ -391,6 +435,10 @@ def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian, floor=None):
     ``tol`` (a last step is limited by rounding, not by the Jacobian);
     otherwise it is rebuilt at the current iterate, and the step of the
     fresh matrix is damped by halving until the residual falls.
+    A ``secant`` slot keeps the inverse of the Jacobian instead and
+    refines it by :func:`_broyden` after every accepted step; it is
+    dropped when its step does not lower the residual, when the update
+    has no finite denominator, or when the rebuilt matrix is singular.
     The last call of ``fun`` is at the returned point, so callers may
     keep what that evaluation computed.
     ``floor(x)``, when given, is the rounding floor of the residual at
@@ -408,36 +456,44 @@ def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian, floor=None):
             return x
         if it == 0:
             slot = kept()
-        jmat, jdiag = slot.matrix, slot.diag
+        jmat, jdiag, inverse = slot.matrix, slot.diag, slot.inverse
         slot.keep(None, None)
-        if jmat is not None:
+        if inverse is not None or jmat is not None:
             try:
-                x_new = x + _solve(jmat, jdiag, -r)
+                x_new = x + (-(inverse @ r) if inverse is not None else _solve(jmat, jdiag, -r))
             except np.linalg.LinAlgError:
                 pass
             else:
                 r_new = fun(x_new)
                 rn_new = math.sqrt(float(r_new @ r_new))
                 if rn_new < rn or rn_new <= tol:
-                    if rn_new <= max(KEEP_RATE * rn, tol):
+                    if inverse is not None:
+                        slot.inverse = _broyden(inverse, x_new - x, r_new - r)
+                    elif rn_new <= max(KEEP_RATE * rn, tol):
                         slot.keep(jmat, jdiag)
                     x, r, rn = x_new, r_new, rn_new
                     continue
         jmat = jac(x, r, fun)
-        jdiag = _diagonal(jmat)
-        try:
-            dx = _solve(jmat, jdiag, -r)
-        except np.linalg.LinAlgError as exc:
-            raise StepFailureError(
-                f"singular Jacobian in implicit step: {exc}", rn, it
-            ) from exc
+        inverse = _inverse(jmat) if slot.secant else None
+        if inverse is not None:
+            dx = -(inverse @ r)
+        else:
+            jdiag = _diagonal(jmat)
+            try:
+                dx = _solve(jmat, jdiag, -r)
+            except np.linalg.LinAlgError as exc:
+                raise StepFailureError(
+                    f"singular Jacobian in implicit step: {exc}", rn, it
+                ) from exc
         alpha = 1.0
         while True:
             x_new = x + alpha * dx
             r_new = fun(x_new)
             rn_new = math.sqrt(float(r_new @ r_new))
             if rn_new < rn or rn_new <= tol:
-                if rn_new <= max(KEEP_RATE * rn, tol):
+                if inverse is not None:
+                    slot.inverse = _broyden(inverse, x_new - x, r_new - r)
+                elif rn_new <= max(KEEP_RATE * rn, tol):
                     slot.keep(jmat, jdiag)
                 x, r, rn = x_new, r_new, rn_new
                 break
@@ -517,6 +573,16 @@ def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, kept=_KeptJaco
         mass = np.linalg.norm(model.mass_matrix(0.5 * (q_curr + q_next)))
         q_size = np.linalg.norm(q_curr) + np.linalg.norm(q_next)
         return 8.0 * np.finfo(float).eps * (np.linalg.norm(p_in) + mass * q_size / h)
+
+    if not model.constant_mass:
+        # The Jacobian of a variable mass is differenced (see _del_block):
+        # keep its inverse and refine it by secant updates instead.
+        shared = kept
+
+        def kept():
+            slot = shared()
+            slot.secant = True
+            return slot
 
     tol = cfg.newton_tol * max(1.0, float(np.abs(p_in).max()))
     q_next = _newton(
@@ -684,15 +750,24 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
             f"impact localization failed: {exc}", t_curr, crossing, exc.residual_norm
         ) from exc
     q_star, t_star = z[:n], float(z[n])
+
+    def residual_norm():
+        # Evaluated on failure only: a solve that converged to a point
+        # the checks below reject still names its residual.
+        r = residual(z)
+        return math.sqrt(float(r @ r))
+
     if not (t_curr - cfg.time_tol <= t_star <= t_next + cfg.time_tol):
         raise ImpactLocationError(
-            f"impact time {t_star} escaped the step [{t_curr}, {t_next}]", t_curr, crossing
+            f"impact time {t_star} escaped the step [{t_curr}, {t_next}]", t_curr, crossing,
+            residual_norm(),
         )
     t_star = min(max(t_star, t_curr + TINY_FRACTION * h_full), t_next)
     gaps_star = model.gaps(q_star)
     if abs(gaps_star[earliest]) > 1e-10 * model.length_scale:
         raise ImpactLocationError(
-            f"gap {earliest} not closed at impact: {gaps_star[earliest]:.3e}", t_curr, crossing
+            f"gap {earliest} not closed at impact: {gaps_star[earliest]:.3e}", t_curr, crossing,
+            residual_norm(),
         )
 
     contacts = {earliest}

@@ -676,6 +676,19 @@ class TestLocationFailure:
         assert err.startswith("task failed: impact localization failed: forced failure")
         assert err.endswith("(t=0.10000000000000001, contacts=0, residual=2.500e-01)")
 
+    def test_escaped_impact_time_names_its_residual(self):
+        # A periodically lifted ball whose localization converges to an
+        # impact time past the end of its step.
+        def lift(q, v, t):
+            return np.array([30.569457507214125 * math.sin(math.pi * t / 0.5959288231755697) ** 8])
+
+        cfg = StepperConfig(h=0.01, restitution=0.3)
+        with pytest.raises(ImpactLocationError, match="escaped the step") as err:
+            simulate(BallModel(1.2393203374530217), [0.0494794942765356], [0.0], 3.0, cfg, lift)
+        exc = err.value
+        assert exc.contacts == (0,)
+        assert exc.residual_norm is not None and math.isfinite(exc.residual_norm)
+
 
 class TestStepFailure:
     @staticmethod

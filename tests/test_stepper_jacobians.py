@@ -259,6 +259,85 @@ def test_oscillator_keeps_one_jacobian_across_steps():
     assert 1 <= counts["jac"] <= 2
 
 
+class PolarSpring(MechModel):
+    """Planar particle on a central spring: M(q) = diag(m, m r^2), no contacts."""
+
+    dim = 2
+    constant_mass = False
+
+    def mass_matrix(self, q):
+        r = float(q[0])
+        return np.diag([1.3, 1.3 * r * r])
+
+    def potential_gradient(self, q):
+        return np.array([12.0 * (float(q[0]) - 0.9), 0.0])
+
+    def gaps(self, q):
+        return np.zeros(0)
+
+    def gap_gradients(self, q):
+        return np.zeros((0, 2))
+
+
+def test_variable_mass_refines_one_jacobian_by_secant_updates():
+    # A variable mass's differenced Jacobian contracts by only about 4e-3
+    # per step, short of KEEP_RATE, so a kept matrix would be rebuilt at
+    # every step; its inverse refined by Broyden updates is built once.
+    counts = {"jac": 0}
+    cfg = StepperConfig(h=0.01)
+    with mock.patch.object(stepper, "_newton", _counting_newton(counts)):
+        traj = stepper.simulate(PolarSpring(), [0.95, 0.0], [0.1, 1.2], 50 * cfg.h, cfg)
+    assert traj.times.size == 51
+    assert 1 <= counts["jac"] <= 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    u=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=8, max_size=8),
+)
+def test_broyden_update_meets_secant_condition(u):
+    inverse = np.array([[2.0 + u[0], u[1]], [u[2], 2.0 + u[3]]])
+    dx, dr = np.array(u[4:6]), np.array(u[6:8])
+    denom = dx @ inverse @ dr
+    if abs(denom) < 1e-3:
+        return
+    updated = stepper._broyden(inverse, dx, dr)
+    # The update maps the residual change to the step, and leaves every
+    # direction orthogonal to dx^T H unchanged.
+    assert np.allclose(updated @ dr, dx, atol=1e-9 / abs(denom))
+    ortho = np.array([-(dx @ inverse)[1], (dx @ inverse)[0]])
+    assert np.allclose(updated @ ortho, inverse @ ortho, atol=1e-9 / abs(denom))
+
+
+def test_broyden_update_without_denominator_is_dropped():
+    inverse = np.eye(2)
+    assert stepper._broyden(inverse, np.array([1.0, 0.0]), np.array([0.0, 1.0])) is None
+    assert stepper._broyden(inverse, np.array([1.0, 0.0]), np.array([np.nan, 0.0])) is None
+
+
+def test_secant_slot_drops_inverse_that_does_not_lower_residual():
+    model, q, p, forces = _breathing([0.3, -0.2, 0.5, 0.1])
+    fun, x0, jac = _capture(_run("free", model, q, p, forces))
+    x0 = x0 + 1e-3 * model.length_scale
+    slot = stepper._KeptJacobian()
+    slot.secant = True
+    slot.inverse = -np.linalg.inv(jac(x0, fun(x0), fun))
+    counts = {"jac": 0}
+
+    def counted(x, r, f):
+        counts["jac"] += 1
+        return jac(x, r, f)
+
+    cfg = StepperConfig(h=H)
+    tol = cfg.newton_tol * max(1.0, float(np.abs(p).max()))
+    x = stepper._newton(fun, x0, tol, cfg.newton_max_iter, counted, kept=lambda: slot)
+    assert counts["jac"] == 1
+    assert np.linalg.norm(fun(x)) <= tol
+    assert slot.inverse is not None and slot.matrix is None
+    slot.matrix = np.eye(1)
+    assert slot.inverse is None
+
+
 @pytest.mark.parametrize(
     "mass, stiffness, q0, qdot0, h",
     [(1.3, 4.0, 1.0, 0.3, 0.01), (0.7, 9.0, -2.0, 1.1, 0.01), (2.5, 0.5, 3.0, -0.4, 0.02)],
