@@ -396,11 +396,11 @@ def _inverse(matrix):
 
 
 def _broyden(inverse, dx, dr):
-    """Broyden's update of an inverse Jacobian after the step ``dx`` changed the residual by ``dr``.
+    """Broyden's update of an inverse Jacobian ``inverse``.
 
-    The rank-one secant update in Sherman-Morrison form, so that the
-    result maps ``dr`` to ``dx``; None when its denominator is zero or
-    not finite.
+    The step ``dx`` changed the residual by ``dr``. The rank-one secant
+    update in Sherman-Morrison form maps ``dr`` to ``dx``; None when its
+    denominator is zero or not finite.
     """
     h_dr = inverse @ dr
     dx_h = dx @ inverse
