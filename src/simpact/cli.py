@@ -13,7 +13,6 @@ runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -27,6 +26,9 @@ import numpy as np
 from . import __version__
 from . import metric as mt
 from .design import (
+    BILLIARDS_SLOTS,
+    LEGTAIL_PARAM_NAMES,
+    LEGTAIL_Q_NAMES,
     billiards_orthogonality_problem,
     legtail_orthogonality_problem,
     solve_orthogonal,
@@ -56,7 +58,6 @@ EXIT_IO = 4
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 
 SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "required": ["model", "task"],
     "additionalProperties": False,
@@ -124,9 +125,9 @@ SCHEMA = {
                 "samples": {"type": "integer", "minimum": 2},
                 "cue_speed": {"type": "number", "exclusiveMinimum": 0},
                 "variable": {"enum": ["theta"]},
-                "free_q": {"type": "array", "items": {"type": "string"}},
-                "free_params": {"type": "array", "items": {"type": "string"}},
-                "free_balls": {"type": "array", "items": {"type": "string"}},
+                "free_q": {"type": "array", "items": {"enum": list(LEGTAIL_Q_NAMES)}},
+                "free_params": {"type": "array", "items": {"enum": list(LEGTAIL_PARAM_NAMES)}},
+                "free_balls": {"type": "array", "items": {"enum": list(BILLIARDS_SLOTS)}},
                 "tol_inner": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
@@ -143,12 +144,55 @@ SCHEMA = {
 }
 
 
-@functools.cache
-def _validator():
-    """The schema validator, built on first use: only ``load_config`` needs jsonschema."""
-    from jsonschema import Draft202012Validator
+#: JSON type names and the values that have them. A bool is neither an
+#: integer nor a number, and a number must be finite as a float.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: (
+        isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    ),
+}
 
-    return Draft202012Validator(SCHEMA)
+
+def _errors(value, schema: dict, path: tuple = ()):
+    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``.
+
+    Implements only the JSON Schema keywords that ``SCHEMA`` uses, with
+    the stricter ``_TYPES``; a value of the wrong type is checked no further.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        yield path, f"{value!r} is not of type {kind!r}"
+        return
+    if "enum" in schema and value not in schema["enum"]:
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if "anyOf" in schema and all(any(_errors(value, sub, path)) for sub in schema["anyOf"]):
+        yield path, f"{value!r} is not valid under any of the given schemas"
+    if "minimum" in schema and value < schema["minimum"]:
+        yield path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        yield path, f"{value!r} is not greater than {schema['exclusiveMinimum']!r}"
+    if "maximum" in schema and value > schema["maximum"]:
+        yield path, f"{value!r} is greater than the maximum of {schema['maximum']!r}"
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        yield path, f"{value!r} has fewer than {schema['minItems']} items"
+    if "items" in schema:
+        for i, item in enumerate(value):
+            yield from _errors(item, schema["items"], path + (i,))
+    for key in schema.get("required", ()):
+        if key not in value:
+            yield path, f"{key!r} is a required property"
+    properties = schema.get("properties", {})
+    if schema.get("additionalProperties", True) is False:
+        unexpected = [key for key in value if key not in properties]
+        if unexpected:
+            yield path, f"unexpected properties {unexpected!r}"
+    for key, sub in properties.items():
+        if key in value:
+            yield from _errors(value[key], sub, path + (key,))
 
 
 def load_config(path) -> dict:
@@ -164,11 +208,10 @@ def load_config(path) -> dict:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
-    errors = sorted(_validator().iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = "$" + "".join(f"[{p!r}]" for p in first.absolute_path)
-        raise ConfigError(f"{path}: invalid config at {where}: {first.message}")
+    first = min(_errors(config, SCHEMA), key=lambda error: error[0], default=None)
+    if first is not None:
+        where = "$" + "".join(f"[{p!r}]" for p in first[0])
+        raise ConfigError(f"{path}: invalid config at {where}: {first[1]}")
     return config
 
 

@@ -198,6 +198,10 @@ def solve_orthogonal(
     )
 
 
+#: The configuration slots (x, y) of each billiards ball an optimization may free.
+BILLIARDS_SLOTS = {"a": (0, 1), "b": (2, 3), "c": (4, 5)}
+
+
 def billiards_orthogonality_problem(
     model: BilliardsModel,
     q0: np.ndarray,
@@ -205,10 +209,9 @@ def billiards_orthogonality_problem(
     tol_inner: float = INNER_TOL,
 ) -> DesignProblem:
     """Free the planar positions of the chosen balls; the cue stays put."""
-    slots = {"a": (0, 1), "b": (2, 3), "c": (4, 5)}
     free_q: list[int] = []
     for name in free_balls:
-        free_q.extend(slots[name])
+        free_q.extend(BILLIARDS_SLOTS[name])
     return DesignProblem(
         model_factory=lambda params: model,
         q0=np.asarray(q0, dtype=float),

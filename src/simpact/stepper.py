@@ -140,6 +140,10 @@ class StepperConfig:
             raise ValueError("Newton tolerances must be positive")
         if self.zeno_window < 1:
             raise ValueError("zeno_window must be positive")
+        if self.impact_time_tol is not None and self.impact_time_tol <= 0.0:
+            raise ValueError("impact_time_tol must be positive")
+        if self.max_impacts_per_step < 1:
+            raise ValueError("max_impacts_per_step must be positive")
         rest = self.restitution
         values = (rest,) if np.isscalar(rest) else tuple(rest)
         if any(not 0.0 <= r <= 1.0 for r in values):

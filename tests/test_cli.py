@@ -1,7 +1,9 @@
 """Scenario CLI: parsing, task outputs, energy ledger, determinism."""
 
+import functools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -9,11 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpact.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_TASK,
+    SCHEMA,
+    _errors,
     load_config,
     main,
     report_energy,
@@ -26,6 +32,7 @@ from simpact.models import BallModel
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -115,6 +122,220 @@ class TestConfigValidation:
         assert main(["run", str(path), "--out", str(tmp_path / "p")]) == EXIT_TASK
         good = write_config(tmp_path, cradle_resolve_config(), "ok.json")
         assert main(["run", str(good), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def shipped_with(tmp_path, scenario, path, value):
+    """A shipped scenario with the entry at ``path`` set to ``value``."""
+    config = json.loads((SCENARIOS / scenario).read_text())
+    *parents, key = path
+    functools.reduce(operator.getitem, parents, config)[key] = value
+    return write_config(tmp_path, config)
+
+
+def assert_config_error_at(tmp_path, capsys, config_path, where):
+    argv = ["run", str(config_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert f"invalid config at {where}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+class TestSchemaTypes:
+    """Values the schema check rejects although JSON Schema would not, or
+    the tasks would fail on with a traceback."""
+
+    @pytest.mark.parametrize(
+        "scenario, field, names",
+        [
+            ("legtail_optimize.json", "free_q", ["y", "z"]),
+            ("billiards_sweep.json", "free_balls", ["a", "d"]),
+        ],
+    )
+    def test_unknown_free_variable_name(self, tmp_path, capsys, scenario, field, names):
+        task = {"kind": "optimize", field: names}
+        config_path = shipped_with(tmp_path, scenario, ("task",), task)
+        assert_config_error_at(tmp_path, capsys, config_path, f"$['task'][{field!r}][1]")
+
+    @pytest.mark.parametrize(
+        "scenario, path, value",
+        [
+            ("billiards_sweep.json", ("task", "samples"), 5.0),
+            ("ball_zeno.json", ("stepper", "zeno_window"), 4.0),
+            ("ball_zeno.json", ("stepper", "newton_max_iter"), 60.0),
+            ("cradle_resolve.json", ("seed",), 7.0),
+        ],
+        ids=["samples", "zeno_window", "newton_max_iter", "seed"],
+    )
+    def test_integral_float_is_not_an_integer(self, tmp_path, capsys, scenario, path, value):
+        config_path = shipped_with(tmp_path, scenario, path, value)
+        where = "$" + "".join(f"[{key!r}]" for key in path)
+        with pytest.raises(ConfigError, match=r"is not of type 'integer'"):
+            load_config(config_path)
+        assert_config_error_at(tmp_path, capsys, config_path, where)
+
+    @pytest.mark.parametrize(
+        "scenario, path, value, where",
+        [
+            ("cradle_restitution.json", ("task", "duration"), math.inf, "['duration']"),
+            ("cradle_resolve.json", ("task", "p_minus"), [math.nan, 0, 0], "['p_minus'][0]"),
+        ],
+        ids=["duration-Infinity", "p_minus-NaN"],
+    )
+    def test_non_finite_number(self, tmp_path, capsys, scenario, path, value, where):
+        config_path = shipped_with(tmp_path, scenario, path, value)
+        assert_config_error_at(tmp_path, capsys, config_path, "$['task']" + where)
+
+
+#: For each keyword the schema check implements: a schema using it, a
+#: value that meets it and a value that breaks it.
+KEYWORD_PROBES = {
+    "type": ({"type": "integer"}, 1, 1.0),
+    "enum": ({"enum": ["a", "b"]}, "b", "c"),
+    "anyOf": ({"anyOf": [{"type": "string"}, {"type": "integer"}]}, 1, 1.5),
+    "minimum": ({"type": "number", "minimum": 0}, 0, -1),
+    "maximum": ({"type": "number", "maximum": 1}, 1, 1.5),
+    "exclusiveMinimum": ({"type": "number", "exclusiveMinimum": 0}, 1e-300, 0),
+    "minItems": ({"type": "array", "minItems": 1}, [0], []),
+    "items": ({"type": "array", "items": {"type": "string"}}, ["a"], ["a", 1]),
+    "required": ({"type": "object", "required": ["a"]}, {"a": 1}, {"b": 1}),
+    "properties": (
+        {"type": "object", "properties": {"a": {"type": "string"}}},
+        {"a": "x"},
+        {"a": 1},
+    ),
+    "additionalProperties": (
+        {"type": "object", "properties": {"a": {}}, "additionalProperties": False},
+        {"a": 1},
+        {"a": 1, "b": 2},
+    ),
+}
+
+#: Keywords the check reads only on values of the given types.
+TYPED_KEYWORDS = {
+    "minimum": {"number", "integer"},
+    "maximum": {"number", "integer"},
+    "exclusiveMinimum": {"number", "integer"},
+    "minItems": {"array"},
+    "items": {"array"},
+    "required": {"object"},
+    "properties": {"object"},
+    "additionalProperties": {"object"},
+}
+
+
+def schema_nodes(schema):
+    """The schema and every schema nested in it."""
+    yield schema
+    nested = list(schema.get("properties", {}).values()) + schema.get("anyOf", [])
+    if "items" in schema:
+        nested.append(schema["items"])
+    for node in nested:
+        yield from schema_nodes(node)
+
+
+def test_schema_uses_only_implemented_keywords():
+    used = {keyword for node in schema_nodes(SCHEMA) for keyword in node}
+    assert used <= KEYWORD_PROBES.keys(), sorted(used - KEYWORD_PROBES.keys())
+    for keyword, (schema, good, bad) in KEYWORD_PROBES.items():
+        assert list(_errors(good, schema)) == [], keyword
+        assert list(_errors(bad, schema)) != [], keyword
+    for node in schema_nodes(SCHEMA):
+        assert node.get("additionalProperties", False) is False, node
+        for keyword in node.keys() & TYPED_KEYWORDS.keys():
+            assert node.get("type") in TYPED_KEYWORDS[keyword], (keyword, node)
+
+
+SHIPPED = [json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))]
+
+#: Replacement values for one entry of a shipped config.
+MUTANTS = [
+    None, True, "x", "z", "d", "theta", "simulate", -1, 0, 0.5, 2, 5.0, 1e9, 10**400,
+    math.nan, math.inf, -math.inf, [], [1], [math.nan], ["a"], {}, {"kind": "resolve"},
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+REMOVED = object()
+
+
+def entry_paths(node, path=()):
+    """The path of every entry below ``node``, in objects and arrays."""
+    if isinstance(node, dict):
+        entries = node.items()
+    else:
+        entries = enumerate(node) if isinstance(node, list) else ()
+    for key, child in entries:
+        yield path + (key,)
+        yield from entry_paths(child, path + (key,))
+
+
+def is_stricter(value):
+    """Whether ``value`` holds a number that JSON Schema accepts where the
+    check may not: an integral float (rejected in an integer field) or a
+    number that is not finite as a float."""
+    if isinstance(value, (list, dict)):
+        return any(map(is_stricter, value.values() if isinstance(value, dict) else value))
+    if isinstance(value, float):
+        return value.is_integer() or not math.isfinite(value)
+    return type(value) is int and abs(value) > sys.float_info.max
+
+
+def assert_agrees_with_jsonschema(config, path, value):
+    """Set (or remove) one entry of ``config`` and check it both ways."""
+    from jsonschema import Draft202012Validator
+
+    config = json.loads(json.dumps(config))
+    *parents, key = path
+    parent = functools.reduce(operator.getitem, parents, config)
+    if value is REMOVED:
+        del parent[key]
+    else:
+        parent[key] = value
+    errors = list(_errors(config, SCHEMA))
+    if not Draft202012Validator(SCHEMA).is_valid(config):
+        assert errors, (path, value)
+    else:
+        # Where only the check rejects, a stricter number is the cause.
+        for where, message in errors:
+            assert is_stricter(functools.reduce(operator.getitem, where, config)), message
+
+
+def test_checker_agrees_with_jsonschema_on_each_entry():
+    for config in SHIPPED:
+        for path in entry_paths(config):
+            for value in [REMOVED] + MUTANTS:
+                assert_agrees_with_jsonschema(config, path, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checker_agrees_with_jsonschema(data):
+    config = data.draw(st.sampled_from(SHIPPED), label="config")
+    path = data.draw(st.sampled_from(list(entry_paths(config))), label="path")
+    value = data.draw(st.just(REMOVED) | JSON_VALUES, label="value")
+    assert_agrees_with_jsonschema(config, path, value)
+
+
+def test_shipped_scenario_runs_without_jsonschema(tmp_path):
+    code = (
+        "import sys; sys.modules['jsonschema'] = None; "
+        "from simpact.cli import main; "
+        "sys.exit(main(['run', sys.argv[1], '--out', sys.argv[2]]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(SCENARIOS / "cradle_resolve.json"), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    golden = GOLDEN / "cradle_resolve" / "outcome.csv"
+    assert (tmp_path / "outcome.csv").read_bytes() == golden.read_bytes()
 
 
 class TestResolveTask:

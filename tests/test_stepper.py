@@ -719,12 +719,14 @@ class TestStepFailure:
         assert 0.1 <= err.value.t < 0.11
 
     def test_impact_cap_names_time_and_crossing_contacts(self):
-        cfg = StepperConfig(h=0.01, max_impacts_per_step=0)
+        model = CradleModel([1.0] * 3, [0.1] * 3)
+        cfg = StepperConfig(h=0.01, max_impacts_per_step=1)
         with pytest.raises(StepFailureError) as err:
-            simulate(BallModel(1.0), [0.05], [0.0], 0.3, cfg)
-        # The ball falls 0.05 in 0.101 s: the step starting at t = 0.1.
-        assert err.value.t == pytest.approx(0.1)
-        assert err.value.contacts == (0,)
+            simulate(model, [0.0, 0.202, 0.404], [1.0, 0.0, 0.0], 0.05, cfg)
+        # Ball 1 is struck at t = 0.002 and strikes ball 2 at t = 0.004,
+        # inside the same first step: the second impact is over the cap.
+        assert err.value.t == pytest.approx(0.002)
+        assert err.value.contacts == (1,)
 
     def test_cli_failure_line(self, monkeypatch, tmp_path, capsys):
         from simpact.cli import EXIT_TASK, main
@@ -933,6 +935,12 @@ class TestConfig:
             StepperConfig(h=0.01, restitution=(0.5, 1.2))
         with pytest.raises(ValueError):
             StepperConfig(h=-0.01)
+        with pytest.raises(ValueError, match="impact_time_tol"):
+            StepperConfig(h=0.01, impact_time_tol=-1.0)
+        with pytest.raises(ValueError, match="impact_time_tol"):
+            StepperConfig(h=0.01, impact_time_tol=0.0)
+        with pytest.raises(ValueError, match="max_impacts_per_step"):
+            StepperConfig(h=0.01, max_impacts_per_step=0)
 
     def test_unknown_alpha_mode_rejected_at_construction(self):
         # Unchecked, it surfaced only at the first inelastic impact.
