@@ -64,14 +64,8 @@ from .stepper import (
     ImpactEvent,
     StepperConfig,
     Trajectory,
-    del_step,
-    discrete_lagrangian,
     discrete_momenta,
-    friction_force,
-    impact_step,
-    locate_impact,
     simulate,
-    zeno_guard,
 )
 from .design import (
     DesignProblem,

@@ -125,9 +125,21 @@ SCHEMA = {
                 "samples": {"type": "integer", "minimum": 2},
                 "cue_speed": {"type": "number", "exclusiveMinimum": 0},
                 "variable": {"enum": ["theta"]},
-                "free_q": {"type": "array", "items": {"enum": list(LEGTAIL_Q_NAMES)}},
-                "free_params": {"type": "array", "items": {"enum": list(LEGTAIL_PARAM_NAMES)}},
-                "free_balls": {"type": "array", "items": {"enum": list(BILLIARDS_SLOTS)}},
+                "free_q": {
+                    "type": "array",
+                    "items": {"enum": list(LEGTAIL_Q_NAMES)},
+                    "uniqueItems": True,
+                },
+                "free_params": {
+                    "type": "array",
+                    "items": {"enum": list(LEGTAIL_PARAM_NAMES)},
+                    "uniqueItems": True,
+                },
+                "free_balls": {
+                    "type": "array",
+                    "items": {"enum": list(BILLIARDS_SLOTS)},
+                    "uniqueItems": True,
+                },
                 "tol_inner": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
@@ -157,6 +169,15 @@ _TYPES = {
 }
 
 
+def _same(a, b) -> bool:
+    """JSON equality: ``1`` equals ``1.0``, and a bool equals no number."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
 def _errors(value, schema: dict, path: tuple = ()):
     """Yield ``(path, message)`` for each way ``value`` breaks ``schema``.
 
@@ -179,6 +200,10 @@ def _errors(value, schema: dict, path: tuple = ()):
         yield path, f"{value!r} is greater than the maximum of {schema['maximum']!r}"
     if "minItems" in schema and len(value) < schema["minItems"]:
         yield path, f"{value!r} has fewer than {schema['minItems']} items"
+    if schema.get("uniqueItems") and any(
+        _same(a, b) for i, a in enumerate(value) for b in value[:i]
+    ):
+        yield path, f"{value!r} has non-unique elements"
     if "items" in schema:
         for i, item in enumerate(value):
             yield from _errors(item, schema["items"], path + (i,))
@@ -493,6 +518,9 @@ def _task_optimize(config, model, out_dir: Path) -> list[Path]:
             task.get("free_params", ("ax", "bx"))
         )
     elif isinstance(model, BilliardsModel):
+        if "q" not in config.get("initial", {}):
+            # All-zero positions put every ball on the same center.
+            raise ConfigError("optimize task on a billiards model requires initial.q")
         balls = tuple(task.get("free_balls", ("a", "b")))
         problem = billiards_orthogonality_problem(model, q0, balls, tol_inner)
         names = [f"{b}{axis}" for b in balls for axis in ("x", "y")]

@@ -23,9 +23,9 @@ first takes the full step of the kept Jacobian when it lowers the
 residual, and keeps the matrix for the next iteration and the next step
 while each step cuts the residual norm to at most ``KEEP_RATE`` of its
 previous value or to the tolerance; otherwise the Jacobian is rebuilt at
-the current iterate and its step is line-searched. Localization and the
-standalone steps keep a Jacobian within one solve only. Convergence is
-decided by the residual alone.
+the current iterate and its step is line-searched. Localization keeps a
+Jacobian within one solve only. Convergence is decided by the residual
+alone.
 
 The free step of a configuration-dependent mass keeps the inverse of
 its differenced Jacobian instead, and refines it after every accepted
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -173,7 +173,7 @@ class ImpactEvent:
     impulses: tuple[float, ...]
     energy_before: float
     energy_after: float
-    forced: str | None = None  # None | "zeno" | "step-cap" | "graze"
+    forced: str | None = None  # None | "zeno" | "step-cap" | "graze" | "resting"
     sequence: tuple[int, ...] = ()
 
     @property
@@ -637,29 +637,6 @@ def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, kept=_Ke
     return z[:n], dict(zip(held, z[n:])), p_out[0]
 
 
-def del_step(
-    model: MechModel,
-    q_prev,
-    q_curr,
-    t_prev: float,
-    t_curr: float,
-    t_next: float,
-    forces: ForceSampler | None = None,
-    config: StepperConfig | None = None,
-) -> np.ndarray:
-    """One unconstrained DEL step from the configuration pair.
-
-    The forward momentum of the previous interval (plus its forcing
-    slot) must balance the backward momentum of the next; the next
-    configuration is found by damped Newton iteration.
-    """
-    cfg = config or StepperConfig(h=t_next - t_curr)
-    q_prev = np.asarray(q_prev, dtype=float)
-    q_curr = np.asarray(q_curr, dtype=float)
-    p_in = node_momentum(model, q_prev, t_prev, q_curr, t_curr, forces)
-    return _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg)[0]
-
-
 # ---------------------------------------------------------------------------
 # Impact localization and resolution
 
@@ -785,44 +762,6 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
     return t_star, q_star, tuple(sorted(contacts))
 
 
-def locate_impact(
-    model: MechModel,
-    q_prev,
-    q_curr,
-    q_candidate,
-    t_curr: float,
-    t_next: float,
-    t_prev: float | None = None,
-    forces: ForceSampler | None = None,
-    config: StepperConfig | None = None,
-):
-    """Locate the earliest impact inside a step that ends penetrating.
-
-    Returns ``(t_star, q_star, contact_indices)``; contacts whose
-    estimated crossing times agree within the simultaneity tolerance are
-    grouped, and contacts already resting on their manifold at the
-    impact configuration are included in the active set.
-    """
-    cfg = config or StepperConfig(h=t_next - t_curr)
-    if t_prev is None:
-        t_prev = t_curr - (t_next - t_curr)
-    q_prev = np.asarray(q_prev, dtype=float)
-    q_curr = np.asarray(q_curr, dtype=float)
-    q_candidate = np.asarray(q_candidate, dtype=float)
-    p_in = node_momentum(model, q_prev, t_prev, q_curr, t_curr, forces)
-
-    act_tol = ACTIVATION_RTOL * model.length_scale
-    gaps_c = model.gaps(q_curr)
-    gaps_n = model.gaps(q_candidate)
-    penetrating = np.flatnonzero(gaps_n < -PENETRATION_RTOL * model.length_scale)
-    approaching, _, contacts, _ = _node_contacts(
-        model, q_curr, p_in, gaps_c, penetrating.tolist(), act_tol
-    )
-    if approaching:
-        return t_curr, q_curr.copy(), contacts
-    return _locate(model, p_in, q_curr, t_curr, q_candidate, t_next, forces, cfg, held=())
-
-
 def _node_contacts(model, q, p, gaps, crossing, act_tol):
     """Test the crossing contacts closed at the node ``q`` against ``p``.
 
@@ -909,48 +848,6 @@ def _resolve_event(frame, t_star, contacts, r_eff, cfg, forced):
     )
     becomes_held = outcome.kind is ImpactKind.PLASTIC
     return outcome.p_plus, event, becomes_held
-
-
-def impact_step(
-    model: MechModel,
-    q_prev,
-    q_star,
-    t_curr: float,
-    t_star: float,
-    t_next: float,
-    contacts: Sequence[int],
-    restitution: float,
-    policy: CascadePolicy | None = None,
-    alpha_mode: str = "energy-consistent",
-    forces: ForceSampler | None = None,
-    config: StepperConfig | None = None,
-):
-    """Resolve one impact and integrate to the end of the interval.
-
-    Computes the incoming discrete momentum over the pre-impact substep,
-    maps it through the propagative resolution at the impact metric, and
-    solves the post-impact DEL for the configuration at ``t_next``. A
-    plastic impact holds its contacts in that solve, and a held contact
-    whose multiplier would pull is released, as in :func:`simulate`.
-    A fixed cascade order names model contacts, as in :func:`simulate`.
-    Returns ``(q_next, event)``.
-    """
-    cfg = config or StepperConfig(h=t_next - t_curr)
-    cfg = replace(cfg, restitution=restitution, alpha_mode=alpha_mode)
-    if policy is not None:
-        cfg = replace(cfg, policy=policy)
-    q_prev = np.asarray(q_prev, dtype=float)
-    q_star = np.asarray(q_star, dtype=float)
-    sim = _Sim(model, cfg, forces)
-    p_star = node_momentum(model, q_prev, t_curr, q_star, t_star, forces)
-    contacts = tuple(contacts)
-    p_mapped, event, becomes_held = _resolve_event(
-        _contact_frame(model, q_star, p_star, contacts), t_star, contacts, restitution, cfg, None
-    )
-    if becomes_held:
-        sim.held = dict.fromkeys(contacts, 0.0)
-    q_next, _ = sim.solve_interval(q_star, t_star, p_mapped, t_next, forces)
-    return q_next, event
 
 
 def zeno_guard(

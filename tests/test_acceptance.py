@@ -27,7 +27,7 @@ from simpact.resolution import (
     reflect,
     two_contact_reflection_bound,
 )
-from simpact.stepper import StepperConfig, del_step, simulate
+from simpact.stepper import StepperConfig, simulate
 from simpact.uniqueness import classify_pair
 from simpact.design import sweep_point, theta_sweep
 
@@ -261,14 +261,15 @@ def test_criterion_6_restitution(tmp_path):
 def test_criterion_7_integrator():
     start = time.perf_counter()
 
-    # Closed-form one dimensional gravity step.
+    # Closed-form one dimensional gravity step: the second step of a run
+    # starts from the node momentum of the first.
     from test_stepper import GravityParticle, Oscillator
 
     g, h = 9.81, 0.02
     model = GravityParticle(g)
-    q_prev, q_curr = 0.01, 0.013
-    q_next = del_step(model, [q_prev], [q_curr], 0.0, h, 2 * h)
-    assert abs(q_next[0] - (2 * q_curr - q_prev - g * h * h)) < 1e-12
+    traj = simulate(model, [0.01], [0.15], 2 * h, StepperConfig(h=h))
+    q_prev, q_curr, q_next = traj.states[:, 0]
+    assert abs(q_next - (2 * q_curr - q_prev - g * h * h)) < 1e-12
 
     # Harmonic oscillator: 1e5 steps, tight energy band, no drift trend.
     # The implicit solve runs at machine tolerance so that any residual

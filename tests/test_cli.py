@@ -156,6 +156,21 @@ class TestSchemaTypes:
         assert_config_error_at(tmp_path, capsys, config_path, f"$['task'][{field!r}][1]")
 
     @pytest.mark.parametrize(
+        "scenario, field, names",
+        [
+            ("legtail_optimize.json", "free_q", ["y", "y"]),
+            ("legtail_optimize.json", "free_params", ["ax", "bx", "ax"]),
+            ("billiards_sweep.json", "free_balls", ["a", "a"]),
+        ],
+    )
+    def test_duplicate_free_variable_name(self, tmp_path, capsys, scenario, field, names):
+        # A name given twice frees one variable twice; the optimizer could
+        # report that only as a rank collapse, not as a config mistake.
+        task = {"kind": "optimize", field: names}
+        config_path = shipped_with(tmp_path, scenario, ("task",), task)
+        assert_config_error_at(tmp_path, capsys, config_path, f"$['task'][{field!r}]")
+
+    @pytest.mark.parametrize(
         "scenario, path, value",
         [
             ("billiards_sweep.json", ("task", "samples"), 5.0),
@@ -195,6 +210,8 @@ KEYWORD_PROBES = {
     "maximum": ({"type": "number", "maximum": 1}, 1, 1.5),
     "exclusiveMinimum": ({"type": "number", "exclusiveMinimum": 0}, 1e-300, 0),
     "minItems": ({"type": "array", "minItems": 1}, [0], []),
+    # JSON equality: 1 and true differ, 1 and 1.0 do not.
+    "uniqueItems": ({"type": "array", "uniqueItems": True}, [1, True, [1]], [[1], 1, [1.0]]),
     "items": ({"type": "array", "items": {"type": "string"}}, ["a"], ["a", 1]),
     "required": ({"type": "object", "required": ["a"]}, {"a": 1}, {"b": 1}),
     "properties": (
@@ -215,6 +232,7 @@ TYPED_KEYWORDS = {
     "maximum": {"number", "integer"},
     "exclusiveMinimum": {"number", "integer"},
     "minItems": {"array"},
+    "uniqueItems": {"array"},
     "items": {"array"},
     "required": {"object"},
     "properties": {"object"},
@@ -249,7 +267,8 @@ SHIPPED = [json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.jso
 #: Replacement values for one entry of a shipped config.
 MUTANTS = [
     None, True, "x", "z", "d", "theta", "simulate", -1, 0, 0.5, 2, 5.0, 1e9, 10**400,
-    math.nan, math.inf, -math.inf, [], [1], [math.nan], ["a"], {}, {"kind": "resolve"},
+    math.nan, math.inf, -math.inf, [], [1], [math.nan], ["a"], ["x", "x"], {},
+    {"kind": "resolve"},
 ]
 
 JSON_VALUES = st.recursive(
@@ -493,6 +512,13 @@ class TestOptimizeTask:
         header, rows = read_rows(table)
         assert header == ["variable", "initial", "final", "delta"]
         assert [r[0] for r in rows] == ["y", "theta", "ax", "bx"]
+
+    def test_billiards_requires_initial_q(self, tmp_path, capsys):
+        # The default all-zero positions put every ball on one center.
+        task = {"kind": "optimize"}
+        config_path = shipped_with(tmp_path, "billiards_sweep.json", ("task",), task)
+        assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "requires initial.q" in capsys.readouterr().err
 
 
 class TestEnergyLedger:

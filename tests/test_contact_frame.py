@@ -44,7 +44,7 @@ from simpact.resolution import (
     plastic_resolve,
     two_contact_reflection_bound,
 )
-from simpact.stepper import StepperConfig, _Sim, locate_impact
+from simpact.stepper import StepperConfig, _Sim
 from simpact.uniqueness import classify_pair, indeterminacy_xi, outcome_xi, verify_commutation
 
 from conftest import pair_with_inner, random_metric, random_unit_covector
@@ -769,24 +769,10 @@ def test_narrow_wedge_enumeration_solves_once(rng, mass_solves):
     assert solves == 1
 
 
-def test_node_contact_test_solves_once(monkeypatch, mass_solves):
-    # A body dropping flat onto two contacts closed at the node: the
-    # stepper's node test classifies both from one contact frame.
-    body = LegTailModel(1.0, 0.1, (0.3, -0.2), (-0.3, -0.2), gravity=0.0)
-    q = body.double_contact_pose()
-    metric = body.metric_at(q)
-    monkeypatch.setattr(body, "metric_at", lambda _: metric)
-    qdot, h = np.array([0.0, -1.0, 0.0]), 0.01
-    solves, (t_star, _, contacts) = mass_solves(
-        metric, lambda: locate_impact(body, q - h * qdot, q, q + h * qdot, 0.0, h)
-    )
-    assert (t_star, contacts) == (0.0, (0, 1))
-    assert solves == 1
-
-
 def test_node_impact_builds_one_frame(monkeypatch, mass_solves):
-    # The same drop run through the stepper: the node test's frame is the
-    # frame the impact is resolved in.
+    # A body dropping flat onto two contacts closed at the node: the
+    # stepper's node test classifies both from one contact frame, and
+    # that frame is the frame the impact is resolved in.
     body = LegTailModel(1.0, 0.1, (0.3, -0.2), (-0.3, -0.2), gravity=0.0)
     q = body.double_contact_pose()
     metric = body.metric_at(q)

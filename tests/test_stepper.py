@@ -18,15 +18,13 @@ from simpact.stepper import (
     ImpactEvent,
     StepperConfig,
     Trajectory,
+    _locate,
     _newton,
     _solve_free,
     _Sim,
-    del_step,
     discrete_lagrangian,
     discrete_momenta,
     friction_force,
-    impact_step,
-    locate_impact,
     node_momentum,
     simulate,
     zeno_guard,
@@ -240,15 +238,21 @@ class TestDiscreteMomenta:
 
 
 class TestDelStep:
+    # Each step solves the DEL from the node momentum of the previous
+    # configuration pair, as ``_Sim.advance`` does between impacts.
+
     def test_free_particle_extrapolates(self):
-        q = del_step(FreeParticle(), [0.1], [0.3], 0.0, 0.1, 0.2)
+        model = FreeParticle()
+        p_in = node_momentum(model, [0.1], 0.0, [0.3], 0.1)
+        q, _ = _solve_free(model, p_in, np.array([0.3]), 0.1, 0.2, None, StepperConfig(h=0.1))
         assert q[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_gravity_closed_form(self):
         g, h = 9.81, 0.02
         model = GravityParticle(g)
         q_prev, q_curr = 0.0, 0.05
-        q = del_step(model, [q_prev], [q_curr], 0.0, h, 2 * h)
+        p_in = node_momentum(model, [q_prev], 0.0, [q_curr], h)
+        q, _ = _solve_free(model, p_in, np.array([q_curr]), h, 2 * h, None, StepperConfig(h=h))
         expected = 2 * q_curr - q_prev - g * h * h
         assert q[0] == pytest.approx(expected, abs=1e-12)
 
@@ -267,15 +271,18 @@ class TestDelStep:
     def test_reversal_recovers_initial_pair(self):
         model = Pendulum()
         h, n = 0.01, 400
+        cfg = StepperConfig(h=h)
         seq = [np.array([0.3]), np.array([0.312])]
         t = 0.0
         for _ in range(n):
-            seq.append(del_step(model, seq[-2], seq[-1], t, t + h, t + 2 * h))
+            p_in = node_momentum(model, seq[-2], t, seq[-1], t + h)
+            seq.append(_solve_free(model, p_in, seq[-1], t + h, t + 2 * h, None, cfg)[0])
             t += h
         back = [seq[-1], seq[-2]]
         t = 0.0
         for _ in range(n):
-            back.append(del_step(model, back[-2], back[-1], t, t + h, t + 2 * h))
+            p_in = node_momentum(model, back[-2], t, back[-1], t + h)
+            back.append(_solve_free(model, p_in, back[-1], t + h, t + 2 * h, None, cfg)[0])
             t += h
         assert abs(back[-1][0] - seq[0][0]) < 1e-8
         assert abs(back[-2][0] - seq[1][0]) < 1e-8
@@ -289,9 +296,11 @@ class TestDelStep:
             def potential(self, q):
                 return 10.0 * abs(q[0])
 
+        model = Kink()
+        p_in = node_momentum(model, [0.55], 0.0, [0.2], 0.1)
         with pytest.raises(StepFailureError) as err:
-            del_step(Kink(), [0.55], [0.2], 0.0, 0.1, 0.2,
-                     config=StepperConfig(h=0.1, newton_max_iter=4))
+            _solve_free(model, p_in, np.array([0.2]), 0.1, 0.2, None,
+                        StepperConfig(h=0.1, newton_max_iter=4))
         assert err.value.residual_norm is not None
 
     def test_huge_kink_has_floating_point_root(self):
@@ -306,8 +315,8 @@ class TestDelStep:
 
         model = Nasty()
         cfg = StepperConfig(h=0.1, newton_max_iter=4)
-        q = del_step(model, [0.1], [0.2], 0.0, 0.1, 0.2, config=cfg)
         p_in = node_momentum(model, [0.1], 0.0, [0.2], 0.1)
+        q, _ = _solve_free(model, p_in, np.array([0.2]), 0.1, 0.2, None, cfg)
         fm, _ = discrete_momenta(model, [0.2], 0.1, q, 0.2)
         assert abs(p_in[0] + fm[0]) <= cfg.newton_tol * max(1.0, abs(p_in[0]))
 
@@ -352,9 +361,9 @@ class TestLocateImpact:
         h = 0.1
         q_prev, q_curr = np.array([0.15]), np.array([0.05])
         q_cand = np.array([-0.05])
-        t_star, q_star, contacts = locate_impact(
-            model, q_prev, q_curr, q_cand, 1.0, 1.0 + h,
-            config=StepperConfig(h=h),
+        p_in = node_momentum(model, q_prev, 1.0 - h, q_curr, 1.0)
+        t_star, q_star, contacts = _locate(
+            model, p_in, q_curr, 1.0, q_cand, 1.0 + h, None, StepperConfig(h=h), ()
         )
         assert t_star == pytest.approx(1.0 + h / 2, rel=1e-9)
         assert abs(q_star[0]) < 1e-12
@@ -363,9 +372,9 @@ class TestLocateImpact:
     def test_candidate_on_manifold_gives_interval_end(self):
         model = BallModel(1.0, gravity=0.0)
         h = 0.1
-        t_star, q_star, _ = locate_impact(
-            model, np.array([0.2]), np.array([0.1]), np.array([0.0]), 0.0, h,
-            config=StepperConfig(h=h),
+        p_in = node_momentum(model, [0.2], -h, [0.1], 0.0)
+        t_star, q_star, _ = _locate(
+            model, p_in, np.array([0.1]), 0.0, np.array([0.0]), h, None, StepperConfig(h=h), ()
         )
         assert t_star == pytest.approx(h, abs=1e-9)
         assert abs(q_star[0]) < 1e-10
@@ -379,8 +388,9 @@ class TestLocateImpact:
         qdot = np.array([0.0, -v, 0.0])
         q_prev = q_curr - h * qdot - np.array([0.0, 0.5 * 9.81 * h * h, 0.0])
         q_cand = q_curr + h * qdot - np.array([0.0, 0.5 * 9.81 * h * h, 0.0])
-        t_star, q_star, contacts = locate_impact(
-            body, q_prev, q_curr, q_cand, t, t + h, config=StepperConfig(h=h)
+        p_in = node_momentum(body, q_prev, t - h, q_curr, t)
+        t_star, q_star, contacts = _locate(
+            body, p_in, q_curr, t, q_cand, t + h, None, StepperConfig(h=h), ()
         )
         assert contacts == (0, 1)
         np.testing.assert_allclose(body.gaps(q_star), 0.0, atol=1e-10)
@@ -396,42 +406,44 @@ class TestLocateImpact:
         h = 0.01
         q_cand = q_curr + h * qdot
         assert body.gaps(q_cand)[0] < 0.0 < body.gaps(q_cand)[1]
-        t_star, q_star, contacts = locate_impact(
-            body, q_curr - h * qdot, q_curr, q_cand, 0.5, 0.5 + h,
-            config=StepperConfig(h=h),
-        )
-        assert t_star == 0.5
-        np.testing.assert_array_equal(q_star, q_curr)
-        assert contacts == (0, 1)
+        sim = _Sim(body, StepperConfig(h=h), None)
+        p_in = node_momentum(body, q_curr - h * qdot, 0.5 - h, q_curr, 0.5)
+        sim.advance(q_curr, 0.5, p_in, 0.5 + h)
+        assert [(ev.t, ev.contacts) for ev in sim.events] == [(0.5, (0, 1))]
 
     def test_no_crossing_raises(self):
         model = BallModel(1.0, gravity=0.0)
+        p_in = node_momentum(model, [0.3], -0.1, [0.2], 0.0)
         with pytest.raises(ImpactLocationError):
-            locate_impact(
-                model, [0.3], [0.2], [0.1], 0.0, 0.1, config=StepperConfig(h=0.1)
+            _locate(
+                model, p_in, np.array([0.2]), 0.0, np.array([0.1]), 0.1, None,
+                StepperConfig(h=0.1), (),
             )
 
 
 class TestImpactStep:
+    # Each ball sits on the floor at a node and moves into it: the step
+    # resolves the impact at the node and integrates to the step's end.
+
     def test_elastic_ball_reverses_momentum(self):
         model = BallModel(1.0, gravity=0.0)
         h = 0.1
         # Ball arrives at the floor exactly at t_star with p = -1.
         q_prev, q_star = np.array([0.05]), np.array([0.0])
-        q_next, event = impact_step(
-            model, q_prev, q_star, 0.0, 0.05, 0.05 + h, (0,), restitution=1.0
-        )
-        assert event.kind is ImpactKind.ELASTIC
+        sim = _Sim(model, StepperConfig(h=h, restitution=1.0), None)
+        p_star = node_momentum(model, q_prev, 0.0, q_star, 0.05)
+        q_next, _ = sim.advance(q_star, 0.05, p_star, 0.05 + h)
+        assert [ev.kind for ev in sim.events] == [ImpactKind.ELASTIC]
         assert q_next[0] == pytest.approx(1.0 * h, rel=1e-10)
 
     def test_plastic_ball_stays_on_manifold(self):
         model = BallModel(1.0)
         h = 0.05
         q_prev, q_star = np.array([0.02]), np.array([0.0])
-        q_next, event = impact_step(
-            model, q_prev, q_star, 0.0, 0.03, 0.03 + h, (0,), restitution=0.0
-        )
-        assert event.kind is ImpactKind.PLASTIC
+        sim = _Sim(model, StepperConfig(h=h, restitution=0.0), None)
+        p_star = node_momentum(model, q_prev, 0.0, q_star, 0.03)
+        q_next, _ = sim.advance(q_star, 0.03, p_star, 0.03 + h)
+        assert [ev.kind for ev in sim.events] == [ImpactKind.PLASTIC]
         assert abs(q_next[0]) < 1e-9
 
     def test_elastic_apex_constant_within_h_squared(self):
@@ -946,10 +958,6 @@ class TestConfig:
         # Unchecked, it surfaced only at the first inelastic impact.
         with pytest.raises(ValueError, match="alpha_mode"):
             StepperConfig(h=0.01, restitution=0.5, alpha_mode="bogus")
-        with pytest.raises(ValueError, match="alpha_mode"):
-            impact_step(
-                BallModel(1.0), [0.02], [0.0], 0.0, 0.03, 0.08, (0,), 0.5, alpha_mode="bogus"
-            )
         for mode in ("energy-consistent", "as-printed"):
             assert StepperConfig(h=0.01, alpha_mode=mode).alpha_mode == mode
 

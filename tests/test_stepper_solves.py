@@ -22,7 +22,7 @@ from simpact import stepper
 from simpact.errors import ConfigError
 from simpact.models import BallModel, BilliardsModel, CradleModel, LegTailModel, MechModel
 from simpact.resolution import ImpactKind
-from simpact.stepper import FrictionConfig, StepperConfig, impact_step, simulate
+from simpact.stepper import FrictionConfig, StepperConfig, simulate
 
 
 def _bits(a):
@@ -282,11 +282,11 @@ def test_free_run_makes_no_lapack_call(name):
 def test_held_ball_step_still_calls_lapack():
     # A plastic landing holds the contact: the bordered DEL system of the
     # held step is not diagonal.
+    cfg = StepperConfig(h=0.01, restitution=0.0)
     with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as spy:
-        q_next, event = impact_step(
-            BallModel(1.0), [0.02], [0.0], 0.0, 0.03, 0.08, (0,), restitution=0.0
-        )
-    assert event.kind is ImpactKind.PLASTIC
+        traj = simulate(BallModel(1.0), [0.02], [0.0], 0.2, cfg)
+    assert [ev.kind for ev in traj.events] == [ImpactKind.PLASTIC]
+    assert {c for _, c, _ in traj.holds} == {0}
     assert spy.call_count >= 1
 
 
@@ -339,12 +339,3 @@ def test_simulate_rejects_friction_on_unknown_contact():
     cfg = StepperConfig(h=0.005, friction=FrictionConfig(0.5, (7,)))
     with pytest.raises(ConfigError, match=r"friction references unknown contacts \[7\]"):
         simulate(model, q0, np.zeros(3), 0.1, cfg)
-
-
-def test_impact_step_rejects_bad_contact_references():
-    model = BallModel(1.0)
-    with pytest.raises(ConfigError, match="restitution needs 1 entries"):
-        impact_step(model, [0.02], [0.0], 0.0, 0.03, 0.08, (0,), restitution=(0.5, 0.5))
-    cfg = StepperConfig(h=0.05, friction=FrictionConfig(0.5, (1,)))
-    with pytest.raises(ConfigError, match="friction references unknown contacts"):
-        impact_step(model, [0.02], [0.0], 0.0, 0.03, 0.08, (0,), 0.5, config=cfg)
