@@ -40,9 +40,11 @@ from .models import BallModel, BilliardsModel, CradleModel, LegTailModel, billia
 from .resolution import (
     ALPHA_MODES,
     CascadePolicy,
+    _blend_weight,
     elastic_cascade,
     enumerate_outcomes,
     inelastic_resolve,
+    plastic_resolve,
 )
 from .stepper import ACTIVATION_RTOL, FrictionConfig, StepperConfig, Trajectory, _fmt, simulate
 from .uniqueness import PAIRWISE_DEPTH_CAP, indeterminacy_xi, outcome_xi
@@ -240,13 +242,18 @@ def load_config(path) -> dict:
     return config
 
 
-def build_model(section: dict):
+def build_model(section: dict, q0=None):
+    """The model of a config's ``model`` section.
+
+    ``q0``, the config's ``initial.q`` when it gives one, is checked for
+    billiards balls that overlap at the start.
+    """
     kind = section["type"]
     try:
         if kind == "cradle":
             return CradleModel(section["masses"], section["radii"])
         if kind == "billiards":
-            return billiards_build(section["masses"], section["radii"])
+            return billiards_build(section["masses"], section["radii"], q0)
         if kind == "ball":
             return BallModel(
                 section["mass"],
@@ -264,7 +271,8 @@ def build_model(section: dict):
     except KeyError as exc:
         raise ConfigError(f"model section is missing field {exc}") from exc
     except (ValueError, SimpactError) as exc:
-        raise ConfigError(f"model section invalid: {exc}") from exc
+        where = "model section" if q0 is None else "model section or initial.q"
+        raise ConfigError(f"{where} invalid: {exc}") from exc
     raise ConfigError(f"unknown model type {kind!r}")
 
 
@@ -348,8 +356,18 @@ def _header(config: dict, extra: Sequence[str] = ()) -> list[str]:
     return lines
 
 
+def _open(path: Path):
+    """Open an output file for writing, creating its directory first.
+
+    A task creates its output directory only with its first file, so a
+    config error it finds leaves no directory behind.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="\n")
+
+
 def _write_csv(path: Path, comments: Sequence[str], header: str, rows) -> None:
-    with open(path, "w", newline="\n") as stream:
+    with _open(path) as stream:
         for line in comments:
             stream.write(f"# {line}\n")
         stream.write(header + "\n")
@@ -380,10 +398,10 @@ def _task_simulate(config, model, out_dir: Path) -> list[Path]:
 
     header = _header(config)
     traj_path = out_dir / "trajectory.csv"
-    with open(traj_path, "w", newline="\n") as stream:
+    with _open(traj_path) as stream:
         trajectory.write_csv(stream, comments=header)
     events_path = out_dir / "events.csv"
-    with open(events_path, "w", newline="\n") as stream:
+    with _open(events_path) as stream:
         trajectory.write_events_csv(stream, comments=header)
     energy_path = out_dir / "energy.csv"
     _write_csv(
@@ -431,8 +449,11 @@ def _task_resolve(config, model, out_dir: Path) -> list[Path]:
     except ValueError as exc:
         raise ConfigError(f"cascade policy does not fit the closed contacts: {exc}") from exc
     restitution = task.get("restitution", 1.0)
-    if restitution >= 1.0:
+    alpha = _blend_weight(restitution, alpha_mode)
+    if alpha >= 1.0:
         outcome = elastic_cascade(metric, p_minus, normals, policy)
+    elif alpha <= 0.0:
+        outcome = plastic_resolve(metric, p_minus, normals)
     else:
         outcome = inelastic_resolve(
             metric, p_minus, normals, restitution, policy, alpha_mode
@@ -502,28 +523,35 @@ def _task_sweep(config, model, out_dir: Path) -> list[Path]:
     return [out_path]
 
 
+def _require_three_free(names, fields: str) -> None:
+    if len(names) < 3:
+        raise ConfigError(
+            f"optimize task needs at least three free variables for the three "
+            f"residuals; {fields} give {len(names)}"
+        )
+
+
 def _task_optimize(config, model, out_dir: Path) -> list[Path]:
     task = config["task"]
+    if "q" not in config.get("initial", {}):
+        # All-zero coordinates put every billiards ball on the same
+        # center, and a leg-tail body's origin on the floor.
+        raise ConfigError("optimize task requires initial.q")
     q0, _ = _initial_state(config, model)
     tol_inner = task.get("tol_inner", 1e-6)
     if isinstance(model, LegTailModel):
+        free_q = tuple(task.get("free_q", ("y", "theta")))
+        free_params = tuple(task.get("free_params", ("ax", "bx")))
+        names = list(free_q + free_params)
+        _require_three_free(names, "free_q and free_params")
         problem = legtail_orthogonality_problem(
-            model,
-            q0,
-            free_q=tuple(task.get("free_q", ("y", "theta"))),
-            free_params=tuple(task.get("free_params", ("ax", "bx"))),
-            tol_inner=tol_inner,
-        )
-        names = list(task.get("free_q", ("y", "theta"))) + list(
-            task.get("free_params", ("ax", "bx"))
+            model, q0, free_q=free_q, free_params=free_params, tol_inner=tol_inner
         )
     elif isinstance(model, BilliardsModel):
-        if "q" not in config.get("initial", {}):
-            # All-zero positions put every ball on the same center.
-            raise ConfigError("optimize task on a billiards model requires initial.q")
         balls = tuple(task.get("free_balls", ("a", "b")))
-        problem = billiards_orthogonality_problem(model, q0, balls, tol_inner)
         names = [f"{b}{axis}" for b in balls for axis in ("x", "y")]
+        _require_three_free(names, "free_balls")
+        problem = billiards_orthogonality_problem(model, q0, balls, tol_inner)
     else:
         raise ConfigError("optimize task requires a legtail or billiards model")
 
@@ -534,7 +562,7 @@ def _task_optimize(config, model, out_dir: Path) -> list[Path]:
     xi = xi_at_optimum(opt_model, result.q_opt, seed=config.get("seed", 0))
 
     report_path = out_dir / "report.txt"
-    with open(report_path, "w", newline="\n") as stream:
+    with _open(report_path) as stream:
         for line in _header(config):
             stream.write(f"# {line}\n")
         stream.write(result.report(names, x0, x_opt) + "\n")
@@ -583,12 +611,11 @@ def run(
     except ValueError as exc:
         raise ConfigError(f"invalid cascade policy: {exc}") from exc
 
-    model = build_model(config["model"])
+    model = build_model(config["model"], config.get("initial", {}).get("q"))
     _check_contact_references(config, model, cascade)
     out = Path(out_dir) if out_dir is not None else Path(
         config.get("output", {}).get("dir", "out")
     )
-    out.mkdir(parents=True, exist_ok=True)
     task_kind = config["task"]["kind"]
     return _TASKS[task_kind](config, model, out)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metric as mt
 from .errors import DesignError, DimensionError
-from .models import BilliardsModel, LegTailModel, MechModel
+from .models import BilliardsModel, LegTailModel, MechModel, _central_jacobian
 from .uniqueness import indeterminacy_xi
 
 #: Default termination threshold on the unit-normal inner product.
@@ -132,18 +132,6 @@ class OrthogonalityResult:
         return "\n".join(lines)
 
 
-def _fd_jacobian(fun, x, r0, rel=2e-7):
-    jac = np.empty((r0.size, x.size))
-    for i in range(x.size):
-        step = rel * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] += step
-        xm = x.copy()
-        xm[i] -= step
-        jac[:, i] = (fun(xp) - fun(xm)) / (2.0 * step)
-    return jac
-
-
 def solve_orthogonal(
     problem: DesignProblem, initial: np.ndarray | None = None
 ) -> OrthogonalityResult:
@@ -170,7 +158,7 @@ def solve_orthogonal(
             raise DesignError(
                 f"iteration cap {problem.max_iter} exceeded; residuals {r}"
             )
-        jac = _fd_jacobian(problem.residuals, x, r)
+        jac = _central_jacobian(problem.residuals, x, 2e-7)
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] <= 1e-12 * max(sv[0], 1.0):
             raise DesignError(f"residual Jacobian rank collapse (signals {sv})")

@@ -111,16 +111,23 @@ class MechModel:
         The default uses central differences of ``potential_gradient``,
         which are exactly zero for a linear or zero potential.
         """
-        q = np.asarray(q, dtype=float)
-        out = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            step = 1e-6 * max(1.0, abs(q[i]))
-            qp = q.copy()
-            qp[i] += step
-            qm = q.copy()
-            qm[i] -= step
-            out[:, i] = (self.potential_gradient(qp) - self.potential_gradient(qm)) / (2 * step)
-        return out
+        return _central_jacobian(self.potential_gradient, np.asarray(q, dtype=float), 1e-6)
+
+
+def _central_jacobian(fun, x, rel):
+    """Central-difference Jacobian of ``fun`` at ``x``, one column per entry of ``x``.
+
+    Entry ``i`` moves by ``rel * max(1, |x_i|)`` either way.
+    """
+    columns = []
+    for i in range(x.size):
+        step = rel * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xp[i] += step
+        xm = x.copy()
+        xm[i] -= step
+        columns.append((fun(xp) - fun(xm)) / (2.0 * step))
+    return np.array(columns).T
 
 
 def _positive(values, name):
@@ -445,14 +452,7 @@ def validate_model(model: MechModel, q_samples: Sequence[np.ndarray]):
         q = np.asarray(q, dtype=float)
         model.metric_at(q)  # raises unless SPD
         grads = model.gap_gradients(q)
-        fd = np.zeros_like(grads)
-        for i in range(model.dim):
-            step = 1e-7 * max(1.0, abs(q[i]))
-            qp = q.copy()
-            qp[i] += step
-            qm = q.copy()
-            qm[i] -= step
-            fd[:, i] = (model.gaps(qp) - model.gaps(qm)) / (2 * step)
+        fd = _central_jacobian(model.gaps, q, 1e-7)
         err = np.abs(grads - fd).max()
         if err > 1e-6 * max(1.0, np.abs(grads).max()):
             raise VerificationError(

@@ -360,29 +360,21 @@ def _mass_solve(model, mass, q, p):
 class _KeptJacobian:
     """One Newton Jacobian kept between iterations and between solves.
 
-    Setting ``matrix`` also sets ``diag``, its :func:`_diagonal`, and
-    clears ``inverse``. A ``secant`` slot keeps ``inverse`` instead: the
-    inverse of its last built Jacobian, refined by :func:`_broyden` after
-    each accepted step.
+    :meth:`keep` sets ``matrix`` with ``diag``, its :func:`_diagonal`,
+    and clears ``inverse``. A ``secant`` slot keeps ``inverse`` instead:
+    the inverse of its last built Jacobian, refined by :func:`_broyden`
+    after each accepted step.
     """
 
-    __slots__ = ("_matrix", "diag", "inverse", "secant")
+    __slots__ = ("matrix", "diag", "inverse", "secant")
 
     def __init__(self):
         self.secant = False
         self.keep(None, None)
 
-    @property
-    def matrix(self):
-        return self._matrix
-
-    @matrix.setter
-    def matrix(self, matrix):
-        self.keep(matrix, None if matrix is None else _diagonal(matrix))
-
     def keep(self, matrix, diag):
         """Keep ``matrix`` with its diagonal ``diag``, already computed."""
-        self._matrix, self.diag = matrix, diag
+        self.matrix, self.diag = matrix, diag
         self.inverse = None
 
 
@@ -462,36 +454,29 @@ def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian, floor=None):
             slot = kept()
         jmat, jdiag, inverse = slot.matrix, slot.diag, slot.inverse
         slot.keep(None, None)
-        if inverse is not None or jmat is not None:
-            try:
-                x_new = x + (-(inverse @ r) if inverse is not None else _solve(jmat, jdiag, -r))
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                r_new = fun(x_new)
-                rn_new = math.sqrt(float(r_new @ r_new))
-                if rn_new < rn or rn_new <= tol:
-                    if inverse is not None:
-                        slot.inverse = _broyden(inverse, x_new - x, r_new - r)
-                    elif rn_new <= max(KEEP_RATE * rn, tol):
-                        slot.keep(jmat, jdiag)
-                    x, r, rn = x_new, r_new, rn_new
-                    continue
-        jmat = jac(x, r, fun)
-        inverse = _inverse(jmat) if slot.secant else None
-        if inverse is not None:
-            dx = -(inverse @ r)
-        else:
-            jdiag = _diagonal(jmat)
-            try:
-                dx = _solve(jmat, jdiag, -r)
-            except np.linalg.LinAlgError as exc:
-                raise StepFailureError(
-                    f"singular Jacobian in implicit step: {exc}", rn, it
-                ) from exc
+        # A kept Jacobian's step is tried once at full length; a fresh
+        # one's is halved until the residual falls.
+        fresh = jmat is None and inverse is None
+        dx = None
         alpha = 1.0
         while True:
-            x_new = x + alpha * dx
+            if dx is None:
+                if fresh:
+                    jmat = jac(x, r, fun)
+                    inverse = _inverse(jmat) if slot.secant else None
+                    if inverse is None:
+                        jdiag = _diagonal(jmat)
+                try:
+                    dx = -(inverse @ r) if inverse is not None else _solve(jmat, jdiag, -r)
+                except np.linalg.LinAlgError as exc:
+                    if fresh:
+                        raise StepFailureError(
+                            f"singular Jacobian in implicit step: {exc}", rn, it
+                        ) from exc
+                    fresh = True
+                    continue
+                step = dx
+            x_new = x + step
             r_new = fun(x_new)
             rn_new = math.sqrt(float(r_new @ r_new))
             if rn_new < rn or rn_new <= tol:
@@ -501,6 +486,9 @@ def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian, floor=None):
                     slot.keep(jmat, jdiag)
                 x, r, rn = x_new, r_new, rn_new
                 break
+            if not fresh:
+                dx, fresh = None, True
+                continue
             alpha *= 0.5
             if alpha < 1e-8:
                 if floor is not None and rn <= floor(x):
@@ -509,6 +497,7 @@ def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian, floor=None):
                 raise StepFailureError(
                     "step rejected by line search", rn, it
                 )
+            step = alpha * dx
     if rn <= tol:
         return x
     raise StepFailureError(
@@ -816,12 +805,14 @@ def _resolve_event(frame, t_star, contacts, r_eff, cfg, forced):
         return frame.p, event, False
 
     policy = cfg.policy.for_contacts(contacts)
-    if r_eff >= 1.0:
+    # The weight of the elastic outcome picks the map, so that each mode
+    # is continuous in the restitution at its ends.
+    alpha = _blend_weight(r_eff, cfg.alpha_mode)
+    if alpha >= 1.0:
         outcome, lam = _cascade(frame, policy)
-    elif r_eff <= 0.0:
+    elif alpha <= 0.0:
         outcome, lam = _plastic(frame)
     else:
-        alpha = _blend_weight(r_eff, cfg.alpha_mode)
         outcome, lam = _inelastic(frame, r_eff, alpha, policy)
     if outcome.status is CascadeStatus.STEP_CAP_EXCEEDED:
         # Guaranteed-terminating fallback for three or more contacts.

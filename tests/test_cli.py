@@ -132,11 +132,16 @@ def shipped_with(tmp_path, scenario, path, value):
     return write_config(tmp_path, config)
 
 
-def assert_config_error_at(tmp_path, capsys, config_path, where):
+def assert_config_error(tmp_path, capsys, config_path, message):
+    """The run exits 2 with ``message`` and creates no output directory."""
     argv = ["run", str(config_path), "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_CONFIG
-    assert f"invalid config at {where}: " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def assert_config_error_at(tmp_path, capsys, config_path, where):
+    assert_config_error(tmp_path, capsys, config_path, f"invalid config at {where}: ")
 
 
 class TestSchemaTypes:
@@ -415,6 +420,18 @@ class TestResolveTask:
             alpha + (1 - alpha) / 3, abs=1e-12
         )
 
+    @pytest.mark.parametrize("restitution, p_plus", [(0.0, [0.0, 0.0, 1.0]), (1.0, [1 / 3] * 3)])
+    def test_as_printed_follows_its_weight_at_the_ends(self, tmp_path, restitution, p_plus):
+        # The as-printed weight of the elastic outcome, sqrt(1 - R^2), is
+        # 1 at R = 0 (the cascade) and 0 at R = 1 (the plastic projection).
+        config = cradle_resolve_config()
+        config["task"]["restitution"] = restitution
+        path = write_config(tmp_path, config)
+        (printed,) = run(path, out_dir=tmp_path / "p", alpha_mode="as-printed")
+        header, (row,) = read_rows(printed)
+        p_out = [float(row[header.index(f"p_plus{i}")]) for i in range(1, 4)]
+        assert p_out == pytest.approx(p_plus, abs=1e-14)
+
     def test_four_ball_cradle_reports_pairwise_xi(self, tmp_path):
         config = {
             "model": {"type": "cradle", "masses": [1.0] * 4, "radii": [0.1] * 4},
@@ -473,6 +490,36 @@ class TestSimulateTask:
         assert "# seed: 0" in text
 
 
+def billiards_config(q, task):
+    return {
+        "model": {"type": "billiards", "masses": [1, 1, 9], "radii": [0.1, 0.1, 0.3]},
+        "initial": {"q": q},
+        "task": task,
+    }
+
+
+class TestConfigErrorsLeaveNoOutput:
+    """Config errors a task finds exit 2 and create no output directory."""
+
+    def test_simulate_without_duration(self, tmp_path, capsys):
+        path = shipped_with(tmp_path, "ball_zeno.json", ("task",), {"kind": "simulate"})
+        assert_config_error(tmp_path, capsys, path, "requires a duration")
+
+    def test_resolve_without_p_minus(self, tmp_path, capsys):
+        path = write_config(tmp_path, cradle_resolve_config(task={"kind": "resolve"}))
+        assert_config_error(tmp_path, capsys, path, "requires p_minus")
+
+    def test_sweep_on_a_cradle(self, tmp_path, capsys):
+        task = {"kind": "sweep", "start": 1.0, "stop": 2.0, "samples": 3}
+        path = shipped_with(tmp_path, "cradle_resolve.json", ("task",), task)
+        assert_config_error(tmp_path, capsys, path, "requires a billiards model")
+
+    def test_overlapping_billiards_balls(self, tmp_path, capsys):
+        q = [0.5, 0.0, 0.55, 0.0, 0.0, 2.0]
+        path = write_config(tmp_path, billiards_config(q, {"kind": "simulate", "duration": 0.1}))
+        assert_config_error(tmp_path, capsys, path, "balls a and b overlap initially")
+
+
 class TestSweepTask:
     def test_range_validation(self, tmp_path):
         # Below the contact limit, empty, reversed, beyond pi.
@@ -519,6 +566,31 @@ class TestOptimizeTask:
         config_path = shipped_with(tmp_path, "billiards_sweep.json", ("task",), task)
         assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "requires initial.q" in capsys.readouterr().err
+
+    def test_legtail_requires_initial_q(self, tmp_path, capsys):
+        # All-zero coordinates put the body's origin on the floor.
+        config = json.loads((SCENARIOS / "legtail_optimize.json").read_text())
+        del config["initial"]
+        path = write_config(tmp_path, config)
+        assert_config_error(tmp_path, capsys, path, "optimize task requires initial.q")
+
+    @pytest.mark.parametrize(
+        "scenario, free, fields",
+        [
+            ("legtail_optimize.json", {"free_q": [], "free_params": []}, "free_q and free_params"),
+            ("legtail_optimize.json", {"free_q": ["y"], "free_params": ["ax"]}, "free_q and free_params"),
+            (None, {"free_balls": ["a"]}, "free_balls"),
+        ],
+        ids=["legtail-none", "legtail-two", "billiards-one-ball"],
+    )
+    def test_fewer_than_three_free_variables(self, tmp_path, capsys, scenario, free, fields):
+        if scenario is None:
+            config = billiards_config([0.0, 0.0, 1.0, 0.0, 0.5, -1.0], {"kind": "optimize"})
+        else:
+            config = json.loads((SCENARIOS / scenario).read_text())
+        config["task"].update(free)
+        path = write_config(tmp_path, config)
+        assert_config_error(tmp_path, capsys, path, f"three residuals; {fields} give")
 
 
 class TestEnergyLedger:

@@ -12,6 +12,7 @@ from simpact.models import (
     BilliardsModel,
     CradleModel,
     LegTailModel,
+    _central_jacobian,
     billiards_build,
     billiards_pair_inner,
     validate_model,
@@ -37,6 +38,25 @@ class TestInterfaceSuite:
         validate_model(billiards, [base + rng.standard_normal(6) * 0.3 for _ in range(1000)])
         validate_model(ball, [rng.standard_normal(1) for _ in range(1000)])
         validate_model(body, [rng.standard_normal(3) for _ in range(1000)])
+
+    def test_central_jacobian_is_exact_on_a_quadratic(self, rng):
+        # Central differences of a quadratic have no truncation error.
+        # With dyadic points and steps no rounding is left either.
+        def fun(x):
+            return np.array([x[0] * x[1], x[1] ** 2 - 3.0 * x[0], 5.0])
+
+        x = np.array([0.5, -1.25])
+        expected = np.array([[x[1], x[0]], [-3.0, 2.0 * x[1]], [0.0, 0.0]])
+        assert np.array_equal(_central_jacobian(fun, x, 2.0**-20), expected)
+        # Elsewhere only the rounding of fun, divided by the step, remains.
+        a = rng.standard_normal((2, 3, 3))
+        b = rng.standard_normal((2, 3))
+        for rel in (1e-6, 1e-7, 2e-7):
+            x = 3.0 * rng.standard_normal(3)
+            jac = _central_jacobian(lambda y: np.einsum("kij,i,j->k", a, y, y) + b @ y, x, rel)
+            exact = np.einsum("kij,j->ki", a + a.transpose(0, 2, 1), x) + b
+            size = np.abs(a).sum() * (np.abs(x).max() + 1.0) ** 2 + np.abs(b).sum() * np.abs(x).max()
+            assert np.abs(jac - exact).max() <= np.finfo(float).eps * size / rel
 
     def test_spd_mass(self, rng):
         for model in (CradleModel([1, 1], [0.1, 0.1]), legtail(), BallModel(2.0)):

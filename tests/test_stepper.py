@@ -961,6 +961,22 @@ class TestConfig:
         for mode in ("energy-consistent", "as-printed"):
             assert StepperConfig(h=0.01, alpha_mode=mode).alpha_mode == mode
 
+    def test_as_printed_blend_is_continuous_at_both_ends(self):
+        # The as-printed weight sqrt(1 - R^2) of the elastic outcome is 1
+        # at R = 0 and 0 at R = 1: the event follows the weight.
+        def first_event(restitution):
+            cfg = StepperConfig(h=0.01, restitution=restitution, alpha_mode="as-printed")
+            return simulate(BallModel(1.0), [0.05], [0.0], 0.2, cfg).events[0]
+
+        kept, none_kept = first_event(1e-9), first_event(1.0 - 1e-12)
+        assert kept.energy_after == pytest.approx(kept.energy_before, rel=1e-12)
+        assert none_kept.energy_after <= 1e-11 * none_kept.energy_before
+        at_zero, at_one = first_event(0.0), first_event(1.0)
+        assert at_zero.kind is ImpactKind.ELASTIC
+        assert at_zero.energy_after == pytest.approx(kept.energy_after, rel=1e-12)
+        assert at_one.kind is ImpactKind.PLASTIC
+        assert at_one.energy_after == pytest.approx(none_kept.energy_after, abs=1e-11)
+
     def test_multi_contact_event_uses_most_dissipative(self):
         # The cradle event spans both contacts; the smaller coefficient
         # governs the whole event.

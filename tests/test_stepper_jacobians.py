@@ -334,7 +334,7 @@ def test_secant_slot_drops_inverse_that_does_not_lower_residual():
     assert counts["jac"] == 1
     assert np.linalg.norm(fun(x)) <= tol
     assert slot.inverse is not None and slot.matrix is None
-    slot.matrix = np.eye(1)
+    slot.keep(np.eye(1), stepper._diagonal(np.eye(1)))
     assert slot.inverse is None
 
 
@@ -368,7 +368,7 @@ def test_corrupted_kept_jacobian_is_rebuilt(case, corrupt):
     x0 = x0 + 1e-3 * model.length_scale
     slot = stepper._KeptJacobian()
     bad = corrupt(jac(x0, fun(x0), fun))
-    slot.matrix = bad
+    slot.keep(bad, stepper._diagonal(bad))
     counts = {"jac": 0}
 
     def counted(x, r, f):

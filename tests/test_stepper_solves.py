@@ -117,17 +117,6 @@ def test_diagonal_rejects_off_diagonal_entries():
     assert _bits(stepper._diagonal(np.array([[2.0, -0.0], [0.0, 3.0]]))) == _bits([2.0, 3.0])
 
 
-def test_kept_jacobian_carries_its_diagonal():
-    slot = stepper._KeptJacobian()
-    assert slot.matrix is None and slot.diag is None
-    slot.matrix = np.diag([2.0, -3.0])
-    assert _bits(slot.diag) == _bits([2.0, -3.0])
-    slot.matrix = np.ones((2, 2))
-    assert slot.diag is None
-    slot.matrix = None
-    assert slot.diag is None
-
-
 # ---------------------------------------------------------------------------
 # Oracle: every solve through LAPACK gives the same run, bit for bit
 
