@@ -35,7 +35,7 @@ from .design import (
     theta_sweep,
     xi_at_optimum,
 )
-from .errors import ConfigError, EnergyGainError, SimpactError
+from .errors import ConfigError, DimensionError, EnergyGainError, SimpactError
 from .models import BallModel, BilliardsModel, CradleModel, LegTailModel, billiards_build
 from .resolution import (
     ALPHA_MODES,
@@ -44,7 +44,6 @@ from .resolution import (
     elastic_cascade,
     enumerate_outcomes,
     inelastic_resolve,
-    plastic_resolve,
 )
 from .stepper import ACTIVATION_RTOL, FrictionConfig, StepperConfig, Trajectory, _fmt, simulate
 from .uniqueness import PAIRWISE_DEPTH_CAP, indeterminacy_xi, outcome_xi
@@ -449,11 +448,10 @@ def _task_resolve(config, model, out_dir: Path) -> list[Path]:
     except ValueError as exc:
         raise ConfigError(f"cascade policy does not fit the closed contacts: {exc}") from exc
     restitution = task.get("restitution", 1.0)
-    alpha = _blend_weight(restitution, alpha_mode)
-    if alpha >= 1.0:
+    # The weight of the elastic outcome picks the map. At weight 0 the
+    # blend's momentum is the plastic projection's, bit for bit.
+    if _blend_weight(restitution, alpha_mode) >= 1.0:
         outcome = elastic_cascade(metric, p_minus, normals, policy)
-    elif alpha <= 0.0:
-        outcome = plastic_resolve(metric, p_minus, normals)
     else:
         outcome = inelastic_resolve(
             metric, p_minus, normals, restitution, policy, alpha_mode
@@ -523,14 +521,6 @@ def _task_sweep(config, model, out_dir: Path) -> list[Path]:
     return [out_path]
 
 
-def _require_three_free(names, fields: str) -> None:
-    if len(names) < 3:
-        raise ConfigError(
-            f"optimize task needs at least three free variables for the three "
-            f"residuals; {fields} give {len(names)}"
-        )
-
-
 def _task_optimize(config, model, out_dir: Path) -> list[Path]:
     task = config["task"]
     if "q" not in config.get("initial", {}):
@@ -539,21 +529,28 @@ def _task_optimize(config, model, out_dir: Path) -> list[Path]:
         raise ConfigError("optimize task requires initial.q")
     q0, _ = _initial_state(config, model)
     tol_inner = task.get("tol_inner", 1e-6)
-    if isinstance(model, LegTailModel):
-        free_q = tuple(task.get("free_q", ("y", "theta")))
-        free_params = tuple(task.get("free_params", ("ax", "bx")))
-        names = list(free_q + free_params)
-        _require_three_free(names, "free_q and free_params")
-        problem = legtail_orthogonality_problem(
-            model, q0, free_q=free_q, free_params=free_params, tol_inner=tol_inner
-        )
-    elif isinstance(model, BilliardsModel):
-        balls = tuple(task.get("free_balls", ("a", "b")))
-        names = [f"{b}{axis}" for b in balls for axis in ("x", "y")]
-        _require_three_free(names, "free_balls")
-        problem = billiards_orthogonality_problem(model, q0, balls, tol_inner)
-    else:
-        raise ConfigError("optimize task requires a legtail or billiards model")
+    try:
+        if isinstance(model, LegTailModel):
+            fields = "free_q and free_params"
+            problem = legtail_orthogonality_problem(
+                model,
+                q0,
+                free_q=tuple(task.get("free_q", ("y", "theta"))),
+                free_params=tuple(task.get("free_params", ("ax", "bx"))),
+                tol_inner=tol_inner,
+            )
+            names = list(task.get("free_q", ("y", "theta"))) + list(
+                task.get("free_params", ("ax", "bx"))
+            )
+        elif isinstance(model, BilliardsModel):
+            fields = "free_balls"
+            balls = tuple(task.get("free_balls", ("a", "b")))
+            problem = billiards_orthogonality_problem(model, q0, balls, tol_inner)
+            names = [f"{b}{axis}" for b in balls for axis in ("x", "y")]
+        else:
+            raise ConfigError("optimize task requires a legtail or billiards model")
+    except DimensionError as exc:
+        raise ConfigError(f"optimize task {fields}: {exc}") from exc
 
     result = solve_orthogonal(problem)
     x0 = problem.pack(problem.q0, problem.params0)

@@ -806,8 +806,9 @@ def _resolve_event(frame, t_star, contacts, r_eff, cfg, forced):
 
     policy = cfg.policy.for_contacts(contacts)
     # The weight of the elastic outcome picks the map, so that each mode
-    # is continuous in the restitution at its ends.
-    alpha = _blend_weight(r_eff, cfg.alpha_mode)
+    # is continuous in the restitution at its ends. A Zeno-forced event is
+    # plastic in every mode.
+    alpha = 0.0 if forced == "zeno" else _blend_weight(r_eff, cfg.alpha_mode)
     if alpha >= 1.0:
         outcome, lam = _cascade(frame, policy)
     elif alpha <= 0.0:
@@ -1113,7 +1114,6 @@ class _Sim:
             r_eff = min(cfg.restitution_for(i) for i in contacts)
             if self.zeno_forced(contacts, t_star):
                 forced = "zeno"
-                r_eff = 0.0
             p_mapped, event, becomes_held = _resolve_event(
                 frame, t_star, contacts, r_eff, cfg, forced
             )

@@ -432,6 +432,23 @@ class TestResolveTask:
         p_out = [float(row[header.index(f"p_plus{i}")]) for i in range(1, 4)]
         assert p_out == pytest.approx(p_plus, abs=1e-14)
 
+    def test_plastic_end_reports_the_cascade_status(self, tmp_path):
+        # At R = 0 the energy-consistent blend has weight 0: its momentum
+        # is the plastic projection's, and its status is the cascade's,
+        # which runs out of steps between light balls.
+        masses = [1.0, 0.001, 1.0, 0.001, 1.0]
+        config = {
+            "model": {"type": "cradle", "masses": masses, "radii": [0.1] * 5},
+            "initial": {"q": [0.0, 0.2, 0.4, 0.6, 0.8]},
+            "task": {"kind": "resolve", "p_minus": [1.0, 0.0, 0.0, 0.0, 0.0], "restitution": 0.0},
+        }
+        (outcome,) = run(write_config(tmp_path, config), out_dir=tmp_path / "out")
+        header, (row,) = read_rows(outcome)
+        row = dict(zip(header, row))
+        assert row["status"] == "step-cap-exceeded"
+        p_out = [float(row[f"p_plus{i}"]) for i in range(1, 6)]
+        assert p_out == pytest.approx([m / sum(masses) for m in masses], rel=1e-12)
+
     def test_four_ball_cradle_reports_pairwise_xi(self, tmp_path):
         config = {
             "model": {"type": "cradle", "masses": [1.0] * 4, "radii": [0.1] * 4},
@@ -590,7 +607,9 @@ class TestOptimizeTask:
             config = json.loads((SCENARIOS / scenario).read_text())
         config["task"].update(free)
         path = write_config(tmp_path, config)
-        assert_config_error(tmp_path, capsys, path, f"three residuals; {fields} give")
+        assert_config_error(
+            tmp_path, capsys, path, f"optimize task {fields}: need at least three free variables"
+        )
 
 
 class TestEnergyLedger:

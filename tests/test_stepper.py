@@ -570,6 +570,19 @@ class TestZeno:
         lams = [lam for (t, c, lam) in traj.holds if t > t_rest]
         assert lams and min(lams) >= 0.0
 
+    def test_zeno_forced_event_is_plastic_in_as_printed_mode(self):
+        # The as-printed weight of the elastic outcome is 1 at R = 0, so
+        # the guard must force the plastic map itself, not through R. Here
+        # the weight is sqrt(1 - 0.9^2), about 0.44.
+        cfg = StepperConfig(h=0.01, restitution=0.9, alpha_mode="as-printed")
+        traj = simulate(BallModel(1.0), [0.05], [0.0], 1.0, cfg)
+        forced = [ev for ev in traj.events if ev.forced == "zeno"]
+        assert forced, "chatter never triggered the Zeno guard"
+        assert forced[0].kind is ImpactKind.PLASTIC
+        after = traj.times >= forced[0].t + cfg.h
+        assert np.abs(traj.states[after, 0]).max() < 1e-9
+        assert any(t > forced[0].t for (t, c, lam) in traj.holds)
+
     def test_release_on_upward_force(self):
         model = BallModel(1.0)
         cfg = StepperConfig(h=0.01, restitution=0.0)
