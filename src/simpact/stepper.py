@@ -18,14 +18,15 @@ the first build of a configuration-dependent mass's free-step Jacobian
 and its fallback rebuilds.
 
 Jacobians are kept while they contract (simplified Newton). A
-simulation holds one per held-contact set and substep length. A solve
-first takes the full step of the kept Jacobian when it lowers the
-residual, and keeps the matrix for the next iteration and the next step
-while each step cuts the residual norm to at most ``KEEP_RATE`` of its
-previous value or to the tolerance; otherwise the Jacobian is rebuilt at
-the current iterate and its step is line-searched. Localization keeps a
-Jacobian within one solve only. Convergence is decided by the residual
-alone.
+simulation holds one per held-contact set, shared by the full-length
+steps taken with that set held. A solve first takes the full step of the
+kept Jacobian when it lowers the residual, and keeps the matrix for the
+next iteration and the next step while each step cuts the residual norm
+to at most ``KEEP_RATE`` of its previous value or to the tolerance;
+otherwise the Jacobian is rebuilt at the current iterate and its step is
+line-searched. Localization and the partial substep after an in-step
+impact keep a Jacobian within their one solve only. Convergence is
+decided by the residual alone.
 
 The free step of a configuration-dependent mass keeps the inverse of
 its differenced Jacobian instead, and refines it after every accepted
@@ -60,7 +61,7 @@ negative, meaning the constraint would have to pull.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -107,8 +108,8 @@ class FrictionConfig:
     contacts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.mu < 0.0:
-            raise ValueError("friction coefficient must be nonnegative")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"friction mu must be nonnegative and finite, got {self.mu!r}")
 
 
 @dataclass(frozen=True)
@@ -134,22 +135,19 @@ class StepperConfig:
     max_impacts_per_step: int = 200
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError("time step must be positive")
-        if self.newton_tol <= 0.0 or self.newton_max_iter < 1:
-            raise ValueError("Newton tolerances must be positive")
-        if self.zeno_window < 1:
-            raise ValueError("zeno_window must be positive")
-        if self.impact_time_tol is not None and self.impact_time_tol <= 0.0:
-            raise ValueError("impact_time_tol must be positive")
-        if self.max_impacts_per_step < 1:
-            raise ValueError("max_impacts_per_step must be positive")
+        # Written so that NaN fails every check.
+        for name in ("h", "newton_tol", "impact_time_tol"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("newton_max_iter", "zeno_window", "max_impacts_per_step"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         rest = self.restitution
-        values = (rest,) if np.isscalar(rest) else tuple(rest)
-        if any(not 0.0 <= r <= 1.0 for r in values):
-            raise ValueError("restitution must lie in [0, 1]")
-        if not np.isscalar(rest):
-            object.__setattr__(self, "restitution", tuple(float(r) for r in rest))
+        rest = float(rest) if np.ndim(rest) == 0 else tuple(float(r) for r in rest)
+        if any(not 0.0 <= r <= 1.0 for r in np.atleast_1d(rest)):
+            raise ValueError(f"restitution must lie in [0, 1], got {self.restitution!r}")
+        object.__setattr__(self, "restitution", rest)
         if self.alpha_mode not in ALPHA_MODES:
             raise ValueError(f"alpha_mode must be one of {ALPHA_MODES}")
 
@@ -323,9 +321,6 @@ FD_REL = 1e-7
 #: fraction of its previous value, or to the tolerance.
 KEEP_RATE = 1e-3
 
-#: Kept Jacobians one simulation holds; the least recently used goes first.
-KEPT_SLOTS = 8
-
 
 def _diagonal(matrix):
     """The diagonal of ``matrix`` when it is its only nonzero entries, else None."""
@@ -417,14 +412,12 @@ def _fd_jacobian(fun, x, r0, cols):
     return jac
 
 
-def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian, floor=None):
+def _newton(fun, x0, tol, max_iter, jac, slot=None, floor=None):
     """Damped simplified Newton iteration.
 
     ``jac(x, r, fun)`` returns the Jacobian at ``x`` given the residual
-    ``r = fun(x)``. ``kept()`` returns the slot of the Jacobian kept
-    from earlier solves; it is called at the first iteration, so a solve
-    that starts converged does not look it up. By default the Jacobian
-    is kept within this solve only.
+    ``r = fun(x)``. ``slot`` is the :class:`_KeptJacobian` kept from
+    earlier solves; None keeps the Jacobian within this solve only.
     A kept Jacobian is tried first, with a full step that is taken when
     it lowers the residual. A Jacobian stays kept while each of its
     steps cuts the residual norm by the factor ``KEEP_RATE`` or to
@@ -443,6 +436,8 @@ def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian, floor=None):
     Raises :class:`StepFailureError` with the last residual norm when it
     cannot reduce the residual below ``tol``.
     """
+    if slot is None:
+        slot = _KeptJacobian()
     x = np.asarray(x0, dtype=float).copy()
     r = fun(x)
     # The 2-norm as np.linalg.norm computes it for a 1-D float array.
@@ -450,8 +445,6 @@ def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian, floor=None):
     for it in range(max_iter):
         if rn <= tol:
             return x
-        if it == 0:
-            slot = kept()
         jmat, jdiag, inverse = slot.matrix, slot.diag, slot.inverse
         slot.keep(None, None)
         # A kept Jacobian's step is tried once at full length; a fresh
@@ -510,11 +503,11 @@ def _newton(fun, x0, tol, max_iter, jac, kept=_KeptJacobian, floor=None):
 def _del_block(model, forces, q_a, t_a, q_b, t_b, fun, x, r):
     """Derivative of the backward forced momentum with respect to ``q_b``.
 
-    For constant mass it is ``-M/h - (h/4) Hess V(q_mid)``, plus forward
-    differences of the forcing slot when a force acts. A variable mass
-    has no such form: the block is then taken by forward differences of
-    the residual ``fun`` over the first ``dim`` entries of ``x``, reusing
-    ``r = fun(x)``.
+    For constant mass it is ``-M/h - (h/4) Hess V(q_mid)``, plus ``h/2``
+    times the forward-differenced derivative of the midpoint force when a
+    force acts. A variable mass has no such form: the block is then taken
+    by forward differences of the residual ``fun`` over the first ``dim``
+    entries of ``x``, reusing ``r = fun(x)``.
     """
     n = model.dim
     if not model.constant_mass:
@@ -522,16 +515,14 @@ def _del_block(model, forces, q_a, t_a, q_b, t_b, fun, x, r):
     h = t_b - t_a
     qm = 0.5 * (q_a + q_b)
     block = -model.mass_matrix(qm) / h - (0.25 * h) * model.potential_hessian(qm)
-    v = (q_b - q_a) / h
     tm = 0.5 * (t_a + t_b)
-    f0 = _force(model, forces, qm, v, tm)
+
+    def force(q):
+        return _force(model, forces, 0.5 * (q_a + q), (q - q_a) / h, tm)
+
+    f0 = force(q_b)
     if f0 is not None:
-        for i in range(n):
-            step = FD_REL * max(1.0, abs(q_b[i]))
-            dq = np.zeros(n)
-            dq[i] = step
-            f1 = _force(model, forces, qm + 0.5 * dq, v + dq / h, tm)
-            block[:, i] += (0.5 * h / step) * (f1 - f0)
+        block += (0.5 * h) * _fd_jacobian(force, q_b, f0, range(n))
     return block
 
 
@@ -539,14 +530,14 @@ def _del_block(model, forces, q_a, t_a, q_b, t_b, fun, x, r):
 # DEL steps
 
 
-def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, kept=_KeptJacobian,
-                mass=None):
+def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot=None, mass=None):
     """Solve the DEL for the next configuration given the node momentum.
 
     Returns the next configuration and the momentum it carries into the
-    node at ``t_next``, kept from the last residual evaluation. ``kept()``
-    gives the Newton Jacobian slot shared with earlier solves; ``mass``
-    is the constant mass and its diagonal, or None to evaluate ``M(q)``.
+    node at ``t_next``, kept from the last residual evaluation. ``slot``
+    is the Newton Jacobian slot shared with earlier solves, or None for
+    one kept within this solve; ``mass`` is the constant mass and its
+    diagonal, or None to evaluate ``M(q)``.
     """
     h = t_next - t_curr
     v0 = _mass_solve(model, mass, q_curr, p_in)
@@ -567,24 +558,19 @@ def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, kept=_KeptJaco
         q_size = np.linalg.norm(q_curr) + np.linalg.norm(q_next)
         return 8.0 * np.finfo(float).eps * (np.linalg.norm(p_in) + mass * q_size / h)
 
-    if not model.constant_mass:
-        # The Jacobian of a variable mass is differenced (see _del_block):
-        # keep its inverse and refine it by secant updates instead.
-        shared = kept
-
-        def kept():
-            slot = shared()
-            slot.secant = True
-            return slot
-
+    if slot is None:
+        slot = _KeptJacobian()
+    # The Jacobian of a variable mass is differenced (see _del_block):
+    # keep its inverse and refine it by secant updates instead.
+    slot.secant = not model.constant_mass
     tol = cfg.newton_tol * max(1.0, float(np.abs(p_in).max()))
     q_next = _newton(
-        residual, x0, tol, cfg.newton_max_iter, jac=jacobian, kept=kept, floor=floor
+        residual, x0, tol, cfg.newton_max_iter, jac=jacobian, slot=slot, floor=floor
     )
     return q_next, p_out[0]
 
 
-def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, kept=_KeptJacobian,
+def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, slot=None,
                 mass=None):
     """Constrained DEL step: held gaps pinned to zero via impulse multipliers.
 
@@ -592,8 +578,7 @@ def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, kept=_Ke
     the momentum carried into the node at ``t_next`` (from the last
     residual evaluation). A negative multiplier means the constraint
     would need to pull; the caller releases such contacts and re-solves.
-    ``kept()`` gives the Newton Jacobian slot of this held set and
-    ``mass`` is as in :func:`_solve_free`.
+    ``slot`` and ``mass`` are as in :func:`_solve_free`.
     """
     held = list(held)
     n = model.dim
@@ -621,7 +606,7 @@ def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, kept=_Ke
         return jac
 
     z = _newton(
-        residual, x0, cfg.newton_tol * p_scale, cfg.newton_max_iter, jac=jacobian, kept=kept
+        residual, x0, cfg.newton_tol * p_scale, cfg.newton_max_iter, jac=jacobian, slot=slot
     )
     return z[:n], dict(zip(held, z[n:])), p_out[0]
 
@@ -887,8 +872,8 @@ def friction_force(
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    if mu < 0.0:
-        raise ValueError("friction coefficient must be nonnegative")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"friction mu must be nonnegative and finite, got {mu!r}")
     gaps = model.gaps(q)
     if abs(gaps[contact]) > 1e-6 * model.length_scale:
         return np.zeros(model.dim)
@@ -939,9 +924,8 @@ class _Sim:
         self.held: dict[int, float] = {}
         self.events: list[ImpactEvent] = []
         self.holds: list[tuple[float, int, float]] = []
-        # Newton Jacobian slots by (held set, substep length in steps),
-        # least recently used first.
-        self.kept: dict[tuple, _KeptJacobian] = {}
+        # The Newton Jacobian slot of each held set, for full-length steps.
+        self.kept: defaultdict[tuple, _KeptJacobian] = defaultdict(_KeptJacobian)
         # The last zeno_window event times of each contact.
         self.hits: dict[int, deque] = {}
         # A constant mass and its diagonal, for the velocity solves.
@@ -949,15 +933,6 @@ class _Sim:
         if model.constant_mass:
             matrix = model.mass_matrix(np.zeros(model.dim))
             self.mass = (matrix, _diagonal(matrix))
-
-    def kept_jacobian(self, held, h):
-        """The Newton Jacobian slot of a held set and a substep length."""
-        key = (held, round(h / self.cfg.h, 9))
-        slot = self.kept.pop(key, None) or _KeptJacobian()
-        self.kept[key] = slot
-        if len(self.kept) > KEPT_SLOTS:
-            del self.kept[next(iter(self.kept))]
-        return slot
 
     def log(self, event):
         """Record an event and the hit times of its contacts."""
@@ -1019,16 +994,20 @@ class _Sim:
 
         Returns the next configuration and its node momentum. A failed
         solve raises :class:`StepFailureError` naming the step start and
-        the contacts held in it.
+        the contacts held in it. A full-length solve shares the Newton
+        Jacobian of its held set with the earlier ones; the substep after
+        an in-step impact keeps its own within the solve.
         """
         cfg = self.cfg
+        full = round((t_target - t_c) / cfg.h, 9) == 1
         try:
             while True:
-                if self.held:
-                    held = tuple(sorted(self.held))
+                held = tuple(sorted(self.held))
+                slot = self.kept[held] if full else None
+                if held:
                     q_n, lams, p_out = _solve_held(
-                        self.model, p_in, q_c, t_c, t_target, forces, cfg, held,
-                        lambda: self.kept_jacobian(held, t_target - t_c), self.mass,
+                        self.model, p_in, q_c, t_c, t_target, forces, cfg, held, slot,
+                        self.mass,
                     )
                     negative = [c for c, lam in lams.items() if lam < 0.0]
                     if negative:
@@ -1040,8 +1019,7 @@ class _Sim:
                         self.holds.append((t_target, c, lam))
                     return q_n, p_out
                 return _solve_free(
-                    self.model, p_in, q_c, t_c, t_target, forces, cfg,
-                    lambda: self.kept_jacobian((), t_target - t_c), self.mass,
+                    self.model, p_in, q_c, t_c, t_target, forces, cfg, slot, self.mass
                 )
         except StepFailureError as exc:
             exc.t, exc.contacts = t_c, tuple(sorted(self.held))
@@ -1143,12 +1121,15 @@ def simulate(
     permutation of the model's contacts (else :class:`ConfigError`);
     each event reflects its own contacts in that order.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     q0 = np.asarray(q0, dtype=float)
     qdot0 = np.asarray(qdot0, dtype=float)
     if q0.shape != (model.dim,) or qdot0.shape != (model.dim,):
         raise ValueError("initial state does not match the model dimension")
+    for name, value in (("q0", q0), ("qdot0", qdot0)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
     gaps0 = model.gaps(q0)
     if np.any(gaps0 < -PENETRATION_RTOL * model.length_scale):
         raise ValueError(f"initial configuration penetrates a contact: gaps {gaps0}")

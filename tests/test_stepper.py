@@ -598,6 +598,35 @@ class TestZeno:
         assert traj.states[-1, 0] > 0.05  # released and climbing
 
 
+class TestForcedEvents:
+    def test_ball_at_rest_on_the_floor_is_held(self):
+        # Gravity pushes a resting ball through its manifold: one plastic
+        # "resting" event at the start, then the contact is held.
+        cfg = StepperConfig(h=0.01)
+        traj = simulate(BallModel(1.0), [0.0], [0.0], 0.1, cfg)
+        (event,) = traj.events
+        assert (event.t, event.contacts, event.forced) == (0.0, (0,), "resting")
+        assert event.kind is ImpactKind.PLASTIC and event.impulses == (0.0,)
+        assert [t for t, _, _ in traj.holds] == pytest.approx(traj.times[1:])
+        assert {c for _, c, _ in traj.holds} == {0}
+        assert np.abs(traj.states[:, 0]).max() < 1e-12
+
+    def test_cascade_over_its_step_cap_falls_back_to_plastic(self):
+        # Both ends of a four-ball cradle close on the touching middle
+        # pair at the first node; one reflection cannot resolve three
+        # contacts, so the event is projected plastic.
+        model = CradleModel([1.0] * 4, [0.1] * 4)
+        q0 = model.touching_positions() + np.array([-0.005, 0.0, 0.0, 0.005])
+        cfg = StepperConfig(h=0.005, policy=CascadePolicy.most_violating(max_steps=1))
+        traj = simulate(model, q0, [1.0, 0.0, 0.0, -1.0], 0.02, cfg)
+        (event,) = traj.events
+        assert event.t == pytest.approx(0.005, abs=1e-15)
+        assert (event.contacts, event.forced) == ((0, 1, 2), "step-cap")
+        assert event.kind is ImpactKind.PLASTIC
+        assert event.energy_after <= 1e-12 * event.energy_before
+        np.testing.assert_allclose(traj.momenta[-1], 0.0, atol=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     window=st.integers(min_value=1, max_value=5),
@@ -944,6 +973,19 @@ class TestInitialConditions:
         with pytest.raises(ValueError):
             simulate(model, [-0.1], [0.0], 1.0, StepperConfig(h=0.01))
 
+    @pytest.mark.parametrize(
+        "field, q0, qdot0, duration",
+        [
+            ("duration", [0.1], [0.0], math.inf),
+            ("duration", [0.1], [0.0], math.nan),
+            ("q0", [math.nan], [0.0], 1.0),
+            ("qdot0", [0.1], [-math.inf], 1.0),
+        ],
+    )
+    def test_non_finite_input_rejected_by_name(self, field, q0, qdot0, duration):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            simulate(BallModel(1.0), q0, qdot0, duration, StepperConfig(h=0.01))
+
     def test_initial_momentum_is_continuous_momentum(self):
         model = CradleModel([2.0, 3.0], [0.1, 0.1])
         q0 = model.touching_positions(gap=0.5)
@@ -966,6 +1008,38 @@ class TestConfig:
             StepperConfig(h=0.01, impact_time_tol=0.0)
         with pytest.raises(ValueError, match="max_impacts_per_step"):
             StepperConfig(h=0.01, max_impacts_per_step=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("h", math.nan),
+            ("h", math.inf),
+            ("newton_tol", math.nan),
+            ("impact_time_tol", math.nan),
+            ("impact_time_tol", math.inf),
+            ("newton_max_iter", math.nan),
+            ("zeno_window", math.nan),
+            ("max_impacts_per_step", math.nan),
+            ("restitution", math.nan),
+            ("restitution", (0.5, math.nan)),
+        ],
+    )
+    def test_non_finite_field_rejected_by_name(self, field, value):
+        config = {"h": 0.01, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            StepperConfig(**config)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -0.1])
+    def test_friction_coefficient_must_be_finite(self, mu):
+        with pytest.raises(ValueError, match="^friction mu must"):
+            FrictionConfig(mu)
+
+    def test_zero_dimensional_restitution_is_a_scalar(self):
+        cfg = StepperConfig(h=0.01, restitution=np.array(0.5))
+        assert cfg.restitution == 0.5 and type(cfg.restitution) is float
+        assert cfg.restitution_for(3) == 0.5
+        with pytest.raises(ValueError, match="^restitution must"):
+            StepperConfig(h=0.01, restitution=np.array(1.5))
 
     def test_unknown_alpha_mode_rejected_at_construction(self):
         # Unchecked, it surfaced only at the first inelastic impact.

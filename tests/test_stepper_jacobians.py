@@ -125,7 +125,7 @@ class Captured(Exception):
 def _capture(solve):
     seen = {}
 
-    def spy(fun, x0, tol, max_iter, jac, kept=None, floor=None):
+    def spy(fun, x0, tol, max_iter, jac, slot=None, floor=None):
         seen.update(fun=fun, x0=np.array(x0, dtype=float), jac=jac)
         raise Captured
 
@@ -291,6 +291,61 @@ def test_variable_mass_refines_one_jacobian_by_secant_updates():
     assert 1 <= counts["jac"] <= 2
 
 
+def _simulate_lifted_ball():
+    """A ball at R = 0.3 lifted off the floor and let go once a period.
+
+    It bounces to Zeno rest, is held, and is released again. The inputs
+    are those of the seed-0 ``impacts`` cell ``ball R=0.3 T=0.8``.
+    """
+    amplitude, period = 45.47578251193748, 0.7897945392239372
+
+    def lift(q, v, t):
+        return np.array([amplitude * math.sin(math.pi * t / period) ** 8])
+
+    cfg = StepperConfig(h=0.01, restitution=0.3)
+    model = BallModel(1.8713261149790392)
+    return stepper.simulate(model, [0.05338885252115035], [0.0], 3.0, cfg, lift)
+
+
+def test_kept_jacobians_are_keyed_by_the_held_sets_of_full_steps():
+    # Only a full-length step shares its held set's Jacobian; the substep
+    # after an in-step impact keeps its own within the one solve.
+    sims, calls = [], []
+
+    class Recorded(stepper._Sim):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sims.append(self)
+
+    def recorder(solve, held_of):
+        def spy(model, p_in, q_curr, t_curr, t_next, forces, cfg, *args):
+            full = round((t_next - t_curr) / cfg.h, 9) == 1
+            calls.append((held_of(args), full))
+            return solve(model, p_in, q_curr, t_curr, t_next, forces, cfg, *args)
+
+        return spy
+
+    with mock.patch.object(stepper, "_Sim", Recorded), \
+            mock.patch.object(stepper, "_solve_free", recorder(stepper._solve_free, lambda a: ())), \
+            mock.patch.object(stepper, "_solve_held", recorder(stepper._solve_held, lambda a: a[0])):
+        traj = _simulate_lifted_ball()
+    assert any(ev.forced == "zeno" for ev in traj.events) and traj.holds
+    assert {full for _, full in calls} == {True, False}
+    (sim,) = sims
+    assert set(sim.kept) == {held for held, full in calls if full} == {(), (0,)}
+    assert all(isinstance(slot, stepper._KeptJacobian) for slot in sim.kept.values())
+
+
+def test_lifted_ball_keeps_its_free_step_jacobian_through_in_step_impacts():
+    # A cache bounded by slot count would evict the free-step Jacobian
+    # after enough in-step substeps and rebuild it once more.
+    counts = {"jac": 0}
+    with mock.patch.object(stepper, "_newton", _counting_newton(counts)):
+        traj = _simulate_lifted_ball()
+    assert traj.times.size == 301
+    assert counts["jac"] == 65
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     u=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=8, max_size=8),
@@ -330,7 +385,7 @@ def test_secant_slot_drops_inverse_that_does_not_lower_residual():
 
     cfg = StepperConfig(h=H)
     tol = cfg.newton_tol * max(1.0, float(np.abs(p).max()))
-    x = stepper._newton(fun, x0, tol, cfg.newton_max_iter, counted, kept=lambda: slot)
+    x = stepper._newton(fun, x0, tol, cfg.newton_max_iter, counted, slot=slot)
     assert counts["jac"] == 1
     assert np.linalg.norm(fun(x)) <= tol
     assert slot.inverse is not None and slot.matrix is None
@@ -377,24 +432,25 @@ def test_corrupted_kept_jacobian_is_rebuilt(case, corrupt):
 
     cfg = StepperConfig(h=H)
     tol = cfg.newton_tol * max(1.0, float(np.abs(p).max()))
-    x = stepper._newton(fun, x0, tol, cfg.newton_max_iter, counted, kept=lambda: slot)
+    x = stepper._newton(fun, x0, tol, cfg.newton_max_iter, counted, slot=slot)
     assert counts["jac"] >= 1
     assert slot.matrix is not bad
     assert np.linalg.norm(fun(x)) <= tol
 
 
-def _solve(mode, model, q, p, forces, k, kept):
+def _solve(mode, model, q, p, forces, k, slot):
     """Step ``k`` of a free or held chain, or one locate, from ``(q, p)``.
 
-    ``kept()`` gives the Jacobian slot of the free and held solves.
+    ``slot`` is the Jacobian slot of the free and held solves, or None
+    for a fresh one.
     """
     cfg = StepperConfig(h=H)
     t0, t1 = T0 + k * H, T0 + (k + 1) * H
     if mode == "free":
-        return stepper._solve_free(model, p, q, t0, t1, forces, cfg, kept)
+        return stepper._solve_free(model, p, q, t0, t1, forces, cfg, slot)
     if mode == "held":
         held = (model.gaps(q).size - 1,)
-        q, lams, p = stepper._solve_held(model, p, q, t0, t1, forces, cfg, held, kept)
+        q, lams, p = stepper._solve_held(model, p, q, t0, t1, forces, cfg, held, slot)
         return q, p, np.array(list(lams.values()))
     q_cand = q + 2.0 * H * np.linalg.solve(model.mass_matrix(q), p)
     t_star, q_star, _ = stepper._locate(model, p, q, t0, q_cand, t1, forces, cfg, ())
@@ -412,8 +468,8 @@ def test_kept_jacobian_solves_match_fresh_ones(case, mode):
     tol = StepperConfig(h=H).newton_tol * max(1.0, float(np.abs(p).max()))
     for k in range(1 if mode == "locate" else 4):
         with mock.patch.object(stepper, "KEEP_RATE", 0.0):
-            fresh = _solve(mode, model, q, p, forces, k, stepper._KeptJacobian)
-        out = _solve(mode, model, q, p, forces, k, lambda: slot)
+            fresh = _solve(mode, model, q, p, forces, k, None)
+        out = _solve(mode, model, q, p, forces, k, slot)
         for a, b in zip(out, fresh):
             assert np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b)))
         q, p = out[:2]
