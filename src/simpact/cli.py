@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -38,9 +38,7 @@ from .design import (
 from .errors import ConfigError, DimensionError, EnergyGainError, SimpactError
 from .models import BallModel, BilliardsModel, CradleModel, LegTailModel, billiards_build
 from .resolution import (
-    ALPHA_MODES,
     CascadePolicy,
-    _blend_weight,
     elastic_cascade,
     enumerate_outcomes,
     inelastic_resolve,
@@ -146,7 +144,6 @@ SCHEMA = {
             "additionalProperties": False,
         },
         "policy": {"type": "string"},
-        "alpha_mode": {"enum": list(ALPHA_MODES)},
         "seed": {"type": "integer"},
         "output": {
             "type": "object",
@@ -286,12 +283,8 @@ def build_stepper_config(config: dict) -> StepperConfig:
         section["restitution"] = tuple(section["restitution"])
     section.setdefault("h", 0.01)
     try:
-        cfg = StepperConfig(**section)
-        return replace(
-            cfg,
-            policy=CascadePolicy.parse(config.get("policy", "most-violating")),
-            alpha_mode=config.get("alpha_mode", "energy-consistent"),
-        )
+        section["policy"] = CascadePolicy.parse(config.get("policy", "most-violating"))
+        return StepperConfig(**section)
     except ValueError as exc:
         raise ConfigError(f"stepper section invalid: {exc}") from exc
 
@@ -436,7 +429,6 @@ def _task_resolve(config, model, out_dir: Path) -> list[Path]:
     if "p_minus" not in task:
         raise ConfigError("resolve task requires p_minus")
     policy = CascadePolicy.parse(config.get("policy", "most-violating"))
-    alpha_mode = config.get("alpha_mode", "energy-consistent")
     q0, _ = _initial_state(config, model)
     p_minus = np.asarray(task["p_minus"], dtype=float)
     if p_minus.size != model.dim:
@@ -448,14 +440,12 @@ def _task_resolve(config, model, out_dir: Path) -> list[Path]:
     except ValueError as exc:
         raise ConfigError(f"cascade policy does not fit the closed contacts: {exc}") from exc
     restitution = task.get("restitution", 1.0)
-    # The weight of the elastic outcome picks the map. At weight 0 the
-    # blend's momentum is the plastic projection's, bit for bit.
-    if _blend_weight(restitution, alpha_mode) >= 1.0:
+    # At R = 0 the blend's momentum is the plastic projection's, bit for
+    # bit, and its status is the cascade's.
+    if restitution >= 1.0:
         outcome = elastic_cascade(metric, p_minus, normals, policy)
     else:
-        outcome = inelastic_resolve(
-            metric, p_minus, normals, restitution, policy, alpha_mode
-        )
+        outcome = inelastic_resolve(metric, p_minus, normals, restitution, policy)
     labels = model.contact_labels
     seq = ";".join(labels[idx[k]] for k in outcome.sequence)
     e_minus = 0.5 * mt.norm(metric, p_minus) ** 2
@@ -590,7 +580,6 @@ def run(
     out_dir=None,
     seed: int | None = None,
     policy: str | None = None,
-    alpha_mode: str | None = None,
 ) -> list[Path]:
     """Execute one scenario file and return the paths written."""
     config = load_config(config_path)
@@ -598,10 +587,6 @@ def run(
         config["seed"] = seed
     if policy is not None:
         config["policy"] = policy
-    if alpha_mode is not None:
-        if alpha_mode not in ALPHA_MODES:
-            raise ConfigError(f"unknown alpha mode {alpha_mode!r}")
-        config["alpha_mode"] = alpha_mode
     config.setdefault("seed", 0)
     try:
         cascade = CascadePolicy.parse(config.get("policy", "most-violating"))
@@ -662,12 +647,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         help="most-violating | least-violating | fixed:i,j,...",
     )
-    run_parser.add_argument(
-        "--alpha-mode",
-        default=None,
-        choices=ALPHA_MODES,
-        help="restitution blend weighting",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -676,7 +655,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             out_dir=args.out,
             seed=args.seed,
             policy=args.policy,
-            alpha_mode=args.alpha_mode,
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -33,8 +33,6 @@ MAX_BRANCHES = 1_000_000
 #: are merged during enumeration.
 DEDUP_RTOL = 1e-9
 
-ALPHA_MODES = ("energy-consistent", "as-printed")
-
 
 class CascadeStatus(Enum):
     CONVERGED = "converged"
@@ -427,43 +425,30 @@ def inelastic_resolve(
     normals: Sequence,
     restitution: float,
     policy: CascadePolicy | None = None,
-    alpha_mode: str = "energy-consistent",
 ) -> ImpactOutcome:
     """Blend the plastic and elastic outcomes for a restitution in [0, 1].
 
-    In the default ``energy-consistent`` mode the blend weight equals
-    the restitution coefficient, which reproduces the energy split
+    The weight of the elastic outcome is the restitution coefficient,
+    which reproduces the energy split
     ``|p+|^2 = R^2 |p_e|^2 + (1 - R^2) |p_p|^2`` exactly, so the energy
-    lost is ``(1 - R^2)`` times the plastic loss. The ``as-printed``
-    mode uses ``sqrt(1 - R^2)`` instead; it is kept only to reproduce
-    that variant and does not satisfy the energy split.
+    lost is ``(1 - R^2)`` times the plastic loss.
     """
-    alpha = _blend_weight(restitution, alpha_mode)
+    if not 0.0 <= restitution <= 1.0:
+        raise ValueError(f"restitution must lie in [0, 1], got {restitution}")
     policy = policy or CascadePolicy.most_violating()
     _check_normals(normals, "cascade")
     policy.validate_for(len(normals))
     frame = mt.ContactFrame(metric, normals, p_minus)
-    return _inelastic(frame, restitution, alpha, policy)[0]
+    return _inelastic(frame, restitution, policy)[0]
 
 
-def _blend_weight(restitution: float, alpha_mode: str) -> float:
-    """Weight of the elastic outcome in the restitution blend."""
-    if not 0.0 <= restitution <= 1.0:
-        raise ValueError(f"restitution must lie in [0, 1], got {restitution}")
-    if alpha_mode not in ALPHA_MODES:
-        raise ValueError(f"alpha_mode must be one of {ALPHA_MODES}")
-    if alpha_mode == "energy-consistent":
-        return restitution
-    return math.sqrt(1.0 - restitution * restitution)
-
-
-def _inelastic(frame, restitution, alpha, policy):
+def _inelastic(frame, restitution, policy):
     elastic, lam_e = _cascade(frame, policy)
     plastic, lam_p = _plastic(frame)
     # Net impulse per contact: the same blend of the two impulse sums.
-    lam = alpha * lam_e + (1.0 - alpha) * lam_p
+    lam = restitution * lam_e + (1.0 - restitution) * lam_p
     outcome = ImpactOutcome(
-        p_plus=alpha * elastic.p_plus + (1.0 - alpha) * plastic.p_plus,
+        p_plus=restitution * elastic.p_plus + (1.0 - restitution) * plastic.p_plus,
         sequence=tuple(range(len(frame))),
         impulses=tuple(lam),
         status=elastic.status,

@@ -77,11 +77,9 @@ from .errors import (
 )
 from .models import MechModel
 from .resolution import (
-    ALPHA_MODES,
     CascadePolicy,
     CascadeStatus,
     ImpactKind,
-    _blend_weight,
     _cascade,
     _inelastic,
     _plastic,
@@ -96,6 +94,9 @@ PENETRATION_RTOL = 1e-12
 
 #: Gaps within this fraction of the length scale count as closed.
 ACTIVATION_RTOL = 1e-9
+
+#: Impacts one step may resolve before it fails, so every step is bounded.
+MAX_IMPACTS_PER_STEP = 200
 
 ForceSampler = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
@@ -117,9 +118,12 @@ class StepperConfig:
     """Numerical parameters of the time stepper.
 
     ``restitution`` may be a scalar applied to every contact or a
-    per-contact sequence. ``zeno_window`` is the number of impacts one
-    contact may produce within one nominal step before the next one is
-    forced plastic. ``impact_time_tol`` groups crossings into one
+    per-contact sequence; an event takes the smallest of its contacts'
+    coefficients R, and runs the elastic cascade at R = 1, the plastic
+    projection at R = 0 and their blend with weight R between.
+    ``zeno_window`` is the number of impacts one contact may produce
+    within one nominal step before the next one is forced plastic
+    (R = 0). ``impact_time_tol`` groups crossings into one
     simultaneous event; it defaults to ``h * 1e-6``.
     """
 
@@ -129,10 +133,8 @@ class StepperConfig:
     impact_time_tol: float | None = None
     zeno_window: int = 4
     restitution: float | tuple[float, ...] = 1.0
-    alpha_mode: str = "energy-consistent"
     policy: CascadePolicy = field(default_factory=CascadePolicy.most_violating)
     friction: FrictionConfig | None = None
-    max_impacts_per_step: int = 200
 
     def __post_init__(self):
         # Written so that NaN fails every check.
@@ -140,7 +142,7 @@ class StepperConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("newton_max_iter", "zeno_window", "max_impacts_per_step"):
+        for name in ("newton_max_iter", "zeno_window"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         rest = self.restitution
@@ -148,8 +150,6 @@ class StepperConfig:
         if any(not 0.0 <= r <= 1.0 for r in np.atleast_1d(rest)):
             raise ValueError(f"restitution must lie in [0, 1], got {self.restitution!r}")
         object.__setattr__(self, "restitution", rest)
-        if self.alpha_mode not in ALPHA_MODES:
-            raise ValueError(f"alpha_mode must be one of {ALPHA_MODES}")
 
     @property
     def time_tol(self) -> float:
@@ -790,16 +790,13 @@ def _resolve_event(frame, t_star, contacts, r_eff, cfg, forced):
         return frame.p, event, False
 
     policy = cfg.policy.for_contacts(contacts)
-    # The weight of the elastic outcome picks the map, so that each mode
-    # is continuous in the restitution at its ends. A Zeno-forced event is
-    # plastic in every mode.
-    alpha = 0.0 if forced == "zeno" else _blend_weight(r_eff, cfg.alpha_mode)
-    if alpha >= 1.0:
+    # The restitution picks the map, continuous in it at both ends.
+    if r_eff >= 1.0:
         outcome, lam = _cascade(frame, policy)
-    elif alpha <= 0.0:
+    elif r_eff <= 0.0:
         outcome, lam = _plastic(frame)
     else:
-        outcome, lam = _inelastic(frame, r_eff, alpha, policy)
+        outcome, lam = _inelastic(frame, r_eff, policy)
     if outcome.status is CascadeStatus.STEP_CAP_EXCEEDED:
         # Guaranteed-terminating fallback for three or more contacts.
         outcome, lam = _plastic(frame)
@@ -926,8 +923,10 @@ class _Sim:
         self.holds: list[tuple[float, int, float]] = []
         # The Newton Jacobian slot of each held set, for full-length steps.
         self.kept: defaultdict[tuple, _KeptJacobian] = defaultdict(_KeptJacobian)
-        # The last zeno_window event times of each contact.
-        self.hits: dict[int, deque] = {}
+        # The last zeno_window events of each contact.
+        self.recent: defaultdict[int, deque] = defaultdict(
+            lambda: deque(maxlen=config.zeno_window)
+        )
         # A constant mass and its diagonal, for the velocity solves.
         self.mass = None
         if model.constant_mass:
@@ -935,23 +934,22 @@ class _Sim:
             self.mass = (matrix, _diagonal(matrix))
 
     def log(self, event):
-        """Record an event and the hit times of its contacts."""
+        """Record an event, also among the recent ones of its contacts."""
         self.events.append(event)
         for c in event.contacts:
-            self.hits.setdefault(c, deque(maxlen=self.cfg.zeno_window)).append(event.t)
+            self.recent[c].append(event)
 
     def zeno_forced(self, contacts, now):
         """Whether :func:`zeno_guard` forces any of ``contacts`` plastic at ``now``.
 
-        Event times never decrease, so a contact's hits within one
-        nominal step of ``now`` are its latest ones, and there are
-        ``zeno_window`` of them exactly when the oldest kept one is.
+        Event times never decrease, so a contact's events within one
+        nominal step of ``now`` are its latest ones, and the guard needs
+        no more than its last ``zeno_window``.
         """
-        for c in contacts:
-            window = self.hits.get(c, ())
-            if len(window) == self.cfg.zeno_window and now - self.cfg.h < window[0]:
-                return True
-        return False
+        return any(
+            zeno_guard(self.recent[c], c, self.cfg, now) == "force-plastic"
+            for c in contacts
+        )
 
     def effective_forces(self, q_c, p_in):
         """Compose user forcing with friction on held contacts.
@@ -1047,9 +1045,9 @@ class _Sim:
                 return q_n, p_out
 
             impacts += 1
-            if impacts > cfg.max_impacts_per_step:
+            if impacts > MAX_IMPACTS_PER_STEP:
                 raise StepFailureError(
-                    f"more than {cfg.max_impacts_per_step} impacts in one step",
+                    f"more than {MAX_IMPACTS_PER_STEP} impacts in one step",
                     t=t_c,
                     contacts=crossing,
                 )
@@ -1091,7 +1089,7 @@ class _Sim:
             forced = None
             r_eff = min(cfg.restitution_for(i) for i in contacts)
             if self.zeno_forced(contacts, t_star):
-                forced = "zeno"
+                forced, r_eff = "zeno", 0.0
             p_mapped, event, becomes_held = _resolve_event(
                 frame, t_star, contacts, r_eff, cfg, forced
             )

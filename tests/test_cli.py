@@ -86,6 +86,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_alpha_mode_is_an_unknown_key(self, tmp_path, capsys):
+        # The blend weight is the restitution itself; a key choosing another
+        # weighting is a config mistake, not a silently ignored setting.
+        path = write_config(tmp_path, cradle_resolve_config(alpha_mode="as-printed"))
+        assert_config_error(tmp_path, capsys, path, "unexpected properties ['alpha_mode']")
+
     def test_per_contact_restitution_length_checked(self, tmp_path):
         config = cradle_resolve_config()
         config["stepper"] = {"restitution": [0.5, 0.5, 0.5]}  # cradle has 2 contacts
@@ -408,34 +414,10 @@ class TestResolveTask:
         assert float(row["p_plus3"]) == pytest.approx(0.8, abs=1e-14)
         assert float(row["energy_delta"]) == pytest.approx(0.17, abs=1e-12)
 
-    def test_alpha_mode_flag(self, tmp_path):
-        config = cradle_resolve_config()
-        config["task"]["restitution"] = 0.7
-        path = write_config(tmp_path, config)
-        (printed,) = run(path, out_dir=tmp_path / "p", alpha_mode="as-printed")
-        header, rows = read_rows(printed)
-        row = dict(zip(header, rows[0]))
-        alpha = math.sqrt(1 - 0.49)
-        assert float(row["p_plus3"]) == pytest.approx(
-            alpha + (1 - alpha) / 3, abs=1e-12
-        )
-
-    @pytest.mark.parametrize("restitution, p_plus", [(0.0, [0.0, 0.0, 1.0]), (1.0, [1 / 3] * 3)])
-    def test_as_printed_follows_its_weight_at_the_ends(self, tmp_path, restitution, p_plus):
-        # The as-printed weight of the elastic outcome, sqrt(1 - R^2), is
-        # 1 at R = 0 (the cascade) and 0 at R = 1 (the plastic projection).
-        config = cradle_resolve_config()
-        config["task"]["restitution"] = restitution
-        path = write_config(tmp_path, config)
-        (printed,) = run(path, out_dir=tmp_path / "p", alpha_mode="as-printed")
-        header, (row,) = read_rows(printed)
-        p_out = [float(row[header.index(f"p_plus{i}")]) for i in range(1, 4)]
-        assert p_out == pytest.approx(p_plus, abs=1e-14)
-
     def test_plastic_end_reports_the_cascade_status(self, tmp_path):
-        # At R = 0 the energy-consistent blend has weight 0: its momentum
-        # is the plastic projection's, and its status is the cascade's,
-        # which runs out of steps between light balls.
+        # At R = 0 the blend has weight 0: its momentum is the plastic
+        # projection's, and its status is the cascade's, which runs out of
+        # steps between light balls.
         masses = [1.0, 0.001, 1.0, 0.001, 1.0]
         config = {
             "model": {"type": "cradle", "masses": masses, "radii": [0.1] * 5},

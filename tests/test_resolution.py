@@ -403,7 +403,7 @@ class TestInelastic:
         assert out.restitution == 0.7
 
     def test_energy_split(self, rng):
-        # |p+|^2 = R^2 |p_e|^2 + (1 - R^2) |p_p|^2 in the default mode.
+        # |p+|^2 = R^2 |p_e|^2 + (1 - R^2) |p_p|^2.
         for _ in range(300):
             n = rng.integers(2, 6)
             metric = random_metric(rng, n)
@@ -433,15 +433,6 @@ class TestInelastic:
         assert inner(metric, p_p, p_e) == pytest.approx(
             norm(metric, p_p) ** 2, rel=1e-10
         )
-
-    def test_as_printed_mode(self):
-        # The alternate weighting swaps the roles of the two outcomes.
-        out = inelastic_resolve(
-            CRADLE, [1.0, 0.0, 0.0], [U, V], 0.7, alpha_mode="as-printed"
-        )
-        alpha = math.sqrt(1 - 0.49)
-        expected = alpha * np.array([0.0, 0.0, 1.0]) + (1 - alpha) * np.full(3, 1 / 3)
-        np.testing.assert_allclose(out.p_plus, expected, atol=1e-12)
 
     def test_restitution_range_checked(self):
         with pytest.raises(ValueError):

@@ -570,11 +570,10 @@ class TestZeno:
         lams = [lam for (t, c, lam) in traj.holds if t > t_rest]
         assert lams and min(lams) >= 0.0
 
-    def test_zeno_forced_event_is_plastic_in_as_printed_mode(self):
-        # The as-printed weight of the elastic outcome is 1 at R = 0, so
-        # the guard must force the plastic map itself, not through R. Here
-        # the weight is sqrt(1 - 0.9^2), about 0.44.
-        cfg = StepperConfig(h=0.01, restitution=0.9, alpha_mode="as-printed")
+    def test_zeno_forced_event_is_plastic(self):
+        # A forced event takes R = 0 whatever the configured restitution,
+        # so the contact is projected plastic and then held.
+        cfg = StepperConfig(h=0.01, restitution=0.7)
         traj = simulate(BallModel(1.0), [0.05], [0.0], 1.0, cfg)
         forced = [ev for ev in traj.events if ev.forced == "zeno"]
         assert forced, "chatter never triggered the Zeno guard"
@@ -639,7 +638,7 @@ class TestForcedEvents:
     ),
 )
 def test_zeno_window_matches_full_history_guard(window, history):
-    # The simulation keeps the last zeno_window hit times per contact;
+    # The simulation keeps the last zeno_window events per contact;
     # the guard over the whole history is the oracle at every event.
     cfg = StepperConfig(h=0.01, zeno_window=window)
     sim = _Sim(CradleModel([1.0] * 4, [0.1] * 4), cfg, None)
@@ -772,9 +771,10 @@ class TestStepFailure:
         assert err.value.contacts == (0,)
         assert 0.1 <= err.value.t < 0.11
 
-    def test_impact_cap_names_time_and_crossing_contacts(self):
+    def test_impact_cap_names_time_and_crossing_contacts(self, monkeypatch):
         model = CradleModel([1.0] * 3, [0.1] * 3)
-        cfg = StepperConfig(h=0.01, max_impacts_per_step=1)
+        cfg = StepperConfig(h=0.01)
+        monkeypatch.setattr(stepper, "MAX_IMPACTS_PER_STEP", 1)
         with pytest.raises(StepFailureError) as err:
             simulate(model, [0.0, 0.202, 0.404], [1.0, 0.0, 0.0], 0.05, cfg)
         # Ball 1 is struck at t = 0.002 and strikes ball 2 at t = 0.004,
@@ -1006,8 +1006,6 @@ class TestConfig:
             StepperConfig(h=0.01, impact_time_tol=-1.0)
         with pytest.raises(ValueError, match="impact_time_tol"):
             StepperConfig(h=0.01, impact_time_tol=0.0)
-        with pytest.raises(ValueError, match="max_impacts_per_step"):
-            StepperConfig(h=0.01, max_impacts_per_step=0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1015,11 +1013,11 @@ class TestConfig:
             ("h", math.nan),
             ("h", math.inf),
             ("newton_tol", math.nan),
+            ("newton_tol", math.inf),
             ("impact_time_tol", math.nan),
             ("impact_time_tol", math.inf),
             ("newton_max_iter", math.nan),
             ("zeno_window", math.nan),
-            ("max_impacts_per_step", math.nan),
             ("restitution", math.nan),
             ("restitution", (0.5, math.nan)),
         ],
@@ -1041,28 +1039,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="^restitution must"):
             StepperConfig(h=0.01, restitution=np.array(1.5))
 
-    def test_unknown_alpha_mode_rejected_at_construction(self):
-        # Unchecked, it surfaced only at the first inelastic impact.
-        with pytest.raises(ValueError, match="alpha_mode"):
-            StepperConfig(h=0.01, restitution=0.5, alpha_mode="bogus")
-        for mode in ("energy-consistent", "as-printed"):
-            assert StepperConfig(h=0.01, alpha_mode=mode).alpha_mode == mode
-
-    def test_as_printed_blend_is_continuous_at_both_ends(self):
-        # The as-printed weight sqrt(1 - R^2) of the elastic outcome is 1
-        # at R = 0 and 0 at R = 1: the event follows the weight.
+    def test_blend_is_continuous_at_both_ends(self):
+        # The weight of the elastic outcome is R: the plastic projection
+        # runs at R = 0 and the cascade at R = 1, each the blend's limit.
         def first_event(restitution):
-            cfg = StepperConfig(h=0.01, restitution=restitution, alpha_mode="as-printed")
+            cfg = StepperConfig(h=0.01, restitution=restitution)
             return simulate(BallModel(1.0), [0.05], [0.0], 0.2, cfg).events[0]
 
-        kept, none_kept = first_event(1e-9), first_event(1.0 - 1e-12)
-        assert kept.energy_after == pytest.approx(kept.energy_before, rel=1e-12)
+        none_kept, kept = first_event(1e-9), first_event(1.0 - 1e-12)
         assert none_kept.energy_after <= 1e-11 * none_kept.energy_before
+        assert kept.energy_after == pytest.approx(kept.energy_before, rel=1e-11)
         at_zero, at_one = first_event(0.0), first_event(1.0)
-        assert at_zero.kind is ImpactKind.ELASTIC
-        assert at_zero.energy_after == pytest.approx(kept.energy_after, rel=1e-12)
-        assert at_one.kind is ImpactKind.PLASTIC
-        assert at_one.energy_after == pytest.approx(none_kept.energy_after, abs=1e-11)
+        assert at_zero.kind is ImpactKind.PLASTIC
+        assert at_zero.energy_after == pytest.approx(none_kept.energy_after, abs=1e-11)
+        assert at_one.kind is ImpactKind.ELASTIC
+        assert at_one.energy_after == pytest.approx(kept.energy_after, rel=1e-11)
 
     def test_multi_contact_event_uses_most_dissipative(self):
         # The cradle event spans both contacts; the smaller coefficient
