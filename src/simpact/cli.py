@@ -43,7 +43,16 @@ from .resolution import (
     enumerate_outcomes,
     inelastic_resolve,
 )
-from .stepper import ACTIVATION_RTOL, FrictionConfig, StepperConfig, Trajectory, _fmt, simulate
+from .stepper import (
+    ACTIVATION_RTOL,
+    FrictionConfig,
+    StepperConfig,
+    Trajectory,
+    _fmt,
+    check_initial_state,
+    simulate,
+    write_table,
+)
 from .uniqueness import PAIRWISE_DEPTH_CAP, indeterminacy_xi, outcome_xi
 
 #: Relative energy gain beyond which the ledger raises a hard error.
@@ -87,9 +96,6 @@ SCHEMA = {
             "properties": {
                 "h": {"type": "number", "exclusiveMinimum": 0},
                 "newton_tol": {"type": "number", "exclusiveMinimum": 0},
-                "newton_max_iter": {"type": "integer", "minimum": 1},
-                "impact_time_tol": {"type": "number", "exclusiveMinimum": 0},
-                "zeno_window": {"type": "integer", "minimum": 1},
                 "restitution": {
                     "anyOf": [
                         {"type": "number", "minimum": 0, "maximum": 1},
@@ -360,11 +366,7 @@ def _open(path: Path):
 
 def _write_csv(path: Path, comments: Sequence[str], header: str, rows) -> None:
     with _open(path) as stream:
-        for line in comments:
-            stream.write(f"# {line}\n")
-        stream.write(header + "\n")
-        for row in rows:
-            stream.write(",".join(row) + "\n")
+        write_table(stream, comments, header, rows)
 
 
 def _initial_state(config: dict, model) -> tuple[np.ndarray, np.ndarray]:
@@ -384,6 +386,10 @@ def _task_simulate(config, model, out_dir: Path) -> list[Path]:
         raise ConfigError("simulate task requires a duration")
     cfg = build_stepper_config(config)
     q0, qdot0 = _initial_state(config, model)
+    try:
+        check_initial_state(model, q0, qdot0)
+    except ValueError as exc:
+        raise ConfigError(f"initial.q invalid: {exc}") from exc
     trajectory = simulate(model, q0, qdot0, task["duration"], cfg)
     e0 = 0.5 * qdot0 @ model.mass_matrix(q0) @ qdot0 + model.potential(q0)
     ledger = report_energy(trajectory, initial_energy=e0)

@@ -31,6 +31,9 @@ GAP_RTOL = 1e-9
 #: Loose closure tolerance required of the initial guess.
 INITIAL_GAP_RTOL = 1e-3
 
+#: Gauss-Newton iterations one solve may take before it fails.
+MAX_ITER = 200
+
 
 @dataclass
 class DesignProblem:
@@ -50,7 +53,6 @@ class DesignProblem:
     free_q: tuple[int, ...]
     free_params: tuple[int, ...] = ()
     tol_inner: float = INNER_TOL
-    max_iter: int = 200
     length_scale: float = field(init=False)
 
     def __post_init__(self):
@@ -154,10 +156,8 @@ def solve_orthogonal(
     r = r0
     iterations = 0
     while not problem.converged(r):
-        if iterations >= problem.max_iter:
-            raise DesignError(
-                f"iteration cap {problem.max_iter} exceeded; residuals {r}"
-            )
+        if iterations >= MAX_ITER:
+            raise DesignError(f"iteration cap {MAX_ITER} exceeded; residuals {r}")
         jac = _central_jacobian(problem.residuals, x, 2e-7)
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] <= 1e-12 * max(sv[0], 1.0):

@@ -21,9 +21,9 @@ import numpy as np
 from . import metric as mt
 from .errors import DegenerateNormalsError, DimensionError
 
-#: Default step cap for cascades over more than two normals, where
-#: termination is not guaranteed. Cap overruns surface as a status.
-DEFAULT_MAX_STEPS = 64
+#: Step cap for cascades over more than two normals, where termination
+#: is not guaranteed. Cap overruns surface as a status.
+MAX_CASCADE_STEPS = 64
 
 #: Branches one enumeration may explore before it stops and reports the
 #: search as truncated (at a few microseconds per branch, seconds).
@@ -52,13 +52,12 @@ class CascadePolicy:
     ``most-violating`` picks the most negative inner product against the
     unit-normalized normals, ``least-violating`` the least negative one
     among those still infeasible, and ``fixed`` walks a caller-supplied
-    priority order (a permutation of the normal indices). ``max_steps``
-    caps cascades over more than two normals.
+    priority order (a permutation of the normal indices). Cascades over
+    more than two normals stop at :data:`MAX_CASCADE_STEPS` reflections.
     """
 
     variant: str = "most-violating"
     order: tuple[int, ...] | None = None
-    max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
         if self.variant not in ("most-violating", "least-violating", "fixed"):
@@ -67,20 +66,18 @@ class CascadePolicy:
             if not self.order:
                 raise ValueError("fixed policy requires a priority order")
             object.__setattr__(self, "order", tuple(int(i) for i in self.order))
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
 
     @classmethod
-    def most_violating(cls, max_steps: int = DEFAULT_MAX_STEPS) -> "CascadePolicy":
-        return cls("most-violating", None, max_steps)
+    def most_violating(cls) -> "CascadePolicy":
+        return cls("most-violating")
 
     @classmethod
-    def least_violating(cls, max_steps: int = DEFAULT_MAX_STEPS) -> "CascadePolicy":
-        return cls("least-violating", None, max_steps)
+    def least_violating(cls) -> "CascadePolicy":
+        return cls("least-violating")
 
     @classmethod
-    def fixed(cls, order: Iterable[int], max_steps: int = DEFAULT_MAX_STEPS) -> "CascadePolicy":
-        return cls("fixed", tuple(order), max_steps)
+    def fixed(cls, order: Iterable[int]) -> "CascadePolicy":
+        return cls("fixed", tuple(order))
 
     @classmethod
     def parse(cls, text: str) -> "CascadePolicy":
@@ -208,7 +205,7 @@ def elastic_cascade(
     Repeatedly selects an infeasible normal according to ``policy`` and
     reflects across it. For exactly two distinct normals the step cap is
     the proven reflection bound; for more normals termination is an open
-    question and the cap comes from the policy, with overruns reported
+    question and the cap is :data:`MAX_CASCADE_STEPS`, with overruns reported
     through the outcome status rather than raised.
     """
     policy = policy or CascadePolicy.most_violating()
@@ -233,7 +230,7 @@ def _cascade(frame: mt.ContactFrame, policy: CascadePolicy):
     elif k_count == 1:
         cap = 1
     else:
-        cap = policy.max_steps
+        cap = MAX_CASCADE_STEPS
 
     a = frame.a.tolist()
     columns = frame.gram.T.tolist()

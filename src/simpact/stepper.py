@@ -98,6 +98,13 @@ ACTIVATION_RTOL = 1e-9
 #: Impacts one step may resolve before it fails, so every step is bounded.
 MAX_IMPACTS_PER_STEP = 200
 
+#: Iterations one Newton solve may take before it fails.
+NEWTON_MAX_ITER = 60
+
+#: Impacts one contact may produce within one nominal step before the
+#: next one is forced plastic (R = 0).
+ZENO_WINDOW = 4
+
 ForceSampler = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 
@@ -121,39 +128,28 @@ class StepperConfig:
     per-contact sequence; an event takes the smallest of its contacts'
     coefficients R, and runs the elastic cascade at R = 1, the plastic
     projection at R = 0 and their blend with weight R between.
-    ``zeno_window`` is the number of impacts one contact may produce
-    within one nominal step before the next one is forced plastic
-    (R = 0). ``impact_time_tol`` groups crossings into one
-    simultaneous event; it defaults to ``h * 1e-6``.
+    Crossings within ``h * 1e-6`` of each other form one simultaneous
+    event. The Newton iteration cap :data:`NEWTON_MAX_ITER` and the
+    Zeno window :data:`ZENO_WINDOW` are module constants.
     """
 
     h: float
     newton_tol: float = 1e-10
-    newton_max_iter: int = 60
-    impact_time_tol: float | None = None
-    zeno_window: int = 4
     restitution: float | tuple[float, ...] = 1.0
     policy: CascadePolicy = field(default_factory=CascadePolicy.most_violating)
     friction: FrictionConfig | None = None
 
     def __post_init__(self):
         # Written so that NaN fails every check.
-        for name in ("h", "newton_tol", "impact_time_tol"):
+        for name in ("h", "newton_tol"):
             value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("newton_max_iter", "zeno_window"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         rest = self.restitution
         rest = float(rest) if np.ndim(rest) == 0 else tuple(float(r) for r in rest)
         if any(not 0.0 <= r <= 1.0 for r in np.atleast_1d(rest)):
             raise ValueError(f"restitution must lie in [0, 1], got {self.restitution!r}")
         object.__setattr__(self, "restitution", rest)
-
-    @property
-    def time_tol(self) -> float:
-        return self.impact_time_tol if self.impact_time_tol is not None else self.h * 1e-6
 
     def restitution_for(self, contact: int) -> float:
         if np.isscalar(self.restitution):
@@ -199,43 +195,33 @@ class Trajectory:
         return self.states.shape[1]
 
     def write_csv(self, stream, comments: Sequence[str] = ()) -> None:
-        dim = self.dim
-        event_steps = _event_flags(self)
-        for line in comments:
-            stream.write(f"# {line}\n")
         cols = ["t"]
-        cols += [f"q{i + 1}" for i in range(dim)]
-        cols += [f"p{i + 1}" for i in range(dim)]
+        cols += [f"q{i + 1}" for i in range(self.dim)]
+        cols += [f"p{i + 1}" for i in range(self.dim)]
         cols.append("event")
-        stream.write(",".join(cols) + "\n")
-        for k in range(self.times.size):
-            row = [_fmt(self.times[k])]
-            row += [_fmt(x) for x in self.states[k]]
-            row += [_fmt(x) for x in self.momenta[k]]
-            row.append(str(int(event_steps[k])))
-            stream.write(",".join(row) + "\n")
+        rows = (
+            [_fmt(t), *map(_fmt, q), *map(_fmt, p), str(int(flag))]
+            for t, q, p, flag in zip(self.times, self.states, self.momenta, _event_flags(self))
+        )
+        write_table(stream, comments, ",".join(cols), rows)
 
     def write_events_csv(self, stream, comments: Sequence[str] = ()) -> None:
-        for line in comments:
-            stream.write(f"# {line}\n")
-        stream.write(
-            "t_star,contacts,kind,forced,impulses,energy_before,energy_after\n"
+        header = "t_star,contacts,kind,forced,impulses,energy_before,energy_after"
+        rows = (
+            [_fmt(ev.t), ";".join(map(str, ev.contacts)), ev.kind.value, ev.forced or "",
+             ";".join(map(_fmt, ev.impulses)), _fmt(ev.energy_before), _fmt(ev.energy_after)]
+            for ev in self.events
         )
-        for ev in self.events:
-            stream.write(
-                ",".join(
-                    [
-                        _fmt(ev.t),
-                        ";".join(str(c) for c in ev.contacts),
-                        ev.kind.value,
-                        ev.forced or "",
-                        ";".join(_fmt(x) for x in ev.impulses),
-                        _fmt(ev.energy_before),
-                        _fmt(ev.energy_after),
-                    ]
-                )
-                + "\n"
-            )
+        write_table(stream, comments, header, rows)
+
+
+def write_table(stream, comments: Sequence[str], header: str, rows) -> None:
+    """Write ``# `` comment lines, a header line and comma-joined rows of strings."""
+    for line in comments:
+        stream.write(f"# {line}\n")
+    stream.write(header + "\n")
+    for row in rows:
+        stream.write(",".join(row) + "\n")
 
 
 def _fmt(x: float) -> str:
@@ -412,7 +398,7 @@ def _fd_jacobian(fun, x, r0, cols):
     return jac
 
 
-def _newton(fun, x0, tol, max_iter, jac, slot=None, floor=None):
+def _newton(fun, x0, tol, jac, slot=None, floor=None):
     """Damped simplified Newton iteration.
 
     ``jac(x, r, fun)`` returns the Jacobian at ``x`` given the residual
@@ -434,7 +420,8 @@ def _newton(fun, x0, tol, max_iter, jac, slot=None, floor=None):
     ``x``: a point whose line search stalls is accepted when its
     residual norm is within it, since no step can then lower it.
     Raises :class:`StepFailureError` with the last residual norm when it
-    cannot reduce the residual below ``tol``.
+    cannot reduce the residual below ``tol`` in :data:`NEWTON_MAX_ITER`
+    iterations.
     """
     if slot is None:
         slot = _KeptJacobian()
@@ -442,7 +429,7 @@ def _newton(fun, x0, tol, max_iter, jac, slot=None, floor=None):
     r = fun(x)
     # The 2-norm as np.linalg.norm computes it for a 1-D float array.
     rn = math.sqrt(float(r @ r))
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         if rn <= tol:
             return x
         jmat, jdiag, inverse = slot.matrix, slot.diag, slot.inverse
@@ -496,7 +483,7 @@ def _newton(fun, x0, tol, max_iter, jac, slot=None, floor=None):
     raise StepFailureError(
         f"implicit step did not converge (residual {rn:.3e} > tol {tol:.3e})",
         rn,
-        max_iter,
+        NEWTON_MAX_ITER,
     )
 
 
@@ -564,9 +551,7 @@ def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot=None, mas
     # keep its inverse and refine it by secant updates instead.
     slot.secant = not model.constant_mass
     tol = cfg.newton_tol * max(1.0, float(np.abs(p_in).max()))
-    q_next = _newton(
-        residual, x0, tol, cfg.newton_max_iter, jac=jacobian, slot=slot, floor=floor
-    )
+    q_next = _newton(residual, x0, tol, jac=jacobian, slot=slot, floor=floor)
     return q_next, p_out[0]
 
 
@@ -605,9 +590,7 @@ def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, slot=Non
         jac[n:, :n] = model.gap_gradients(q_next)[held] * gap_scale
         return jac
 
-    z = _newton(
-        residual, x0, cfg.newton_tol * p_scale, cfg.newton_max_iter, jac=jacobian, slot=slot
-    )
+    z = _newton(residual, x0, cfg.newton_tol * p_scale, jac=jacobian, slot=slot)
     return z[:n], dict(zip(held, z[n:])), p_out[0]
 
 
@@ -628,6 +611,8 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
     """
     act_tol = ACTIVATION_RTOL * model.length_scale
     pen_tol = PENETRATION_RTOL * model.length_scale
+    # Crossings this close in time form one simultaneous event.
+    time_tol = cfg.h * 1e-6
     gaps_curr = model.gaps(q_curr)
     gaps_cand = model.gaps(q_cand)
     crossing = [
@@ -697,9 +682,7 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
         return jac
 
     try:
-        z = _newton(
-            residual, x0, cfg.newton_tol * p_scale, cfg.newton_max_iter, jac=jacobian
-        )
+        z = _newton(residual, x0, cfg.newton_tol * p_scale, jac=jacobian)
     except StepFailureError as exc:
         raise ImpactLocationError(
             f"impact localization failed: {exc}", t_curr, crossing, exc.residual_norm
@@ -712,7 +695,7 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
         r = residual(z)
         return math.sqrt(float(r @ r))
 
-    if not (t_curr - cfg.time_tol <= t_star <= t_next + cfg.time_tol):
+    if not (t_curr - time_tol <= t_star <= t_next + time_tol):
         raise ImpactLocationError(
             f"impact time {t_star} escaped the step [{t_curr}, {t_next}]", t_curr, crossing,
             residual_norm(),
@@ -727,7 +710,7 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
 
     contacts = {earliest}
     for i in crossing:
-        if abs(estimates[i] - t_star) <= cfg.time_tol:
+        if abs(estimates[i] - t_star) <= time_tol:
             contacts.add(i)
     for i in range(gaps_star.size):
         # Contacts already resting on their manifold join the active set.
@@ -833,7 +816,7 @@ def zeno_guard(
     """Decide whether a contact must switch to plastic.
 
     Returns ``"force-plastic"`` when the contact already produced at
-    least ``zeno_window`` impacts within one nominal step of ``now`` (the
+    least :data:`ZENO_WINDOW` impacts within one nominal step of ``now`` (the
     latest event time by default), and ``"elastic"`` otherwise.
     """
     hits = [ev.t for ev in event_history if contact in ev.contacts]
@@ -841,7 +824,7 @@ def zeno_guard(
         return "elastic"
     t_ref = now if now is not None else hits[-1]
     recent = sum(1 for t in hits if t_ref - config.h < t <= t_ref)
-    return "force-plastic" if recent >= config.zeno_window else "elastic"
+    return "force-plastic" if recent >= ZENO_WINDOW else "elastic"
 
 
 # ---------------------------------------------------------------------------
@@ -923,9 +906,9 @@ class _Sim:
         self.holds: list[tuple[float, int, float]] = []
         # The Newton Jacobian slot of each held set, for full-length steps.
         self.kept: defaultdict[tuple, _KeptJacobian] = defaultdict(_KeptJacobian)
-        # The last zeno_window events of each contact.
+        # The last ZENO_WINDOW events of each contact.
         self.recent: defaultdict[int, deque] = defaultdict(
-            lambda: deque(maxlen=config.zeno_window)
+            lambda: deque(maxlen=ZENO_WINDOW)
         )
         # A constant mass and its diagonal, for the velocity solves.
         self.mass = None
@@ -944,7 +927,7 @@ class _Sim:
 
         Event times never decrease, so a contact's events within one
         nominal step of ``now`` are its latest ones, and the guard needs
-        no more than its last ``zeno_window``.
+        no more than its last :data:`ZENO_WINDOW`.
         """
         return any(
             zeno_guard(self.recent[c], c, self.cfg, now) == "force-plastic"
@@ -1102,6 +1085,25 @@ class _Sim:
             q_c, t_c, p_in = q_star, t_star, p_mapped
 
 
+def check_initial_state(model: MechModel, q0, qdot0) -> tuple[np.ndarray, np.ndarray]:
+    """``q0`` and ``qdot0`` as float arrays, checked as :func:`simulate` needs them.
+
+    Raises ``ValueError`` when either does not match the model dimension
+    or is not finite, or when ``q0`` penetrates a contact.
+    """
+    q0 = np.asarray(q0, dtype=float)
+    qdot0 = np.asarray(qdot0, dtype=float)
+    if q0.shape != (model.dim,) or qdot0.shape != (model.dim,):
+        raise ValueError("initial state does not match the model dimension")
+    for name, value in (("q0", q0), ("qdot0", qdot0)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
+    gaps0 = model.gaps(q0)
+    if np.any(gaps0 < -PENETRATION_RTOL * model.length_scale):
+        raise ValueError(f"initial configuration penetrates a contact: gaps {gaps0}")
+    return q0, qdot0
+
+
 def simulate(
     model: MechModel,
     q0,
@@ -1121,16 +1123,7 @@ def simulate(
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration!r}")
-    q0 = np.asarray(q0, dtype=float)
-    qdot0 = np.asarray(qdot0, dtype=float)
-    if q0.shape != (model.dim,) or qdot0.shape != (model.dim,):
-        raise ValueError("initial state does not match the model dimension")
-    for name, value in (("q0", q0), ("qdot0", qdot0)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {value}")
-    gaps0 = model.gaps(q0)
-    if np.any(gaps0 < -PENETRATION_RTOL * model.length_scale):
-        raise ValueError(f"initial configuration penetrates a contact: gaps {gaps0}")
+    q0, qdot0 = check_initial_state(model, q0, qdot0)
 
     sim = _Sim(model, config, forces)
     n_steps = max(1, int(round(duration / config.h)))

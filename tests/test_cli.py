@@ -1,5 +1,6 @@
 """Scenario CLI: parsing, task outputs, energy ledger, determinism."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simpact import stepper
 from simpact.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -25,11 +27,12 @@ from simpact.cli import (
     report_energy,
     run,
 )
-from simpact.errors import ConfigError, EnergyGainError
+from simpact.errors import ConfigError, DegenerateNormalsError, EnergyGainError
 from simpact.resolution import ImpactKind
 from simpact.stepper import ImpactEvent, StepperConfig, Trajectory, simulate
 from simpact.models import BallModel
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -121,11 +124,15 @@ class TestConfigValidation:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         sim = {
             "model": {"type": "ball", "mass": 1.0},
-            "initial": {"q": [-0.5]},  # starts penetrating: run-time failure
+            "initial": {"q": [-0.5]},  # starts penetrating: config error
             "task": {"kind": "simulate", "duration": 0.1},
         }
         path = write_config(tmp_path, sim, "penetrating.json")
-        assert main(["run", str(path), "--out", str(tmp_path / "p")]) == EXIT_TASK
+        assert main(["run", str(path), "--out", str(tmp_path / "p")]) == EXIT_CONFIG
+        opt = json.loads((SCENARIOS / "legtail_optimize.json").read_text())
+        opt["initial"]["q"] = [0.0, 0.5, 0.0]  # gaps open: the optimizer fails
+        path = write_config(tmp_path, opt, "open_gaps.json")
+        assert main(["run", str(path), "--out", str(tmp_path / "g")]) == EXIT_TASK
         good = write_config(tmp_path, cradle_resolve_config(), "ok.json")
         assert main(["run", str(good), "--out", str(tmp_path / "out")]) == EXIT_OK
 
@@ -185,11 +192,9 @@ class TestSchemaTypes:
         "scenario, path, value",
         [
             ("billiards_sweep.json", ("task", "samples"), 5.0),
-            ("ball_zeno.json", ("stepper", "zeno_window"), 4.0),
-            ("ball_zeno.json", ("stepper", "newton_max_iter"), 60.0),
             ("cradle_resolve.json", ("seed",), 7.0),
         ],
-        ids=["samples", "zeno_window", "newton_max_iter", "seed"],
+        ids=["samples", "seed"],
     )
     def test_integral_float_is_not_an_integer(self, tmp_path, capsys, scenario, path, value):
         config_path = shipped_with(tmp_path, scenario, path, value)
@@ -517,6 +522,55 @@ class TestConfigErrorsLeaveNoOutput:
         q = [0.5, 0.0, 0.55, 0.0, 0.0, 2.0]
         path = write_config(tmp_path, billiards_config(q, {"kind": "simulate", "duration": 0.1}))
         assert_config_error(tmp_path, capsys, path, "balls a and b overlap initially")
+
+    @pytest.mark.parametrize(
+        "scenario, q",
+        [("cradle_restitution.json", [0.0, 0.1, 0.4]), ("ball_zeno.json", [-0.01])],
+        ids=["cradle", "ball"],
+    )
+    def test_simulate_from_a_penetrating_initial_q(self, tmp_path, capsys, scenario, q):
+        path = shipped_with(tmp_path, scenario, ("initial", "q"), q)
+        assert_config_error(
+            tmp_path, capsys, path, "initial.q invalid: initial configuration penetrates a contact"
+        )
+
+    @pytest.mark.parametrize("key", ["newton_max_iter", "impact_time_tol", "zeno_window"])
+    def test_removed_stepper_key(self, tmp_path, capsys, key):
+        # The Newton cap and the Zeno window are module constants and the
+        # event time tolerance is h * 1e-6, so a file setting one is wrong.
+        path = shipped_with(tmp_path, "ball_zeno.json", ("stepper", key), 4)
+        assert_config_error(tmp_path, capsys, path, f"unexpected properties [{key!r}]")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [DegenerateNormalsError("parallel normals", (0, 1)), np.linalg.LinAlgError("Singular matrix")],
+    ids=["degenerate-normals", "singular"],
+)
+def test_value_error_while_stepping_is_a_task_failure(monkeypatch, tmp_path, capsys, error):
+    # Both are ValueErrors; only the initial-state check maps one to exit 2.
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(stepper, "_resolve_event", fail)
+    argv = ["run", str(SCENARIOS / "ball_zeno.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_TASK
+    assert capsys.readouterr().err.startswith(f"task failed: {error}")
+
+
+def test_schema_stepper_keys_are_the_config_fields():
+    # policy has its own top-level key; a removed field leaves no schema key.
+    fields = {f.name for f in dataclasses.fields(StepperConfig)} - {"policy"}
+    assert set(SCHEMA["properties"]["stepper"]["properties"]) == fields
+
+
+def test_readme_config_skeleton_loads(tmp_path):
+    skeleton = README.read_text().split("Config skeleton", 1)[1]
+    skeleton = skeleton.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "skeleton.json"
+    path.write_text(skeleton)
+    config = load_config(path)
+    assert config["stepper"] == {"h": 0.005, "restitution": 0.7}
 
 
 class TestSweepTask:

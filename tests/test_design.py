@@ -1,10 +1,12 @@
 """Orthogonality optimization and the break-angle indeterminacy sweep."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from simpact import design
 from simpact.design import (
     DesignProblem,
     billiards_orthogonality_problem,
@@ -87,8 +89,7 @@ class TestSolveOrthogonal:
         model = BilliardsModel([1.0, 1.0, 1.0], [0.1, 0.1, 0.1])
         q0 = model.double_contact_configuration(math.pi / 3)
         problem = billiards_orthogonality_problem(model, q0)
-        problem.max_iter = 1
-        with pytest.raises(DesignError):
+        with mock.patch.object(design, "MAX_ITER", 1), pytest.raises(DesignError):
             solve_orthogonal(problem)
 
     def test_commutation_and_xi_at_optimum(self, rng):

@@ -1,10 +1,12 @@
 """Reflection cascade, plastic projection, blending: examples and invariants."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from simpact import resolution
 from simpact.errors import DegenerateNormalsError, DimensionError
 from simpact.metric import KineticMetric, inner, is_feasible, norm
 from simpact.resolution import (
@@ -292,9 +294,15 @@ class TestElasticCascade:
             np.array([0.2, -0.8, 0.6]),
         ]
         p = -normals[0] - normals[1] - normals[2]
-        policy = CascadePolicy.most_violating(max_steps=1)
-        out = elastic_cascade(metric, p, normals, policy)
+        with mock.patch.object(resolution, "MAX_CASCADE_STEPS", 1):
+            out = elastic_cascade(metric, p, normals)
         assert out.status is CascadeStatus.STEP_CAP_EXCEEDED
+
+    def test_step_cap_is_not_a_policy_setting(self):
+        with pytest.raises(TypeError, match="max_steps"):
+            CascadePolicy.most_violating(max_steps=1)
+        with pytest.raises(TypeError, match="max_steps"):
+            CascadePolicy("most-violating", max_steps=1)
 
     def test_fixed_policy_must_cover_indices(self):
         with pytest.raises(ValueError):

@@ -125,7 +125,7 @@ class Captured(Exception):
 def _capture(solve):
     seen = {}
 
-    def spy(fun, x0, tol, max_iter, jac, slot=None, floor=None):
+    def spy(fun, x0, tol, jac, slot=None, floor=None):
         seen.update(fun=fun, x0=np.array(x0, dtype=float), jac=jac)
         raise Captured
 
@@ -202,7 +202,7 @@ def test_locate_recovers_from_time_below_interval(case, u, below):
     column = jac(x, fun(x), fun)[:, n]
     assert np.all(np.isfinite(column)) and np.any(column != 0.0)
     tol = StepperConfig(h=H).newton_tol * max(1.0, float(np.abs(p).max()))
-    z = stepper._newton(fun, x, tol, StepperConfig(h=H).newton_max_iter, jac)
+    z = stepper._newton(fun, x, tol, jac)
     assert z[n] > T0
     assert np.linalg.norm(fun(z)) <= tol
 
@@ -237,12 +237,12 @@ def _counting_newton(counts):
     """``_newton`` with every Jacobian build counted in ``counts["jac"]``."""
     newton = stepper._newton
 
-    def spy(fun, x0, tol, max_iter, jac, **kwargs):
+    def spy(fun, x0, tol, jac, **kwargs):
         def counted(x, r, f):
             counts["jac"] += 1
             return jac(x, r, f)
 
-        return newton(fun, x0, tol, max_iter, counted, **kwargs)
+        return newton(fun, x0, tol, counted, **kwargs)
 
     return spy
 
@@ -385,7 +385,7 @@ def test_secant_slot_drops_inverse_that_does_not_lower_residual():
 
     cfg = StepperConfig(h=H)
     tol = cfg.newton_tol * max(1.0, float(np.abs(p).max()))
-    x = stepper._newton(fun, x0, tol, cfg.newton_max_iter, counted, slot=slot)
+    x = stepper._newton(fun, x0, tol, counted, slot=slot)
     assert counts["jac"] == 1
     assert np.linalg.norm(fun(x)) <= tol
     assert slot.inverse is not None and slot.matrix is None
@@ -432,7 +432,7 @@ def test_corrupted_kept_jacobian_is_rebuilt(case, corrupt):
 
     cfg = StepperConfig(h=H)
     tol = cfg.newton_tol * max(1.0, float(np.abs(p).max()))
-    x = stepper._newton(fun, x0, tol, cfg.newton_max_iter, counted, slot=slot)
+    x = stepper._newton(fun, x0, tol, counted, slot=slot)
     assert counts["jac"] >= 1
     assert slot.matrix is not bad
     assert np.linalg.norm(fun(x)) <= tol
