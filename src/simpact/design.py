@@ -250,7 +250,9 @@ def xi_at_optimum(
     A sample that does not violate both normals is negated, and drawn
     again if its negation does not either. Feasibility is read from the
     duals of one contact frame, so only the xi of each sample solves
-    against the mass matrix.
+    against the mass matrix. The two inner products are tested as
+    Python floats, and those of the negated sample are their negations,
+    which is exact in IEEE arithmetic.
     """
     metric = model.metric_at(q_opt)
     u, v = model.gap_gradients(q_opt)[:2]
@@ -260,9 +262,11 @@ def xi_at_optimum(
     found = 0
     while found < samples:
         p = rng.standard_normal(model.dim)
-        if np.any(duals @ p >= 0):
+        a0, a1 = (duals @ p).tolist()
+        if a0 >= 0.0 or a1 >= 0.0:
             p = -p
-        if np.any(duals @ p >= 0):
+            a0, a1 = -a0, -a1
+        if a0 >= 0.0 or a1 >= 0.0:
             continue
         worst = max(worst, indeterminacy_xi(metric, p, u, v))
         found += 1

@@ -128,12 +128,20 @@ class ContactFrame:
     """
 
     def __init__(self, metric: KineticMetric, normals: Sequence, p=None):
-        rows = np.array([metric._check(u) for u in normals], dtype=float).reshape(
-            len(normals), metric.dim
-        )
-        stacked = rows if p is None else np.vstack([rows, metric._check(p)])
+        k, n = len(normals), metric.dim
+        try:
+            rows = np.asarray(normals, dtype=float)
+        except (TypeError, ValueError):
+            rows = None
+        if rows is None or rows.shape != (k, n):
+            # Checked one by one, so a bad normal is reported as before.
+            rows = np.array([metric._check(u) for u in normals], dtype=float).reshape(k, n)
+        stacked = np.empty((k if p is None else k + 1, n))
+        stacked[:k] = rows
+        if p is not None:
+            stacked[k] = metric._check(p)
         duals = np.linalg.solve(metric.mass, stacked.T).T
-        k = rows.shape[0]
+        rows = stacked[:k]
         gram = rows @ duals[:k].T
         self.rows = rows
         self.duals = duals[:k]

@@ -217,20 +217,38 @@ def elastic_cascade(
 def _cascade(frame: mt.ContactFrame, policy: CascadePolicy):
     """Reflection cascade in contact coordinates.
 
+    Returns the outcome of :func:`_walk` and its per-normal impulse
+    sums; the momentum is formed once, from the sums.
+    """
+    converged, lam, sequence, impulses = _walk(frame, policy)
+    outcome = ImpactOutcome(
+        p_plus=frame.momentum(lam),
+        sequence=tuple(sequence),
+        impulses=tuple(impulses),
+        status=CascadeStatus.CONVERGED if converged else CascadeStatus.STEP_CAP_EXCEEDED,
+        kind=ImpactKind.ELASTIC,
+    )
+    return outcome, lam
+
+
+def _walk(frame: mt.ContactFrame, policy: CascadePolicy):
+    """The reflection walk of a cascade, in contact coordinates.
+
     Reflecting across normal ``k`` adds ``step * rows[k]`` to the
     momentum, so its inner products move by ``step * gram[:, k]``.
-    Returns the outcome and the per-normal impulse sums. The walk runs
-    on Python floats, with the IEEE operations of the elementwise array
-    update in the same order, so long wedges pay no per-reflection
-    array overhead.
+    Returns ``(converged, lam, sequence, impulses)``: whether the walk
+    ended feasible before its step cap, the per-normal impulse sums as
+    an array, and the reflected normals and their impulses as lists.
+    The walk runs on Python floats, with the IEEE operations of the
+    elementwise array update in the same order, so long wedges pay no
+    per-reflection array overhead. Two normals, the only case with
+    long walks, are walked on scalars, with no list built per
+    reflection.
     """
     k_count = len(frame)
     if k_count == 2:
-        cap = _pair_bound(frame.pair_cosine())
-    elif k_count == 1:
-        cap = 1
-    else:
-        cap = MAX_CASCADE_STEPS
+        return _walk_pair(frame, policy)
+    cap = 1 if k_count == 1 else MAX_CASCADE_STEPS
 
     a = frame.a.tolist()
     columns = frame.gram.T.tolist()
@@ -239,14 +257,14 @@ def _cascade(frame: mt.ContactFrame, policy: CascadePolicy):
     lam = [0.0] * k_count
     sequence: list[int] = []
     impulses: list[float] = []
-    status = CascadeStatus.CONVERGED
+    converged = True
     while True:
         values = [ai * si for ai, si in zip(a, scales)]
         infeasible = [i for i in range(k_count) if values[i] < 0.0]
         if not infeasible:
             break
         if len(sequence) >= cap:
-            status = CascadeStatus.STEP_CAP_EXCEEDED
+            converged = False
             break
         if sequence and sequence[-1] in infeasible:
             # A reflected normal flips to feasible, so this is reachable
@@ -266,15 +284,73 @@ def _cascade(frame: mt.ContactFrame, policy: CascadePolicy):
         lam[k] += step
         sequence.append(k)
         impulses.append(step)
-    lam = np.array(lam)
-    outcome = ImpactOutcome(
-        p_plus=frame.momentum(lam),
-        sequence=tuple(sequence),
-        impulses=tuple(impulses),
-        status=status,
-        kind=ImpactKind.ELASTIC,
-    )
-    return outcome, lam
+    return converged, np.array(lam), sequence, impulses
+
+
+def _walk_pair(frame: mt.ContactFrame, policy: CascadePolicy):
+    """:func:`_walk` for two normals, capped at the proven reflection bound.
+
+    The same decisions in the same order as the list walk: stop when
+    both normals are feasible, then at the cap, then drop the normal
+    just reflected, then choose. At a tie, most-violating takes normal
+    0 when ``v0 <= v1`` and least-violating when ``v0 >= v1``, as
+    ``min`` and ``max`` keep the first of tied values.
+    """
+    (g00, g10), (g01, g11) = frame.gram.T.tolist()
+    s0, s1 = frame.scales.tolist()
+    n0, n1 = frame.norms2.tolist()
+    a0, a1 = frame.a.tolist()
+    cap = _pair_bound(frame.pair_cosine())
+    variant = policy.variant
+    first = policy.order[0] if variant == "fixed" else 0
+    l0 = l1 = 0.0
+    last = -1
+    sequence: list[int] = []
+    impulses: list[float] = []
+    converged = True
+    while True:
+        v0 = a0 * s0
+        v1 = a1 * s1
+        bad0 = v0 < 0.0
+        bad1 = v1 < 0.0
+        if not (bad0 or bad1):
+            break
+        if len(sequence) >= cap:
+            converged = False
+            break
+        # A reflected normal flips to feasible, so dropping it matters
+        # only after round-off.
+        if last == 0:
+            bad0 = False
+        elif last == 1:
+            bad1 = False
+        if bad0 and bad1:
+            if variant == "most-violating":
+                k = 0 if v0 <= v1 else 1
+            elif variant == "least-violating":
+                k = 0 if v0 >= v1 else 1
+            else:
+                k = first
+        elif bad0:
+            k = 0
+        elif bad1:
+            k = 1
+        else:
+            break
+        if k == 0:
+            step = -2.0 * a0 / n0
+            a0 = a0 + step * g00
+            a1 = a1 + step * g10
+            l0 += step
+        else:
+            step = -2.0 * a1 / n1
+            a0 = a0 + step * g01
+            a1 = a1 + step * g11
+            l1 += step
+        last = k
+        sequence.append(k)
+        impulses.append(step)
+    return converged, np.array([l0, l1]), sequence, impulses
 
 
 def enumerate_outcomes(

@@ -240,18 +240,6 @@ def _event_flags(traj: Trajectory) -> np.ndarray:
 # Discrete Lagrangian and momenta
 
 
-def discrete_lagrangian(model: MechModel, q_a, t_a: float, q_b, t_b: float) -> float:
-    """Midpoint-quadrature approximation of the action over one interval."""
-    h = t_b - t_a
-    if h <= 0.0:
-        raise ValueError("interval must have positive duration")
-    q_a = np.asarray(q_a, dtype=float)
-    q_b = np.asarray(q_b, dtype=float)
-    qm = 0.5 * (q_a + q_b)
-    v = (q_b - q_a) / h
-    return h * model.lagrangian(qm, v)
-
-
 def _force(model, forces, qm, v, tm):
     """Total generalized force at a midpoint state, or None when unforced."""
     own = model.force(qm, v, tm)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import metric as mt
 from .errors import DegenerateNormalsError, VerificationError
-from .resolution import CascadePolicy, _cascade, enumerate_outcomes
+from .resolution import CascadePolicy, _walk, enumerate_outcomes
 
 #: Default classification tolerance on unit-normalized inner products.
 #: Configuration-dependent metrics rarely reach exact zeros after
@@ -30,6 +30,10 @@ XI_BLOCK = 1 << 16
 
 #: Default reflection-depth cap of the pairwise outcome enumeration.
 PAIRWISE_DEPTH_CAP = 16
+
+#: The two resolution orders :func:`indeterminacy_xi` compares.
+_U_FIRST = CascadePolicy.fixed((0, 1))
+_V_FIRST = CascadePolicy.fixed((1, 0))
 
 
 @dataclass(frozen=True)
@@ -83,15 +87,17 @@ def indeterminacy_xi(metric: mt.KineticMetric, p_minus, u, v) -> float:
     Resolves the pair once preferring ``u`` and once preferring ``v``
     (fixed-priority cascades) and returns the metric distance between
     the outcomes divided by the incoming momentum norm. Zero means the
-    outcome does not depend on the order.
+    outcome does not depend on the order. Both walks run in one contact
+    frame and yield only their impulse sums; no outcome momentum is
+    formed, since the frame distance reads the sums alone.
     """
     frame = mt.ContactFrame(metric, [u, v], p_minus)
     p_norm = math.sqrt(max(frame.p_norm2, 0.0))
     if p_norm == 0.0:
         return 0.0
-    first, lam_1 = _cascade(frame, CascadePolicy.fixed((0, 1)))
-    second, lam_2 = _cascade(frame, CascadePolicy.fixed((1, 0)))
-    if not (first.converged and second.converged):
+    first, lam_1, _, _ = _walk(frame, _U_FIRST)
+    second, lam_2, _, _ = _walk(frame, _V_FIRST)
+    if not (first and second):
         raise VerificationError("cascade did not converge while measuring xi")
     return frame.distance(lam_1, lam_2) / p_norm
 

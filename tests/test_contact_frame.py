@@ -11,6 +11,7 @@ to 1e-12, and must solve against the mass matrix once per call.
 
 import math
 import tracemalloc
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +24,7 @@ from simpact import metric as mt
 from simpact import resolution
 from simpact.cli import build_model, load_config
 from simpact.design import legtail_orthogonality_problem, solve_orthogonal, xi_at_optimum
-from simpact.errors import DegenerateNormalsError
+from simpact.errors import DegenerateNormalsError, DimensionError
 from simpact.models import BilliardsModel, LegTailModel, billiards_pair_inner
 from simpact.metric import (
     DEADBAND,
@@ -407,6 +408,106 @@ def test_capped_cradle_cascade_bitwise_equals_array_loop(max_steps):
     assert len(out.sequence) == max_steps
 
 
+PAIR_POLICIES = ["most-violating", "least-violating", "fixed:0,1", "fixed:1,0"]
+
+
+def billiards_break(theta):
+    """Metric, cue momentum and the two normals of the [1, 1, 5] break at ``theta``."""
+    model = BilliardsModel([1.0, 1.0, 5.0], [0.1, 0.1, 0.2])
+    q = model.double_contact_configuration(theta)
+    grads = model.gap_gradients(q)
+    return model.metric_at(q), model.cue_break_momentum(q, 1.0), grads[0], grads[1]
+
+
+@pytest.mark.parametrize("policy_name", PAIR_POLICIES)
+def test_tied_pair_cascade_bitwise_equals_array_loop(policy_name):
+    # The symmetric break violates both contacts by the same amount, so
+    # the first choice of either violation policy is a tie.
+    metric, p, u, v = billiards_break(1.0)
+    frame = ContactFrame(metric, [u, v], p)
+    values = (frame.a * frame.scales).tolist()
+    assert values[0] == values[1]
+    assert values[0] == pytest.approx(-0.80111961, abs=1e-8)
+    out = assert_cascade_bitwise_equal(frame, CascadePolicy.parse(policy_name))
+    assert out.sequence == ((1, 0) if policy_name == "fixed:1,0" else (0, 1))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("policy_name", PAIR_POLICIES)
+def test_capped_pair_cascade_bitwise_equals_array_loop(cap, policy_name):
+    normals, p = _wedge(-0.995)
+    frame = ContactFrame(KineticMetric(np.diag([1.0, 2.5, 0.7])), normals, p)
+    with mock.patch.object(resolution, "_pair_bound", lambda c: cap):
+        out = assert_cascade_bitwise_equal(frame, CascadePolicy.parse(policy_name))
+    assert out.status is CascadeStatus.STEP_CAP_EXCEEDED
+    assert len(out.sequence) == cap
+
+
+def array_loop_xi(metric, p, u, v):
+    """The pair indeterminacy from two full array-loop cascades."""
+    frame = ContactFrame(metric, [u, v], p)
+    p_norm = math.sqrt(max(frame.p_norm2, 0.0))
+    first, lam_1 = array_loop_cascade(frame, CascadePolicy.fixed((0, 1)))
+    second, lam_2 = array_loop_cascade(frame, CascadePolicy.fixed((1, 0)))
+    assert first.converged and second.converged
+    return frame.distance(lam_1, lam_2) / p_norm
+
+
+def xi_pairs():
+    """Random pairs, the criterion-2 wedge and the billiards break near grazing."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        metric = random_metric(rng, int(rng.integers(2, 7)))
+        u, v = pair_with_inner(metric, rng, rng.uniform(-0.999, 0.999))
+        p = pair_momentum(metric, rng, u, v)
+        yield metric, p, rng.uniform(0.5, 2.0) * u, rng.uniform(0.5, 2.0) * v
+    normals, _ = _wedge(-0.99999972)
+    yield KineticMetric(np.eye(3)), np.array([-1e-5, -1.0, 0.2]), *normals
+    for theta in (math.pi - 1e-6, math.pi):
+        yield billiards_break(theta)
+
+
+def test_indeterminacy_xi_bitwise_equals_array_loop():
+    for metric, p, u, v in xi_pairs():
+        assert indeterminacy_xi(metric, p, u, v) == array_loop_xi(metric, p, u, v)
+
+
+def any_loop_xi_at_optimum(model, q_opt, samples=100, seed=0):
+    """``xi_at_optimum`` with its sample test as two ``np.any`` reductions."""
+    metric = model.metric_at(q_opt)
+    u, v = model.gap_gradients(q_opt)[:2]
+    duals = ContactFrame(metric, [u, v]).duals
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    found = 0
+    while found < samples:
+        p = rng.standard_normal(model.dim)
+        if np.any(duals @ p >= 0):
+            p = -p
+        if np.any(duals @ p >= 0):
+            continue
+        worst = max(worst, indeterminacy_xi(metric, p, u, v))
+        found += 1
+    return worst
+
+
+def test_xi_at_optimum_bitwise_equals_any_loop():
+    models = []
+    for metric, _, u, v in xi_pairs():
+        # A stand-in model whose metric and normals are the pair's.
+        pinned = types.SimpleNamespace(
+            dim=metric.dim,
+            metric_at=lambda q, metric=metric: metric,
+            gap_gradients=lambda q, normals=np.array([u, v]): normals,
+        )
+        models.append((pinned, None))
+    _, result, opt_model = shipped_legtail_optimum()
+    models.append((opt_model, result.q_opt))
+    for seed, (model, q) in enumerate(models):
+        got = xi_at_optimum(model, q, samples=10, seed=seed)
+        assert got == any_loop_xi_at_optimum(model, q, samples=10, seed=seed)
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=instances)
 def test_enumeration_matches_reference(case):
@@ -690,6 +791,40 @@ def test_frame_zero_normal_named():
     with pytest.raises(DegenerateNormalsError) as err:
         ContactFrame(metric, [np.array([1.0, 0.0, 0.0]), np.zeros(3)])
     assert err.value.indices == (1,)
+
+
+@pytest.mark.parametrize(
+    "normals",
+    [
+        [np.ones(3), np.ones(2)],
+        np.ones((2, 2)),
+        [np.ones((1, 3)), np.ones((1, 3))],
+        np.ones(3),
+    ],
+    ids=["ragged", "narrow", "extra-axis", "unstacked"],
+)
+def test_frame_reports_a_bad_normal_as_the_metric_does(normals):
+    metric = KineticMetric(np.eye(3))
+    bad = next(u for u in normals if np.atleast_1d(u).shape != (3,))
+    with pytest.raises(DimensionError) as want:
+        metric._check(bad)
+    with pytest.raises(DimensionError) as got:
+        ContactFrame(metric, normals, np.ones(3))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(DimensionError) as got:
+        ContactFrame(metric, [np.ones(3)], np.ones(2))
+    assert str(got.value) == "covector of shape (2,) does not match metric dim 3"
+
+
+def test_frame_of_stacked_normals_equals_frame_of_list(rng):
+    metric = random_metric(rng, 5)
+    normals = [rng.standard_normal(5) for _ in range(3)]
+    p = rng.standard_normal(5)
+    for given in (np.array(normals), [u.tolist() for u in normals]):
+        a, b = ContactFrame(metric, given, p), ContactFrame(metric, normals, p)
+        for name in ("rows", "duals", "gram", "norms2", "scales", "p", "dual_p", "a"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.p_norm2 == b.p_norm2
 
 
 def test_frame_momentum_identity(rng):

@@ -144,6 +144,19 @@ class TestThetaSweep:
         assert curve[:, 1].max() > 1e-3
         assert curve[-1, 1] < 1e-8  # grazing end
 
+    @pytest.mark.parametrize(
+        "masses, radii",
+        [([1.0, 1.0, 5.0], [0.1, 0.1, 0.2]), ([1.0, 1.0, 9.0], [0.1, 0.1, 0.3])],
+    )
+    def test_sweep_ending_at_grazing(self, masses, radii):
+        # At theta = pi the cue momentum is tangent to both normals to
+        # within 1e-16, so the two orders differ by rounding alone.
+        model = BilliardsModel(masses, radii)
+        curve = theta_sweep(model, model.min_break_angle(), math.pi, 40)
+        assert np.all(np.isfinite(curve))
+        assert curve[-1, 0] == math.pi
+        assert curve[-1, 1] < 1e-15
+
     def test_below_contact_limit_rejected(self):
         model = BilliardsModel([1.0, 1.0, 1.0], [0.1, 0.1, 0.1])
         with pytest.raises(ValueError):

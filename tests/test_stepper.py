@@ -23,7 +23,6 @@ from simpact.stepper import (
     _newton,
     _solve_free,
     _Sim,
-    discrete_lagrangian,
     discrete_momenta,
     friction_force,
     node_momentum,
@@ -153,6 +152,22 @@ class LoadedContact(MechModel):
 
     def force(self, q, qdot, t):
         return self._push
+
+
+def discrete_lagrangian(model: MechModel, q_a, t_a: float, q_b, t_b: float) -> float:
+    """Midpoint-quadrature approximation of the action over one interval.
+
+    The oracle of :func:`discrete_momenta`, whose momenta are its
+    endpoint partial derivatives.
+    """
+    h = t_b - t_a
+    if h <= 0.0:
+        raise ValueError("interval must have positive duration")
+    q_a = np.asarray(q_a, dtype=float)
+    q_b = np.asarray(q_b, dtype=float)
+    qm = 0.5 * (q_a + q_b)
+    v = (q_b - q_a) / h
+    return h * model.lagrangian(qm, v)
 
 
 class TestDiscreteLagrangian:
