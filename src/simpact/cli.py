@@ -49,7 +49,6 @@ from .stepper import (
     StepperConfig,
     Trajectory,
     _fmt,
-    check_initial_state,
     simulate,
     write_table,
 )
@@ -285,8 +284,6 @@ def build_stepper_config(config: dict) -> StepperConfig:
         section["friction"] = FrictionConfig(
             mu=friction["mu"], contacts=tuple(friction.get("contacts", ()))
         )
-    if "restitution" in section and isinstance(section["restitution"], list):
-        section["restitution"] = tuple(section["restitution"])
     section.setdefault("h", 0.01)
     try:
         section["policy"] = CascadePolicy.parse(config.get("policy", "most-violating"))
@@ -386,10 +383,6 @@ def _task_simulate(config, model, out_dir: Path) -> list[Path]:
         raise ConfigError("simulate task requires a duration")
     cfg = build_stepper_config(config)
     q0, qdot0 = _initial_state(config, model)
-    try:
-        check_initial_state(model, q0, qdot0)
-    except ValueError as exc:
-        raise ConfigError(f"initial.q invalid: {exc}") from exc
     trajectory = simulate(model, q0, qdot0, task["duration"], cfg)
     e0 = 0.5 * qdot0 @ model.mass_matrix(q0) @ qdot0 + model.potential(q0)
     ledger = report_energy(trajectory, initial_energy=e0)
@@ -600,29 +593,14 @@ def run(
         raise ConfigError(f"invalid cascade policy: {exc}") from exc
 
     model = build_model(config["model"], config.get("initial", {}).get("q"))
-    _check_contact_references(config, model, cascade)
+    bad = [c for c in cascade.order or () if not 0 <= c < model.n_contacts]
+    if bad:
+        raise ConfigError(f"policy references unknown contacts {bad}")
     out = Path(out_dir) if out_dir is not None else Path(
         config.get("output", {}).get("dir", "out")
     )
     task_kind = config["task"]["kind"]
     return _TASKS[task_kind](config, model, out)
-
-
-def _check_contact_references(config: dict, model, policy: CascadePolicy) -> None:
-    n = model.n_contacts
-    rest = config.get("stepper", {}).get("restitution")
-    if isinstance(rest, list) and len(rest) != n:
-        raise ConfigError(
-            f"per-contact restitution needs {n} entries, got {len(rest)}"
-        )
-    friction = config.get("stepper", {}).get("friction")
-    if friction:
-        bad = [c for c in friction.get("contacts", ()) if not 0 <= c < n]
-        if bad:
-            raise ConfigError(f"friction references unknown contacts {bad}")
-    bad = [c for c in policy.order or () if not 0 <= c < n]
-    if bad:
-        raise ConfigError(f"policy references unknown contacts {bad}")
 
 
 def _failure_site(exc: Exception) -> str:

@@ -62,7 +62,11 @@ class DesignError(SimpactError, RuntimeError):
 
 
 class ConfigError(SimpactError, ValueError):
-    """A scenario configuration file is malformed or inconsistent."""
+    """A scenario configuration file is malformed or inconsistent.
+
+    :func:`simpact.stepper.simulate` raises it too, for every input it
+    rejects before the first step.
+    """
 
 
 class EnergyGainError(SimpactError, RuntimeError):

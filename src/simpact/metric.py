@@ -184,12 +184,12 @@ class ContactFrame:
 
 
 def _check_gram(gram: np.ndarray) -> None:
-    """Reject linearly dependent normal sets, naming the offending subset."""
-    scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
-    if np.any(np.diag(gram) <= 0.0):
-        bad = [i for i in range(gram.shape[0]) if gram[i, i] <= 0.0]
-        raise DegenerateNormalsError(f"zero-norm normals at indices {bad}", bad)
-    unit_gram = gram / scale
+    """Reject linearly dependent normal sets, naming the offending subset.
+
+    ``gram`` is a :class:`ContactFrame` Gram matrix, whose diagonal the
+    frame has already checked to be positive.
+    """
+    unit_gram = gram / np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
     eigvals, eigvecs = np.linalg.eigh(unit_gram)
     if eigvals[0] <= GRAM_RCOND * max(eigvals[-1], 1.0):
         vec = eigvecs[:, 0]

@@ -1073,25 +1073,6 @@ class _Sim:
             q_c, t_c, p_in = q_star, t_star, p_mapped
 
 
-def check_initial_state(model: MechModel, q0, qdot0) -> tuple[np.ndarray, np.ndarray]:
-    """``q0`` and ``qdot0`` as float arrays, checked as :func:`simulate` needs them.
-
-    Raises ``ValueError`` when either does not match the model dimension
-    or is not finite, or when ``q0`` penetrates a contact.
-    """
-    q0 = np.asarray(q0, dtype=float)
-    qdot0 = np.asarray(qdot0, dtype=float)
-    if q0.shape != (model.dim,) or qdot0.shape != (model.dim,):
-        raise ValueError("initial state does not match the model dimension")
-    for name, value in (("q0", q0), ("qdot0", qdot0)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {value}")
-    gaps0 = model.gaps(q0)
-    if np.any(gaps0 < -PENETRATION_RTOL * model.length_scale):
-        raise ValueError(f"initial configuration penetrates a contact: gaps {gaps0}")
-    return q0, qdot0
-
-
 def simulate(
     model: MechModel,
     q0,
@@ -1106,12 +1087,29 @@ def simulate(
     to a whole number of steps); impact events carry their exact
     in-step times. The initial discrete momentum is the continuous
     momentum of the initial state. A fixed cascade order must be a
-    permutation of the model's contacts (else :class:`ConfigError`);
-    each event reflects its own contacts in that order.
+    permutation of the model's contacts; each event reflects its own
+    contacts in that order.
+
+    Every input rejected before the first step raises
+    :class:`ConfigError`: a duration that is not positive and finite,
+    an initial state of the wrong dimension, not finite, or penetrating
+    a contact, and a cascade order, restitution count or friction
+    contact that does not fit the model.
     """
     if not 0.0 < duration < math.inf:
-        raise ValueError(f"duration must be positive and finite, got {duration!r}")
-    q0, qdot0 = check_initial_state(model, q0, qdot0)
+        raise ConfigError(f"duration must be positive and finite, got {duration!r}")
+    q0 = np.asarray(q0, dtype=float)
+    qdot0 = np.asarray(qdot0, dtype=float)
+    if q0.shape != (model.dim,) or qdot0.shape != (model.dim,):
+        raise ConfigError("initial state does not match the model dimension")
+    for name, value in (("q0", q0), ("qdot0", qdot0)):
+        if not np.isfinite(value).all():
+            raise ConfigError(f"{name} must be finite, got {value}")
+    gaps0 = model.gaps(q0)
+    if np.any(gaps0 < -PENETRATION_RTOL * model.length_scale):
+        raise ConfigError(
+            f"initial.q invalid: initial configuration penetrates a contact: gaps {gaps0}"
+        )
 
     sim = _Sim(model, config, forces)
     n_steps = max(1, int(round(duration / config.h)))

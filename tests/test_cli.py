@@ -95,12 +95,20 @@ class TestConfigValidation:
         path = write_config(tmp_path, cradle_resolve_config(alpha_mode="as-printed"))
         assert_config_error(tmp_path, capsys, path, "unexpected properties ['alpha_mode']")
 
-    def test_per_contact_restitution_length_checked(self, tmp_path):
-        config = cradle_resolve_config()
-        config["stepper"] = {"restitution": [0.5, 0.5, 0.5]}  # cradle has 2 contacts
-        path = write_config(tmp_path, config)
-        with pytest.raises(ConfigError, match="restitution"):
-            run(path, out_dir=tmp_path / "out")
+    def test_per_contact_restitution_length_checked(self, tmp_path, capsys):
+        # The 3-ball cradle has 2 contacts; simulate checks its stepper section.
+        for key, value, message in [
+            ("restitution", [0.5] * 3, "per-contact restitution needs 2 entries, got 3"),
+            ("friction", {"mu": 0.5, "contacts": [7]}, "friction references unknown contacts [7]"),
+        ]:
+            path = shipped_with(tmp_path, "cradle_restitution.json", ("stepper", key), value)
+            assert_config_error(tmp_path, capsys, path, message)
+
+    def test_stepper_section_unread_by_resolve(self, tmp_path):
+        # Only simulate reads the stepper section, so a resolve runs whatever it holds.
+        config = cradle_resolve_config(stepper={"restitution": [0.5] * 3})
+        (outcome,) = run(write_config(tmp_path, config), out_dir=tmp_path / "out")
+        assert outcome.name == "outcome.csv"
 
     def test_policy_contacts_checked(self, tmp_path):
         path = write_config(tmp_path, cradle_resolve_config(policy="fixed:0,1,5"))
@@ -548,7 +556,7 @@ class TestConfigErrorsLeaveNoOutput:
     ids=["degenerate-normals", "singular"],
 )
 def test_value_error_while_stepping_is_a_task_failure(monkeypatch, tmp_path, capsys, error):
-    # Both are ValueErrors; only the initial-state check maps one to exit 2.
+    # Both are ValueErrors but not ConfigErrors, which alone exit 2.
     def fail(*args):
         raise error
 
