@@ -75,13 +75,3 @@ from .design import (
     solve_orthogonal,
     theta_sweep,
 )
-
-
-def __getattr__(name):
-    # The CLI is imported on first use, so that ``python -m simpact.cli``
-    # does not find the module already imported by its own package.
-    if name in ("report_energy", "run"):
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

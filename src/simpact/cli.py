@@ -310,17 +310,13 @@ class EnergyLedger:
         return self.total_loss / self.initial_energy
 
 
-def report_energy(trajectory: Trajectory, initial_energy: float | None = None) -> EnergyLedger:
+def report_energy(trajectory: Trajectory, initial_energy: float) -> EnergyLedger:
     """Build the impact energy ledger and reject any energy gain.
 
     A per-event gain larger than one part in a billion of the reference
     energy is a hard error: the resolution maps are dissipative by
     construction, so a gain can only mean a defect.
     """
-    if initial_energy is None:
-        initial_energy = (
-            trajectory.events[0].energy_before if trajectory.events else 0.0
-        )
     reference = max(abs(initial_energy), 1e-300)
     rows = []
     cumulative = 0.0

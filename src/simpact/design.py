@@ -134,9 +134,7 @@ class OrthogonalityResult:
         return "\n".join(lines)
 
 
-def solve_orthogonal(
-    problem: DesignProblem, initial: np.ndarray | None = None
-) -> OrthogonalityResult:
+def solve_orthogonal(problem: DesignProblem) -> OrthogonalityResult:
     """Gauss-Newton with minimum-norm updates to an orthogonal contact pair.
 
     The initial guess must have both gaps closed loosely; iteration
@@ -144,9 +142,7 @@ def solve_orthogonal(
     product is below the problem tolerance. Raises on Jacobian rank
     collapse or when the iteration cap is exceeded.
     """
-    x0 = problem.pack(problem.q0, problem.params0) if initial is None else np.asarray(
-        initial, dtype=float
-    ).copy()
+    x0 = problem.pack(problem.q0, problem.params0)
     r0 = problem.residuals(x0)
     if max(abs(r0[0]), abs(r0[1])) > INITIAL_GAP_RTOL:
         raise DesignError(
@@ -159,11 +155,10 @@ def solve_orthogonal(
         if iterations >= MAX_ITER:
             raise DesignError(f"iteration cap {MAX_ITER} exceeded; residuals {r}")
         jac = _central_jacobian(problem.residuals, x, 2e-7)
-        sv = np.linalg.svd(jac, compute_uv=False)
+        # Minimum-norm Newton step for the underconstrained system.
+        step, _, _, sv = np.linalg.lstsq(jac, -r, rcond=None)
         if sv[-1] <= 1e-12 * max(sv[0], 1.0):
             raise DesignError(f"residual Jacobian rank collapse (signals {sv})")
-        # Minimum-norm Newton step for the underconstrained system.
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         alpha = 1.0
         while True:
             x_new = x + alpha * step

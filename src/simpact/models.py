@@ -174,10 +174,9 @@ class CradleModel(MechModel):
     def gap_gradients(self, q):
         return self._grads
 
-    def touching_positions(self, x0: float = 0.0, gap: float = 0.0) -> np.ndarray:
-        """Ball centers with every pair separated by ``gap``."""
-        q = np.empty(self.dim)
-        q[0] = x0
+    def touching_positions(self, gap: float = 0.0) -> np.ndarray:
+        """Ball centers with every pair separated by ``gap``, the first at 0."""
+        q = np.zeros(self.dim)
         for i in range(1, self.dim):
             q[i] = q[i - 1] + self.radii[i - 1] + self.radii[i] + gap
         return q

@@ -40,15 +40,8 @@ unknown.
 Square solves divide by the diagonal when the matrix is diagonal with no
 zero on it, as a constant diagonal mass and its DEL Jacobian are; the
 mass is factored once per simulation and a kept Jacobian carries its
-diagonal. The quotient is bitwise what LAPACK's ``gesv`` returns: it
-factors a diagonal matrix without pivoting into ``L = I`` and ``U`` the
-matrix, and its substitutions divide each entry by its pivot after
-subtracting products of the zero off-diagonal entries. Those products
-leave a nonzero entry as it is but can flip the sign of a zero one, or
-turn an infinite one into NaN, so a system of two or more unknowns whose
-right-hand side has a zero entry, or whose quotient is not finite, still
-goes to LAPACK. Every other system, the bordered held and localization
-ones among them, goes to ``np.linalg.solve``. A secant inverse takes one
+diagonal. Every other system, the bordered held and localization ones
+among them, goes to ``np.linalg.solve``. A secant inverse takes one
 such solve per column when it is built and none while it is updated.
 
 Chattering contacts that impact more often than the Zeno window within
@@ -267,8 +260,7 @@ def discrete_momenta(model: MechModel, q_a, t_a: float, q_b, t_b: float, forces=
     v = (q_b - q_a) / h
     mv = model.mass_matrix(qm) @ v
     if model.constant_mass:
-        # 0.0 - g, not -g: the same bits as 0.5 * 0.0 - g, zeros included.
-        grad = 0.0 - model.potential_gradient(qm)
+        grad = -model.potential_gradient(qm)
     else:
         grad = 0.5 * model.kinetic_config_grad(qm, v) - model.potential_gradient(qm)
     half = 0.5 * h * grad
@@ -305,16 +297,13 @@ def _diagonal(matrix):
 
 
 def _solve(matrix, diag, rhs):
-    """``np.linalg.solve(matrix, rhs)`` for a 1-D ``rhs``, bit for bit.
+    """``matrix^-1 rhs`` for a 1-D ``rhs``, with ``diag = _diagonal(matrix)``.
 
-    ``diag`` is ``_diagonal(matrix)``. The quotient ``rhs / diag`` is
-    returned where it equals LAPACK's solution (see the module
-    docstring); a singular matrix still raises ``LinAlgError``.
+    Divides by ``diag`` when there is one; otherwise ``np.linalg.solve``,
+    which raises ``LinAlgError`` for a singular matrix.
     """
     if diag is not None:
-        x = rhs / diag
-        if diag.size == 1 or (rhs.all() and np.isfinite(x).all()):
-            return x
+        return rhs / diag
     return np.linalg.solve(matrix, rhs)
 
 
@@ -1115,7 +1104,7 @@ def simulate(
     n_steps = max(1, int(round(duration / config.h)))
     times = [0.0]
     states = [q0.copy()]
-    p = q0 * 0.0 + (model.mass_matrix(q0) @ qdot0)
+    p = model.mass_matrix(q0) @ qdot0
     momenta = [p.copy()]
 
     t, q = 0.0, q0

