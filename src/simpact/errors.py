@@ -43,11 +43,11 @@ class StepFailureError(SimpactError, RuntimeError):
 
 
 class ImpactLocationError(SimpactError, RuntimeError):
-    """Impact time localization failed (no crossing, or Newton failure).
+    """Impact localization did not converge, or its solution failed a check.
 
     ``t`` is the start of the step being localized, ``contacts`` the
     contacts crossing in it, and ``residual_norm`` the last Newton
-    residual norm when Newton ran (None when no crossing was found).
+    residual norm.
     """
 
     def __init__(self, message, t=None, contacts=(), residual_norm=None):

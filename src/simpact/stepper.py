@@ -579,29 +579,22 @@ def _crossing_fraction(g0: float, g1: float) -> float:
     return g0 / (g0 - g1)
 
 
-def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
+def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held, crossing,
+            gaps_curr, gaps_cand):
     """Solve the substep DEL jointly with the earliest crossing gap.
 
-    Unknowns are the impact configuration, the impact time, and the
-    multipliers of any held contacts; the crossing contact's gap is
-    driven to zero while the substep dynamics stay exactly satisfied.
+    ``crossing``, never empty, lists the contacts that cross in the
+    step, as :meth:`_Sim.advance` decides them from ``gaps_curr`` and
+    ``gaps_cand``, the gaps at ``q_curr`` and ``q_cand``: not held,
+    starting at most ``ACTIVATION_RTOL`` inside the manifold, ending more
+    than ``PENETRATION_RTOL`` inside it, and closing. Unknowns are the
+    impact configuration, the impact time, and the multipliers of any
+    held contacts; the crossing contact's gap is driven to zero while
+    the substep dynamics stay exactly satisfied.
     """
     act_tol = ACTIVATION_RTOL * model.length_scale
-    pen_tol = PENETRATION_RTOL * model.length_scale
     # Crossings this close in time form one simultaneous event.
     time_tol = cfg.h * 1e-6
-    gaps_curr = model.gaps(q_curr)
-    gaps_cand = model.gaps(q_cand)
-    crossing = [
-        i
-        for i in range(gaps_curr.size)
-        # A candidate exactly on the manifold counts: its crossing sits
-        # at the very end of the interval.
-        if i not in held and gaps_cand[i] <= pen_tol and gaps_curr[i] >= -act_tol
-        and gaps_cand[i] < gaps_curr[i]
-    ]
-    if not crossing:
-        raise ImpactLocationError("no gap sign change in the step", t_curr)
     h_full = t_next - t_curr
     estimates = {
         i: t_curr
@@ -698,6 +691,9 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held):
 
 def _node_contacts(model, q, p, gaps, crossing, act_tol):
     """Test the crossing contacts closed at the node ``q`` against ``p``.
+
+    ``crossing`` holds the contacts that cross in the step under the one
+    rule :func:`_locate` states, and ``gaps`` the gaps at ``q``.
 
     Returns ``(approaching, tangent, contacts, frame)``. A closed
     contact the momentum points into impacts at the node itself; there
@@ -1000,6 +996,7 @@ class _Sim:
                 if i not in self.held
                 and gaps_n[i] < -pen_tol
                 and gaps_c[i] >= -act_tol
+                and gaps_n[i] < gaps_c[i]
             ]
             if not crossing:
                 return q_n, p_out
@@ -1037,7 +1034,7 @@ class _Sim:
             else:
                 t_star, q_star, contacts = _locate(
                     model, p_in, q_c, t_c, q_n, t_target, forces, cfg,
-                    tuple(sorted(self.held)),
+                    tuple(sorted(self.held)), crossing, gaps_c, gaps_n,
                 )
                 h1 = t_star - t_c
                 if h1 > TINY_FRACTION * cfg.h:

@@ -385,21 +385,38 @@ class TestLocateImpact:
         q_cand = np.array([-0.05])
         p_in = node_momentum(model, q_prev, 1.0 - h, q_curr, 1.0)
         t_star, q_star, contacts = _locate(
-            model, p_in, q_curr, 1.0, q_cand, 1.0 + h, None, StepperConfig(h=h), ()
+            model, p_in, q_curr, 1.0, q_cand, 1.0 + h, None, StepperConfig(h=h), (), [0],
+            model.gaps(q_curr), model.gaps(q_cand),
         )
         assert t_star == pytest.approx(1.0 + h / 2, rel=1e-9)
         assert abs(q_star[0]) < 1e-12
         assert contacts == (0,)
 
     def test_candidate_on_manifold_gives_interval_end(self):
+        # A candidate exactly on the manifold does not cross by the
+        # stepper's rule; passed as crossing, it locates at the step's end.
         model = BallModel(1.0, gravity=0.0)
         h = 0.1
         p_in = node_momentum(model, [0.2], -h, [0.1], 0.0)
+        q_curr, q_cand = np.array([0.1]), np.array([0.0])
         t_star, q_star, _ = _locate(
-            model, p_in, np.array([0.1]), 0.0, np.array([0.0]), h, None, StepperConfig(h=h), ()
+            model, p_in, q_curr, 0.0, q_cand, h, None, StepperConfig(h=h), (), [0],
+            model.gaps(q_curr), model.gaps(q_cand),
         )
         assert t_star == pytest.approx(h, abs=1e-9)
         assert abs(q_star[0]) < 1e-10
+
+    def test_impact_within_tiny_fraction_of_step_end_ends_the_step(self):
+        # A force-free ball reaches the floor 1e-12 s before the step's
+        # end: the step ends at the impact with the reflected momentum.
+        model = BallModel(1.0, gravity=0.0)
+        h = 0.01
+        sim = _Sim(model, StepperConfig(h=h), None)
+        q_n, p_n = sim.advance(np.array([0.1]), 0.0, np.array([-(0.1 + 1e-11) / h]), h)
+        assert [ev.kind for ev in sim.events] == [ImpactKind.ELASTIC]
+        assert sim.events[0].t == pytest.approx(h - 1e-12, abs=1e-15)
+        assert abs(q_n[0]) <= 1e-12
+        assert p_n[0] == pytest.approx(10.0, rel=1e-9)
 
     def test_simultaneous_pair_grouped(self):
         # Symmetric two-point drop: both gaps cross in the same instant.
@@ -412,7 +429,8 @@ class TestLocateImpact:
         q_cand = q_curr + h * qdot - np.array([0.0, 0.5 * 9.81 * h * h, 0.0])
         p_in = node_momentum(body, q_prev, t - h, q_curr, t)
         t_star, q_star, contacts = _locate(
-            body, p_in, q_curr, t, q_cand, t + h, None, StepperConfig(h=h), ()
+            body, p_in, q_curr, t, q_cand, t + h, None, StepperConfig(h=h), (), [0, 1],
+            body.gaps(q_curr), body.gaps(q_cand),
         )
         assert contacts == (0, 1)
         np.testing.assert_allclose(body.gaps(q_star), 0.0, atol=1e-10)
@@ -433,14 +451,19 @@ class TestLocateImpact:
         sim.advance(q_curr, 0.5, p_in, 0.5 + h)
         assert [(ev.t, ev.contacts) for ev in sim.events] == [(0.5, (0, 1))]
 
-    def test_no_crossing_raises(self):
-        model = BallModel(1.0, gravity=0.0)
-        p_in = node_momentum(model, [0.3], -0.1, [0.2], 0.0)
-        with pytest.raises(ImpactLocationError):
-            _locate(
-                model, p_in, np.array([0.2]), 0.0, np.array([0.1]), 0.1, None,
-                StepperConfig(h=0.1), (),
-            )
+    @pytest.mark.parametrize("v", [2e-9, 5e-10])
+    def test_separating_contact_inside_activation_band_does_not_cross(self, v):
+        # Ball 1 starts 5e-11 inside contact 0 and moves slowly away: the
+        # gap opens during the step, so nothing crosses, no event is
+        # logged and nothing is held.
+        model = CradleModel([1.0, 1.0], [0.1, 0.1])
+        q = model.touching_positions()
+        q[1] -= 5e-11
+        h = 0.005
+        sim = _Sim(model, StepperConfig(h=h), None)
+        q_n, _ = sim.advance(q, 0.0, np.array([-v, v]), h)
+        assert sim.events == [] and sim.held == {}
+        assert model.gaps(q)[0] < model.gaps(q_n)[0] < 0.0
 
 
 class TestImpactStep:
@@ -954,6 +977,33 @@ class TestFriction:
             options={"xatol": 1e-10},
         )
         assert got == pytest.approx(res.x, abs=1e-6)
+
+    @staticmethod
+    def _assert_friction_changes_nothing(model, q0, duration, friction, forces=None, **kwargs):
+        runs = [
+            simulate(model, q0, np.zeros(model.dim), duration,
+                     StepperConfig(friction=f, **kwargs), forces)
+            for f in (friction, None)
+        ]
+        assert runs[0].holds
+        for name in ("times", "states", "momenta"):
+            np.testing.assert_array_equal(getattr(runs[0], name), getattr(runs[1], name))
+        assert runs[0].events == runs[1].events
+        assert runs[0].holds == runs[1].holds
+
+    def test_friction_on_no_held_contact_changes_nothing(self):
+        self._assert_friction_changes_nothing(
+            BallModel(1.0), [0.1], 1.0, FrictionConfig(0.5, ()), h=0.01, restitution=0.5
+        )
+
+    @pytest.mark.parametrize("contacts", [(0,), (0, 1)])
+    def test_zero_friction_beside_user_force_changes_nothing(self, contacts):
+        # A resting leg-tail, pushed along the floor.
+        model = LegTailModel(1.2, 0.08, [0.3, -0.25], [-0.1, -0.25])
+        self._assert_friction_changes_nothing(
+            model, model.double_contact_pose(), 0.2, FrictionConfig(0.0, contacts),
+            lambda qm, v, t: np.array([0.3, 0.0, 0.0]), h=0.005,
+        )
 
 
 class TestTrajectoryExport:

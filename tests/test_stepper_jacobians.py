@@ -144,6 +144,20 @@ def _central(fun, x, scale, eps=1e-6):
     return np.column_stack(cols)
 
 
+def _locate_on_line(model, q, p, t0, t1, forces, cfg):
+    """Locate from ``(q, p)`` toward a straight-line candidate.
+
+    The candidate ends well past the earliest crossing. Every case starts
+    with its gaps open, so the crossing contacts are those that end
+    closed.
+    """
+    q_cand = q + 2.0 * H * np.linalg.solve(model.mass_matrix(q), p)
+    gaps, gaps_cand = model.gaps(q), model.gaps(q_cand)
+    crossing = np.flatnonzero(gaps_cand < 0.0).tolist()
+    return stepper._locate(model, p, q, t0, q_cand, t1, forces, cfg, (), crossing, gaps,
+                           gaps_cand)
+
+
 def _run(mode, model, q, p, forces):
     cfg = StepperConfig(h=H)
     t0, t1 = T0, T0 + H
@@ -152,9 +166,7 @@ def _run(mode, model, q, p, forces):
     if mode == "held":
         held = (model.gaps(q).size - 1,)
         return lambda: stepper._solve_held(model, p, q, t0, t1, forces, cfg, held)
-    # A straight-line candidate that ends well past the earliest crossing.
-    q_cand = q + 2.0 * H * np.linalg.solve(model.mass_matrix(q), p)
-    return lambda: stepper._locate(model, p, q, t0, q_cand, t1, forces, cfg, ())
+    return lambda: _locate_on_line(model, q, p, t0, t1, forces, cfg)
 
 
 @pytest.mark.parametrize("mode", ["free", "held", "locate"])
@@ -452,8 +464,7 @@ def _solve(mode, model, q, p, forces, k, slot):
         held = (model.gaps(q).size - 1,)
         q, lams, p = stepper._solve_held(model, p, q, t0, t1, forces, cfg, held, slot)
         return q, p, np.array(list(lams.values()))
-    q_cand = q + 2.0 * H * np.linalg.solve(model.mass_matrix(q), p)
-    t_star, q_star, _ = stepper._locate(model, p, q, t0, q_cand, t1, forces, cfg, ())
+    t_star, q_star, _ = _locate_on_line(model, q, p, t0, t1, forces, cfg)
     return q_star, p, np.array([t_star])
 
 
