@@ -2,9 +2,10 @@
 
 A model supplies everything the resolvers and the time stepper need:
 dimension, mass matrix, potential and its gradient, gap functions and
-their gradients, and optional generalized forces. Gap functions are
-positive when separated, zero at contact, negative when penetrating,
-and their gradients are the contact-manifold normals.
+their gradients; applied forces go to ``simulate`` as its sampler
+``forces(q, v, t)``, not to the model. Gap functions are positive when
+separated, zero at contact, negative when penetrating, and their
+gradients are the contact-manifold normals.
 
 Shipped models: a Newton's cradle of spheres on a line, a planar
 three-ball billiards break, a one dimensional bouncing ball, and a
@@ -60,10 +61,6 @@ class MechModel:
 
     def gap_tangents(self, q: np.ndarray) -> np.ndarray | None:
         """Rows map velocities to contact-point tangential speed, or None."""
-        return None
-
-    def force(self, q: np.ndarray, qdot: np.ndarray, t: float) -> np.ndarray | None:
-        """Optional generalized force; None means unforced."""
         return None
 
     @property

@@ -88,6 +88,10 @@ PENETRATION_RTOL = 1e-12
 #: Gaps within this fraction of the length scale count as closed.
 ACTIVATION_RTOL = 1e-9
 
+#: Crossings within this fraction of the nominal step of each other form
+#: one simultaneous event.
+SIMULTANEITY_RTOL = 1e-6
+
 #: Impacts one step may resolve before it fails, so every step is bounded.
 MAX_IMPACTS_PER_STEP = 200
 
@@ -121,9 +125,10 @@ class StepperConfig:
     per-contact sequence; an event takes the smallest of its contacts'
     coefficients R, and runs the elastic cascade at R = 1, the plastic
     projection at R = 0 and their blend with weight R between.
-    Crossings within ``h * 1e-6`` of each other form one simultaneous
-    event. The Newton iteration cap :data:`NEWTON_MAX_ITER` and the
-    Zeno window :data:`ZENO_WINDOW` are module constants.
+    Crossings within ``SIMULTANEITY_RTOL * h`` of each other form one
+    simultaneous event. :data:`SIMULTANEITY_RTOL`, the Newton iteration
+    cap :data:`NEWTON_MAX_ITER` and the Zeno window :data:`ZENO_WINDOW`
+    are module constants.
     """
 
     h: float
@@ -233,23 +238,14 @@ def _event_flags(traj: Trajectory) -> np.ndarray:
 # Discrete Lagrangian and momenta
 
 
-def _force(model, forces, qm, v, tm):
-    """Total generalized force at a midpoint state, or None when unforced."""
-    own = model.force(qm, v, tm)
-    if forces is not None:
-        sampled = np.asarray(forces(qm, v, tm), float)
-        return sampled if own is None else np.asarray(own, float) + sampled
-    return None if own is None else np.asarray(own, float)
-
-
 def discrete_momenta(model: MechModel, q_a, t_a: float, q_b, t_b: float, forces=None):
     """Backward and forward discrete momenta of one interval.
 
     Unforced, these are the exact partial derivatives of the midpoint
     discrete Lagrangian with respect to its two endpoint configurations.
-    A generalized force (``model.force`` plus the optional sampler) is
-    evaluated once at the midpoint state and split equally onto the two
-    slots, giving the forced discrete Legendre transforms.
+    The generalized force of the sampler ``forces(q, v, t)``, when given,
+    is evaluated once at the midpoint state and split equally onto the
+    two slots, giving the forced discrete Legendre transforms.
     """
     h = t_b - t_a
     if h <= 0.0:
@@ -264,9 +260,8 @@ def discrete_momenta(model: MechModel, q_a, t_a: float, q_b, t_b: float, forces=
     else:
         grad = 0.5 * model.kinetic_config_grad(qm, v) - model.potential_gradient(qm)
     half = 0.5 * h * grad
-    force = _force(model, forces, qm, v, 0.5 * (t_a + t_b))
-    if force is not None:
-        half = half + 0.5 * h * force
+    if forces is not None:
+        half = half + 0.5 * h * np.asarray(forces(qm, v, 0.5 * (t_a + t_b)), float)
     return -mv + half, mv + half
 
 
@@ -468,10 +463,10 @@ def _del_block(model, forces, q_a, t_a, q_b, t_b, fun, x, r):
     """Derivative of the backward forced momentum with respect to ``q_b``.
 
     For constant mass it is ``-M/h - (h/4) Hess V(q_mid)``, plus ``h/2``
-    times the forward-differenced derivative of the midpoint force when a
-    force acts. A variable mass has no such form: the block is then taken
-    by forward differences of the residual ``fun`` over the first ``dim``
-    entries of ``x``, reusing ``r = fun(x)``.
+    times the forward-differenced derivative of the midpoint force when
+    the sampler ``forces`` is given. A variable mass has no such form: the
+    block is then taken by forward differences of the residual ``fun``
+    over the first ``dim`` entries of ``x``, reusing ``r = fun(x)``.
     """
     n = model.dim
     if not model.constant_mass:
@@ -479,14 +474,13 @@ def _del_block(model, forces, q_a, t_a, q_b, t_b, fun, x, r):
     h = t_b - t_a
     qm = 0.5 * (q_a + q_b)
     block = -model.mass_matrix(qm) / h - (0.25 * h) * model.potential_hessian(qm)
-    tm = 0.5 * (t_a + t_b)
+    if forces is not None:
+        tm = 0.5 * (t_a + t_b)
 
-    def force(q):
-        return _force(model, forces, 0.5 * (q_a + q), (q - q_a) / h, tm)
+        def force(q):
+            return np.asarray(forces(0.5 * (q_a + q), (q - q_a) / h, tm), float)
 
-    f0 = force(q_b)
-    if f0 is not None:
-        block += (0.5 * h) * _fd_jacobian(force, q_b, f0, range(n))
+        block += (0.5 * h) * _fd_jacobian(force, q_b, force(q_b), range(n))
     return block
 
 
@@ -593,8 +587,7 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held, cros
     the substep dynamics stay exactly satisfied.
     """
     act_tol = ACTIVATION_RTOL * model.length_scale
-    # Crossings this close in time form one simultaneous event.
-    time_tol = cfg.h * 1e-6
+    time_tol = SIMULTANEITY_RTOL * cfg.h
     h_full = t_next - t_curr
     estimates = {
         i: t_curr
@@ -811,6 +804,7 @@ def friction_force(
     contact: int,
     mu: float,
     normal_force: float,
+    applied: np.ndarray | None = None,
 ) -> np.ndarray:
     """Coulomb friction for a planar single-tangent contact.
 
@@ -820,8 +814,10 @@ def friction_force(
     sliding power ``f v_t`` is least at the cone boundary opposing the
     slip; at zero slip the tangential acceleration ``c + f d``, with
     ``c = t M^-1 F`` and ``d = t M^-1 t``, is nulled by ``f = -c / d``
-    (stiction), clamped to the cone. Returns the generalized force row;
-    an inactive contact contributes nothing.
+    (stiction), clamped to the cone. ``F`` is the potential's force
+    plus ``applied``, the applied generalized force at ``q`` (None for
+    none). Returns the generalized force row; an inactive contact
+    contributes nothing.
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
@@ -841,11 +837,10 @@ def friction_force(
     if abs(v_t) > 1e-10:
         f = -math.copysign(bound, v_t)
     else:
-        applied = -model.potential_gradient(q)
-        own = model.force(q, qdot, 0.0)
-        if own is not None:
-            applied = applied + np.asarray(own, float)
-        c, d = trow @ np.linalg.solve(model.mass_matrix(q), np.column_stack([applied, trow]))
+        total = -model.potential_gradient(q)
+        if applied is not None:
+            total = total + np.asarray(applied, float)
+        c, d = trow @ np.linalg.solve(model.mass_matrix(q), np.column_stack([total, trow]))
         f = min(max(-c / d, -bound), bound)
     return f * trow
 
@@ -907,33 +902,31 @@ class _Sim:
             for c in contacts
         )
 
-    def effective_forces(self, q_c, p_in):
+    def effective_forces(self, q_c, t_c, p_in):
         """Compose user forcing with friction on held contacts.
 
         Friction is evaluated once per interval at the interval-start
-        state and then held constant, so the implicit solve sees a
-        smooth residual; re-evaluating the stiction branch inside the
-        Newton iteration would make it discontinuous.
+        state and time and then held constant, so the implicit solve sees
+        a smooth residual; re-evaluating the stiction branch inside the
+        Newton iteration would make it discontinuous. Stiction balances
+        the user sampler's value at that same state and time.
         """
-        cfg = self.cfg
-        if cfg.friction is None or not self.held:
-            return self.user_forces
+        cfg, user = self.cfg, self.user_forces
         fr = cfg.friction
+        if fr is None:
+            return user
+        held = [(c, lam) for c, lam in self.held.items() if c in fr.contacts]
+        if not held:
+            return user
         model = self.model
         qdot = _mass_solve(model, self.mass, q_c, p_in)
+        applied = None if user is None else user(q_c, qdot, t_c)
         frozen = np.zeros(model.dim)
-        active = False
-        for contact, lam in self.held.items():
-            if contact not in fr.contacts:
-                continue
+        for contact, lam in held:
             normal_force = max(lam, 0.0) / cfg.h
             frozen = frozen + friction_force(
-                model, q_c, qdot, contact, fr.mu, normal_force
+                model, q_c, qdot, contact, fr.mu, normal_force, applied
             )
-            active = True
-        if not active:
-            return self.user_forces
-        user = self.user_forces
 
         def sampler(qm, v, tm):
             total = frozen
@@ -979,16 +972,20 @@ class _Sim:
             exc.t, exc.contacts = t_c, tuple(sorted(self.held))
             raise
 
-    def advance(self, q_c, t_c, p_in, t_target):
-        """Advance to the target time, resolving any impacts on the way."""
+    def advance(self, q_c, t_c, p_in, t_target, gaps_c):
+        """Advance to the target time, resolving any impacts on the way.
+
+        ``gaps_c`` are the gaps at ``q_c``. Returns the end node's
+        configuration, momentum and gaps, so the next step need not
+        evaluate them again.
+        """
         model, cfg = self.model, self.cfg
         act_tol = ACTIVATION_RTOL * model.length_scale
         pen_tol = PENETRATION_RTOL * model.length_scale
         impacts = 0
         while True:
-            forces = self.effective_forces(q_c, p_in)
+            forces = self.effective_forces(q_c, t_c, p_in)
             q_n, p_out = self.solve_interval(q_c, t_c, p_in, t_target, forces)
-            gaps_c = model.gaps(q_c)
             gaps_n = model.gaps(q_n)
             crossing = [
                 i
@@ -999,7 +996,7 @@ class _Sim:
                 and gaps_n[i] < gaps_c[i]
             ]
             if not crossing:
-                return q_n, p_out
+                return q_n, p_out, gaps_n
 
             impacts += 1
             if impacts > MAX_IMPACTS_PER_STEP:
@@ -1039,6 +1036,7 @@ class _Sim:
                 h1 = t_star - t_c
                 if h1 > TINY_FRACTION * cfg.h:
                     p_star = node_momentum(model, q_c, t_c, q_star, t_star, forces)
+                    gaps_c = model.gaps(q_star)
                 else:
                     p_star, q_star, t_star = p_in, q_c, t_c
                 frame = _contact_frame(model, q_star, p_star, contacts)
@@ -1055,7 +1053,7 @@ class _Sim:
                 for i in contacts:
                     self.held.setdefault(i, 0.0)
             if t_target - t_star <= TINY_FRACTION * cfg.h:
-                return q_star, p_mapped
+                return q_star, p_mapped, gaps_c
             q_c, t_c, p_in = q_star, t_star, p_mapped
 
 
@@ -1104,10 +1102,10 @@ def simulate(
     p = model.mass_matrix(q0) @ qdot0
     momenta = [p.copy()]
 
-    t, q = 0.0, q0
+    t, q, gaps = 0.0, q0, gaps0
     for k in range(n_steps):
         t_target = (k + 1) * config.h
-        q, p = sim.advance(q, t, p, t_target)
+        q, p, gaps = sim.advance(q, t, p, t_target, gaps)
         t = t_target
         times.append(t)
         states.append(q.copy())

@@ -545,7 +545,8 @@ class TestConfigErrorsLeaveNoOutput:
     @pytest.mark.parametrize("key", ["newton_max_iter", "impact_time_tol", "zeno_window"])
     def test_removed_stepper_key(self, tmp_path, capsys, key):
         # The Newton cap and the Zeno window are module constants and the
-        # event time tolerance is h * 1e-6, so a file setting one is wrong.
+        # event time tolerance is SIMULTANEITY_RTOL * h, so a file setting
+        # one is wrong.
         path = shipped_with(tmp_path, "ball_zeno.json", ("stepper", key), 4)
         assert_config_error(tmp_path, capsys, path, f"unexpected properties [{key!r}]")
 

@@ -920,7 +920,8 @@ def test_node_impact_builds_one_frame(monkeypatch, mass_solves):
     monkeypatch.setattr(body, "metric_at", lambda _: metric)
     sim = _Sim(body, StepperConfig(h=0.01), None)
     p_in = body.mass_matrix(q) @ np.array([0.0, -1.0, 0.0])
-    solves, _ = mass_solves(metric, lambda: sim.advance(q, 0.0, p_in, 0.01))
+    gaps = body.gaps(q)
+    solves, _ = mass_solves(metric, lambda: sim.advance(q, 0.0, p_in, 0.01, gaps))
     assert [(ev.t, ev.contacts) for ev in sim.events] == [(0.0, (0, 1))]
     assert solves == 1
 

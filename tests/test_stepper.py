@@ -98,14 +98,13 @@ class BreathingMass(MechModel):
 
 
 class Slider(MechModel):
-    """Planar block on a floor with a constant driving force."""
+    """Planar block on a floor; pushes are passed as applied forces."""
 
     dim = 2
     constant_mass = True
 
-    def __init__(self, mass=2.0, push=3.0):
+    def __init__(self, mass=2.0):
         self.m = mass
-        self.push = push
 
     def mass_matrix(self, q):
         return np.diag([self.m, self.m])
@@ -125,18 +124,15 @@ class Slider(MechModel):
     def gap_tangents(self, q):
         return np.array([[1.0, 0.0]])
 
-    def force(self, q, qdot, t):
-        return np.array([self.push, 0.0])
-
 
 class LoadedContact(MechModel):
-    """A closed contact under a coupled mass, a tilted tangent and loads."""
+    """A closed contact under a coupled mass, a tilted tangent and a load."""
 
     constant_mass = True
 
-    def __init__(self, mass, tangent, load, push):
+    def __init__(self, mass, tangent, load):
         self.dim = len(tangent)
-        self._mass, self._tangent, self._load, self._push = mass, tangent, load, push
+        self._mass, self._tangent, self._load = mass, tangent, load
 
     def mass_matrix(self, q):
         return self._mass
@@ -149,9 +145,6 @@ class LoadedContact(MechModel):
 
     def gap_tangents(self, q):
         return self._tangent[None, :]
-
-    def force(self, q, qdot, t):
-        return self._push
 
 
 def discrete_lagrangian(model: MechModel, q_a, t_a: float, q_b, t_b: float) -> float:
@@ -412,7 +405,8 @@ class TestLocateImpact:
         model = BallModel(1.0, gravity=0.0)
         h = 0.01
         sim = _Sim(model, StepperConfig(h=h), None)
-        q_n, p_n = sim.advance(np.array([0.1]), 0.0, np.array([-(0.1 + 1e-11) / h]), h)
+        q0 = np.array([0.1])
+        q_n, p_n, _ = sim.advance(q0, 0.0, np.array([-(0.1 + 1e-11) / h]), h, model.gaps(q0))
         assert [ev.kind for ev in sim.events] == [ImpactKind.ELASTIC]
         assert sim.events[0].t == pytest.approx(h - 1e-12, abs=1e-15)
         assert abs(q_n[0]) <= 1e-12
@@ -448,7 +442,7 @@ class TestLocateImpact:
         assert body.gaps(q_cand)[0] < 0.0 < body.gaps(q_cand)[1]
         sim = _Sim(body, StepperConfig(h=h), None)
         p_in = node_momentum(body, q_curr - h * qdot, 0.5 - h, q_curr, 0.5)
-        sim.advance(q_curr, 0.5, p_in, 0.5 + h)
+        sim.advance(q_curr, 0.5, p_in, 0.5 + h, body.gaps(q_curr))
         assert [(ev.t, ev.contacts) for ev in sim.events] == [(0.5, (0, 1))]
 
     @pytest.mark.parametrize("v", [2e-9, 5e-10])
@@ -461,7 +455,7 @@ class TestLocateImpact:
         q[1] -= 5e-11
         h = 0.005
         sim = _Sim(model, StepperConfig(h=h), None)
-        q_n, _ = sim.advance(q, 0.0, np.array([-v, v]), h)
+        q_n, _, _ = sim.advance(q, 0.0, np.array([-v, v]), h, model.gaps(q))
         assert sim.events == [] and sim.held == {}
         assert model.gaps(q)[0] < model.gaps(q_n)[0] < 0.0
 
@@ -477,7 +471,7 @@ class TestImpactStep:
         q_prev, q_star = np.array([0.05]), np.array([0.0])
         sim = _Sim(model, StepperConfig(h=h, restitution=1.0), None)
         p_star = node_momentum(model, q_prev, 0.0, q_star, 0.05)
-        q_next, _ = sim.advance(q_star, 0.05, p_star, 0.05 + h)
+        q_next, _, _ = sim.advance(q_star, 0.05, p_star, 0.05 + h, model.gaps(q_star))
         assert [ev.kind for ev in sim.events] == [ImpactKind.ELASTIC]
         assert q_next[0] == pytest.approx(1.0 * h, rel=1e-10)
 
@@ -487,7 +481,7 @@ class TestImpactStep:
         q_prev, q_star = np.array([0.02]), np.array([0.0])
         sim = _Sim(model, StepperConfig(h=h, restitution=0.0), None)
         p_star = node_momentum(model, q_prev, 0.0, q_star, 0.03)
-        q_next, _ = sim.advance(q_star, 0.03, p_star, 0.03 + h)
+        q_next, _, _ = sim.advance(q_star, 0.03, p_star, 0.03 + h, model.gaps(q_star))
         assert [ev.kind for ev in sim.events] == [ImpactKind.PLASTIC]
         assert abs(q_next[0]) < 1e-9
 
@@ -893,14 +887,16 @@ class TestFriction:
 
     def test_stiction_cancels_applied_load(self):
         # Push below the cone bound: stiction holds the block.
-        model = Slider(mass=2.0, push=3.0)
-        force = friction_force(model, np.zeros(2), np.zeros(2), 0, mu=0.4, normal_force=2.0 * 9.81)
+        model = Slider(mass=2.0)
+        force = friction_force(model, np.zeros(2), np.zeros(2), 0, mu=0.4,
+                               normal_force=2.0 * 9.81, applied=np.array([3.0, 0.0]))
         assert force[0] == pytest.approx(-3.0, abs=1e-6)
 
     def test_stiction_saturates_at_cone(self):
-        model = Slider(mass=2.0, push=30.0)
+        model = Slider(mass=2.0)
         bound = 0.4 * 2.0 * 9.81
-        force = friction_force(model, np.zeros(2), np.zeros(2), 0, mu=0.4, normal_force=2.0 * 9.81)
+        force = friction_force(model, np.zeros(2), np.zeros(2), 0, mu=0.4,
+                               normal_force=2.0 * 9.81, applied=np.array([30.0, 0.0]))
         assert abs(force[0]) <= bound + 1e-9
         assert force[0] == pytest.approx(-bound, abs=1e-6)
 
@@ -911,13 +907,16 @@ class TestFriction:
         # push. The pre-contact fall contributes push/m for t_contact.
         t_contact = math.sqrt(2 * 0.02 / 9.81)
 
+        def push(q, v, t):
+            return np.array([3.0, 0.0])
+
         def run_block(mu):
             cfg = StepperConfig(
                 h=0.01,
                 restitution=0.0,
                 friction=FrictionConfig(mu=mu, contacts=(0,)),
             )
-            traj = simulate(Slider(), [0.0, 0.02], [0.0, 0.0], 1.0, cfg)
+            traj = simulate(Slider(), [0.0, 0.02], [0.0, 0.0], 1.0, cfg, push)
             assert abs(traj.states[-1, 1]) < 1e-9  # held on the floor
             return traj.momenta[-1, 0] / 2.0
 
@@ -945,7 +944,7 @@ class TestFriction:
         mass = a @ a.T + 0.1 * np.eye(dim)
         trow = rng.standard_normal(dim)
         load, push = 5.0 * rng.standard_normal((2, dim))
-        model = LoadedContact(mass, trow, load, push)
+        model = LoadedContact(mass, trow, load)
         q, bound = np.zeros(dim), mu * normal_force
 
         # Slip: the cone boundary opposing the tangential speed, exactly.
@@ -960,14 +959,14 @@ class TestFriction:
         c = trow @ np.linalg.solve(mass, push - load)
         d = trow @ np.linalg.solve(mass, trow)
         f = np.clip(-c / d, -bound, bound)
-        stick = friction_force(model, q, np.zeros(dim), 0, mu, normal_force)
+        stick = friction_force(model, q, np.zeros(dim), 0, mu, normal_force, push)
         scale = (abs(c / d) + bound) * np.abs(trow).max()
         np.testing.assert_allclose(stick, f * trow, rtol=0.0, atol=1e-12 * scale)
 
     def test_matches_scalar_minimization_oracle(self):
         # Independent oracle: bounded scalar minimization of the same
         # dissipation objective.
-        model = Slider(mass=2.0, push=3.0)
+        model = Slider(mass=2.0)
         q, qdot = np.zeros(2), np.array([0.8, 0.0])
         mu, n_force = 0.3, 11.0
         got = friction_force(model, q, qdot, 0, mu, n_force)[0]
@@ -977,6 +976,22 @@ class TestFriction:
             options={"xatol": 1e-10},
         )
         assert got == pytest.approx(res.x, abs=1e-6)
+
+    def test_stiction_balances_the_sampled_push_at_the_step_time(self):
+        # The push ramps up from zero at t = 0. At the step's own time,
+        # 0.5, it is 3 N, below the cone bound 0.4 * 2 * 9.81 N of the
+        # held multiplier; the friction frozen for the step cancels it.
+        model = Slider(mass=2.0)
+        h = 0.01
+
+        def push(q, v, t):
+            return np.array([6.0 * t, 0.0])
+
+        sim = _Sim(model, StepperConfig(h=h, friction=FrictionConfig(0.4, (0,))), push)
+        sim.held[0] = 2.0 * 9.81 * h
+        q, v = np.zeros(2), np.zeros(2)
+        sampler = sim.effective_forces(q, 0.5, model.mass_matrix(q) @ v)
+        np.testing.assert_allclose(sampler(q, v, 0.5), [0.0, 0.0], rtol=0.0, atol=1e-12)
 
     @staticmethod
     def _assert_friction_changes_nothing(model, q0, duration, friction, forces=None, **kwargs):
@@ -1094,8 +1109,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("field", ["newton_max_iter", "impact_time_tol", "zeno_window"])
     def test_numerical_limits_are_not_fields(self, field):
-        # The Newton cap and the Zeno window are module constants, and the
-        # event time tolerance is h * 1e-6: none of them is a setting.
+        # The Newton cap, the Zeno window and the simultaneity window
+        # SIMULTANEITY_RTOL are module constants: none of them is a setting.
         with pytest.raises(TypeError, match=field):
             StepperConfig(h=0.01, **{field: 4})
 
