@@ -35,12 +35,16 @@ class MechModel:
     Subclasses must define ``dim``, ``mass_matrix`` and the gap
     functions; everything else has sensible defaults. ``constant_mass``
     lets the stepper skip the configuration gradient of the kinetic
-    energy. Models are immutable after construction and evaluation is
-    pure.
+    energy. ``affine_potential``, which needs ``constant_mass``, declares
+    a potential gradient that is the same at every configuration: the
+    stepper then takes each force-free step without held contacts as
+    uniformly accelerated flight, in closed form. Models are immutable
+    after construction and evaluation is pure.
     """
 
     dim: int = 0
     constant_mass: bool = False
+    affine_potential: bool = False
     length_scale: float = 1.0
 
     def mass_matrix(self, q: np.ndarray) -> np.ndarray:
@@ -142,6 +146,7 @@ class CradleModel(MechModel):
     """
 
     constant_mass = True
+    affine_potential = True
 
     def __init__(self, masses: Sequence[float], radii: Sequence[float]):
         masses = _positive(masses, "masses")
@@ -183,6 +188,7 @@ class BallModel(MechModel):
     """One-dimensional ball above a floor at height zero, under gravity."""
 
     constant_mass = True
+    affine_potential = True
 
     def __init__(self, mass: float, gravity: float = 9.81, radius: float = 0.0):
         (self.m,) = _positive([mass], "mass")
@@ -219,6 +225,7 @@ class BilliardsModel(MechModel):
     """
 
     constant_mass = True
+    affine_potential = True
 
     def __init__(self, masses: Sequence[float], radii: Sequence[float]):
         masses = _positive(masses, "masses")
@@ -313,6 +320,7 @@ class LegTailModel(MechModel):
     """
 
     constant_mass = True
+    affine_potential = True
 
     def __init__(
         self,
@@ -442,15 +450,31 @@ def validate_model(model: MechModel, q_samples: Sequence[np.ndarray]):
 
     Checks that the mass matrix is symmetric positive definite and that
     the gap gradients match central finite differences of the gaps at
-    every supplied configuration. Raises on the first violation.
+    every supplied configuration. A model declaring ``affine_potential``
+    must also declare ``constant_mass`` and give a potential gradient
+    bitwise equal at every configuration, since its closed-form step
+    takes the gradient at the step start where the node momentum takes
+    it at the midpoint. Raises on the first violation.
     """
+    if model.affine_potential and not model.constant_mass:
+        raise VerificationError("an affine potential is declared without a constant mass")
+    grad_ref = None
     for q in q_samples:
         q = np.asarray(q, dtype=float)
         model.metric_at(q)  # raises unless SPD
+        if model.affine_potential:
+            grad = np.asarray(model.potential_gradient(q), dtype=float)
+            if grad_ref is None:
+                grad_ref = grad
+            elif grad.tobytes() != grad_ref.tobytes():
+                raise VerificationError(
+                    f"potential gradient {grad} at q={q} differs from {grad_ref}, "
+                    "but the potential is declared affine"
+                )
         grads = model.gap_gradients(q)
         fd = _central_jacobian(model.gaps, q, 1e-7)
-        err = np.abs(grads - fd).max()
-        if err > 1e-6 * max(1.0, np.abs(grads).max()):
+        err = np.abs(grads - fd).max(initial=0.0)
+        if err > 1e-6 * max(1.0, np.abs(grads).max(initial=0.0)):
             raise VerificationError(
                 f"gap gradients disagree with finite differences by {err:.3e} at q={q}"
             )

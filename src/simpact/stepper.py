@@ -37,6 +37,13 @@ Such a Jacobian changes within a step by more than ``KEEP_RATE`` allows,
 and re-differencing it at every step costs one residual evaluation per
 unknown.
 
+A force-free step with no contact held takes no Newton solve when the
+model declares ``constant_mass`` and ``affine_potential``: the midpoint
+DEL step is then exact uniformly accelerated flight, one mass solve in
+closed form (J. E. Marsden and M. West, Acta Numerica 10, 2001). Forced,
+held and localization solves, and the free steps of every other model,
+keep Newton.
+
 Square solves divide by the diagonal when the matrix is diagonal with no
 zero on it, as a constant diagonal mass and its DEL Jacobian are; the
 mass is factored once per simulation and a kept Jacobian carries its
@@ -526,6 +533,27 @@ def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot=None, mas
     return q_next, p_out[0]
 
 
+def _solve_flight(model, p_in, q_curr, t_curr, t_next, mass):
+    """The force-free DEL step of a constant mass in an affine potential, in closed form.
+
+    The step is exact uniformly accelerated flight, ``q_next = q_curr +
+    h M^-1 (p_in - (h/2) grad V)``; ``mass`` is the constant mass and its
+    diagonal. The momentum carried into ``t_next`` takes the operations
+    of :func:`discrete_momenta` in its order, so it is bitwise the node
+    momentum of the step's end points. Raises :class:`StepFailureError`
+    when either is not finite.
+    """
+    h = t_next - t_curr
+    half = 0.5 * h * -model.potential_gradient(q_curr)
+    q_next = q_curr + h * _solve(*mass, p_in + half)
+    p_out = mass[0] @ ((q_next - q_curr) / h) + half
+    # A non-finite q_next makes its velocity, and through the positive
+    # diagonal of the mass, p_out non-finite too.
+    if not np.isfinite(p_out).all():
+        raise StepFailureError("free flight step is not finite")
+    return q_next, p_out
+
+
 def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, slot=None,
                 mass=None):
     """Constrained DEL step: held gaps pinned to zero via impulse multipliers.
@@ -585,6 +613,9 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held, cros
     impact configuration, the impact time, and the multipliers of any
     held contacts; the crossing contact's gap is driven to zero while
     the substep dynamics stay exactly satisfied.
+
+    Returns the impact time, configuration and contacts, and the gaps at
+    the impact configuration.
     """
     act_tol = ACTIVATION_RTOL * model.length_scale
     time_tol = SIMULTANEITY_RTOL * cfg.h
@@ -679,7 +710,7 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held, cros
         # Contacts already resting on their manifold join the active set.
         if i not in held and abs(gaps_star[i]) <= act_tol:
             contacts.add(i)
-    return t_star, q_star, tuple(sorted(contacts))
+    return t_star, q_star, tuple(sorted(contacts)), gaps_star
 
 
 def _node_contacts(model, q, p, gaps, crossing, act_tol):
@@ -883,6 +914,8 @@ class _Sim:
         if model.constant_mass:
             matrix = model.mass_matrix(np.zeros(model.dim))
             self.mass = (matrix, _diagonal(matrix))
+        # Force-free free steps fly in closed form (_solve_flight).
+        self.flight = model.constant_mass and model.affine_potential
 
     def log(self, event):
         """Record an event, also among the recent ones of its contacts."""
@@ -941,9 +974,11 @@ class _Sim:
 
         Returns the next configuration and its node momentum. A failed
         solve raises :class:`StepFailureError` naming the step start and
-        the contacts held in it. A full-length solve shares the Newton
-        Jacobian of its held set with the earlier ones; the substep after
-        an in-step impact keeps its own within the solve.
+        the contacts held in it. A force-free step with no contact held
+        flies in closed form when the model allows it
+        (:func:`_solve_flight`). Otherwise a full-length solve shares the
+        Newton Jacobian of its held set with the earlier ones; the substep
+        after an in-step impact keeps its own within the solve.
         """
         cfg = self.cfg
         full = round((t_target - t_c) / cfg.h, 9) == 1
@@ -965,6 +1000,8 @@ class _Sim:
                         self.held[c] = lam
                         self.holds.append((t_target, c, lam))
                     return q_n, p_out
+                if forces is None and self.flight:
+                    return _solve_flight(self.model, p_in, q_c, t_c, t_target, self.mass)
                 return _solve_free(
                     self.model, p_in, q_c, t_c, t_target, forces, cfg, slot, self.mass
                 )
@@ -1029,14 +1066,14 @@ class _Sim:
                     self.held.setdefault(i, 0.0)
                 continue
             else:
-                t_star, q_star, contacts = _locate(
+                t_star, q_star, contacts, gaps_star = _locate(
                     model, p_in, q_c, t_c, q_n, t_target, forces, cfg,
                     tuple(sorted(self.held)), crossing, gaps_c, gaps_n,
                 )
                 h1 = t_star - t_c
                 if h1 > TINY_FRACTION * cfg.h:
                     p_star = node_momentum(model, q_c, t_c, q_star, t_star, forces)
-                    gaps_c = model.gaps(q_star)
+                    gaps_c = gaps_star
                 else:
                     p_star, q_star, t_star = p_in, q_c, t_c
                 frame = _contact_frame(model, q_star, p_star, contacts)

@@ -11,8 +11,21 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from simpact import resolution, stepper
-from simpact.errors import ConfigError, ImpactLocationError, SimpactError, StepFailureError
-from simpact.models import BallModel, BilliardsModel, CradleModel, LegTailModel, MechModel
+from simpact.errors import (
+    ConfigError,
+    ImpactLocationError,
+    SimpactError,
+    StepFailureError,
+    VerificationError,
+)
+from simpact.models import (
+    BallModel,
+    BilliardsModel,
+    CradleModel,
+    LegTailModel,
+    MechModel,
+    validate_model,
+)
 from simpact.resolution import CascadePolicy, ImpactKind
 from simpact.stepper import (
     FrictionConfig,
@@ -336,6 +349,122 @@ class TestDelStep:
         assert abs(p_in[0] + fm[0]) <= cfg.newton_tol * max(1.0, abs(p_in[0]))
 
 
+def _free_flight_case(name, u):
+    """A shipped model, a configuration and a momentum from ``u`` in [-1, 1]^4."""
+    if name == "ball":
+        return BallModel(1.3), np.array([0.5 + 0.4 * u[0]]), np.array([3.0 * u[1]])
+    if name == "cradle":
+        model = CradleModel([1.0 + 0.5 * u[0], 0.7, 1.4], [0.1, 0.15, 0.1])
+        return model, model.touching_positions(0.3 * (1.0 + u[1])), np.array([u[2], -2.0, u[3]])
+    if name == "billiards":
+        model = BilliardsModel([1.0, 1.0, 9.0], [0.1, 0.1, 0.3])
+        q = model.double_contact_configuration(1.2 + 0.3 * u[0]) + 0.1 * u[1]
+        return model, q, np.array([u[2], -u[3], 0.5, u[0] * u[1], 3.0 * u[3], -1.0])
+    model = LegTailModel(1.2, 0.08, [0.3, -0.25], [-0.1, -0.25])
+    return model, np.array([u[0], 2.0 + u[1], 0.5 * u[2]]), np.array([u[3], -1.8 * u[0], 0.1])
+
+
+SHIPPED = ("ball", "billiards", "cradle", "legtail")
+
+
+def _count_newton(run):
+    """``run()`` and the number of ``_newton`` calls it made."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return _newton(*args, **kwargs)
+
+    with mock.patch.object(stepper, "_newton", spy):
+        return run(), len(calls)
+
+
+class TestFreeFlight:
+    # A constant mass in an affine potential flies through force-free
+    # free steps in closed form; Newton keeps every other solve.
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    @settings(max_examples=25, deadline=None)
+    @given(u=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4),
+           h=st.sampled_from([1e-3, 0.01, 0.05]))
+    def test_closed_form_matches_newton(self, name, u, h):
+        model, q, p = _free_flight_case(name, u)
+        cfg = StepperConfig(h=h)
+        mass = _Sim(model, cfg, None).mass
+        q_flight, p_flight = stepper._solve_flight(model, p, q, 0.3, 0.3 + h, mass)
+        q_newton, p_newton = _solve_free(model, p, q, 0.3, 0.3 + h, None, cfg, None, mass)
+        assert np.all(np.abs(q_flight - q_newton) <= cfg.newton_tol * np.maximum(1.0, np.abs(q)))
+        assert np.all(np.abs(p_flight - p_newton) <= cfg.newton_tol * max(1.0, np.abs(p).max()))
+        np.testing.assert_array_equal(
+            p_flight, node_momentum(model, q, 0.3, q_flight, 0.3 + h)
+        )
+
+    def test_ball_drop_follows_the_parabola(self):
+        # Midpoint flight under constant gravity is exact at the nodes, so
+        # the landing is at sqrt(2 h0 / g) and the elastic rebound
+        # retraces the fall.
+        g = 9.81
+        traj = simulate(BallModel(1.0, gravity=g), [1.0], [0.0], 1.0, StepperConfig(h=0.01))
+        t_land = math.sqrt(2.0 / g)
+        assert [ev.t for ev in traj.events] == [pytest.approx(t_land, rel=0, abs=1e-12)]
+        s = traj.times - t_land
+        parabola = np.where(s < 0.0, 1.0 - 0.5 * g * traj.times**2, g * t_land * s - 0.5 * g * s**2)
+        np.testing.assert_allclose(traj.states[:, 0], parabola, rtol=0, atol=1e-11)
+        assert traj.times[-1] == 1.0
+
+    def test_high_drop_takes_no_newton_solve(self):
+        # A ball at 1e6 m once took 31 residual evaluations per free step.
+        traj, calls = _count_newton(
+            lambda: simulate(BallModel(1.0), [1e6], [0.0], 100.0, StepperConfig(h=0.01))
+        )
+        assert traj.times.size == 10_001 and not traj.events
+        assert calls == 0
+        # Each node momentum differences positions near 1e6 m, whose
+        # rounding leaves about 1e-3 m after 1e4 steps, as Newton's did.
+        assert traj.states[-1, 0] == pytest.approx(1e6 - 0.5 * 9.81 * 100.0**2, rel=1e-8)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_models_fly_without_newton(self, name):
+        # Every shipped model declares the trait: a force-free run that
+        # meets no contact makes no Newton solve. A force sampler, even a
+        # zero one, keeps every free step on Newton.
+        model, q, _ = _free_flight_case(name, [0.0, 1.0, 0.0, 0.0])
+        # Along the sum of the gap gradients every contact opens.
+        qdot = model.gap_gradients(q).sum(axis=0)
+        cfg = StepperConfig(h=0.01)
+        for forces, expected in ((None, 0), (lambda q, v, t: np.zeros(model.dim), 30)):
+            traj, calls = _count_newton(lambda: simulate(model, q, qdot, 0.3, cfg, forces))
+            assert not traj.events
+            assert calls == expected
+
+    def test_overflowing_flight_is_a_step_failure(self):
+        # Ball 0 leaves at -1e308 m/s: its first 10 s step overflows,
+        # which the closed form reports as a failed step, not as samples.
+        model = CradleModel([1.0, 1.0], [0.1, 0.1])
+        q0 = model.touching_positions(1.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(StepFailureError, match="free flight step is not finite") as err:
+            simulate(model, q0, [-1e308, 0.0], 20.0, StepperConfig(h=10.0))
+        assert err.value.t == 0.0
+        assert err.value.contacts == ()
+
+    def test_validate_model_rejects_a_pendulum_declared_affine(self):
+        class AffinePendulum(Pendulum):
+            affine_potential = True
+
+        samples = [np.array([0.1 * k]) for k in range(5)]
+        validate_model(Pendulum(), samples)
+        with pytest.raises(VerificationError, match="declared affine"):
+            validate_model(AffinePendulum(), samples)
+
+    def test_validate_model_requires_constant_mass_for_affine_potential(self):
+        class AffineBreathing(BreathingMass):
+            affine_potential = True
+
+        with pytest.raises(VerificationError, match="without a constant mass"):
+            validate_model(AffineBreathing(), [np.zeros(1)])
+
+
 class TestNodeMomentum:
     LANDING = LegTailModel(1.0, 0.1, (0.3, -0.2), (-0.3, -0.2), gravity=9.81)
 
@@ -377,7 +506,7 @@ class TestLocateImpact:
         q_prev, q_curr = np.array([0.15]), np.array([0.05])
         q_cand = np.array([-0.05])
         p_in = node_momentum(model, q_prev, 1.0 - h, q_curr, 1.0)
-        t_star, q_star, contacts = _locate(
+        t_star, q_star, contacts, _ = _locate(
             model, p_in, q_curr, 1.0, q_cand, 1.0 + h, None, StepperConfig(h=h), (), [0],
             model.gaps(q_curr), model.gaps(q_cand),
         )
@@ -392,7 +521,7 @@ class TestLocateImpact:
         h = 0.1
         p_in = node_momentum(model, [0.2], -h, [0.1], 0.0)
         q_curr, q_cand = np.array([0.1]), np.array([0.0])
-        t_star, q_star, _ = _locate(
+        t_star, q_star, _, _ = _locate(
             model, p_in, q_curr, 0.0, q_cand, h, None, StepperConfig(h=h), (), [0],
             model.gaps(q_curr), model.gaps(q_cand),
         )
@@ -422,7 +551,7 @@ class TestLocateImpact:
         q_prev = q_curr - h * qdot - np.array([0.0, 0.5 * 9.81 * h * h, 0.0])
         q_cand = q_curr + h * qdot - np.array([0.0, 0.5 * 9.81 * h * h, 0.0])
         p_in = node_momentum(body, q_prev, t - h, q_curr, t)
-        t_star, q_star, contacts = _locate(
+        t_star, q_star, contacts, _ = _locate(
             body, p_in, q_curr, t, q_cand, t + h, None, StepperConfig(h=h), (), [0, 1],
             body.gaps(q_curr), body.gaps(q_cand),
         )
@@ -792,9 +921,12 @@ class TestStepFailure:
         return _solve_free(model, p_in, q_curr, t_curr, *args)
 
     def test_error_names_time_and_no_contacts(self, monkeypatch):
+        # A force sampler keeps the ball's free steps on Newton; force-free,
+        # they fly in closed form.
         monkeypatch.setattr(stepper, "_solve_free", self._failing_free)
         with pytest.raises(StepFailureError) as err:
-            simulate(BallModel(1.0), [0.05], [0.0], 0.3, StepperConfig(h=0.01))
+            simulate(BallModel(1.0), [0.05], [0.0], 0.3, StepperConfig(h=0.01),
+                     lambda q, v, t: np.zeros(1))
         exc = err.value
         assert exc.t == 0.05
         assert exc.contacts == ()
@@ -822,18 +954,22 @@ class TestStepFailure:
         assert err.value.t == pytest.approx(0.002)
         assert err.value.contacts == (1,)
 
-    def test_cli_failure_line(self, monkeypatch, tmp_path, capsys):
+    def test_cli_failure_line(self, tmp_path, capsys):
+        # The overflowing cradle of TestFreeFlight: a failed step with no
+        # contact held and no residual names only its start.
         from simpact.cli import EXIT_TASK, main
 
-        monkeypatch.setattr(stepper, "_solve_free", self._failing_free)
-        config = tmp_path / "drop.json"
+        config = tmp_path / "overflow.json"
         config.write_text(
-            '{"model": {"type": "ball", "mass": 1.0}, "initial": {"q": [0.05]},'
-            ' "stepper": {"h": 0.01}, "task": {"kind": "simulate", "duration": 0.3}}'
+            '{"model": {"type": "cradle", "masses": [1, 1], "radii": [0.1, 0.1]},'
+            ' "initial": {"q": [0.0, 1.2], "qdot": [-1e308, 0.0]},'
+            ' "stepper": {"h": 10.0}, "task": {"kind": "simulate", "duration": 20.0}}'
         )
-        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == EXIT_TASK
+        with np.errstate(over="ignore", invalid="ignore"):
+            status = main(["run", str(config), "--out", str(tmp_path / "out")])
+        assert status == EXIT_TASK
         err = capsys.readouterr().err.strip()
-        assert err == "task failed: forced failure (t=0.050000000000000003, residual=5.000e-01)"
+        assert err == "task failed: free flight step is not finite (t=0)"
 
 
 class TestHeldContacts:

@@ -464,7 +464,7 @@ def _solve(mode, model, q, p, forces, k, slot):
         held = (model.gaps(q).size - 1,)
         q, lams, p = stepper._solve_held(model, p, q, t0, t1, forces, cfg, held, slot)
         return q, p, np.array(list(lams.values()))
-    t_star, q_star, _ = _locate_on_line(model, q, p, t0, t1, forces, cfg)
+    t_star, q_star, _, _ = _locate_on_line(model, q, p, t0, t1, forces, cfg)
     return q_star, p, np.array([t_star])
 
 
