@@ -109,9 +109,13 @@ class MechModel:
     def potential_hessian(self, q: np.ndarray) -> np.ndarray:
         """Hessian of the potential at ``q``.
 
-        The default uses central differences of ``potential_gradient``,
-        which are exactly zero for a linear or zero potential.
+        Zero for a declared ``affine_potential``, whose gradient
+        :func:`validate_model` requires to be bitwise constant, so its
+        differences would be exactly zero too. Otherwise the default uses
+        central differences of ``potential_gradient``.
         """
+        if self.affine_potential:
+            return np.zeros((self.dim, self.dim))
         return _central_jacobian(self.potential_gradient, np.asarray(q, dtype=float), 1e-6)
 
 

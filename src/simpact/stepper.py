@@ -44,6 +44,15 @@ closed form (J. E. Marsden and M. West, Acta Numerica 10, 2001). Forced,
 held and localization solves, and the free steps of every other model,
 keep Newton.
 
+The Newton free step of a one-coordinate constant mass with a nonzero
+diagonal, such as an oscillator, a pendulum or a forced ball, runs on
+Python floats (:func:`_solve_line`), since numpy calls on one-element
+arrays cost far more than their arithmetic. It repeats the array path's
+IEEE operations in their order, so its configuration, node momentum,
+errors and kept Jacobian are bitwise those of the array path. Held and
+localization solves, models with more coordinates and variable masses
+keep the array path.
+
 Square solves divide by the diagonal when the matrix is diagonal with no
 zero on it, as a constant diagonal mass and its DEL Jacobian are; the
 mass is factored once per simulation and a kept Jacobian carries its
@@ -502,8 +511,11 @@ def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot=None, mas
     node at ``t_next``, kept from the last residual evaluation. ``slot``
     is the Newton Jacobian slot shared with earlier solves, or None for
     one kept within this solve; ``mass`` is the constant mass and its
-    diagonal, or None to evaluate ``M(q)``.
+    diagonal, or None to evaluate ``M(q)``. A one-coordinate constant
+    mass with a nonzero diagonal is solved by :func:`_solve_line`.
     """
+    if mass is not None and mass[1] is not None and model.dim == 1:
+        return _solve_line(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot, mass[1])
     h = t_next - t_curr
     v0 = _mass_solve(model, mass, q_curr, p_in)
     x0 = q_curr + h * v0
@@ -531,6 +543,115 @@ def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot=None, mas
     tol = cfg.newton_tol * max(1.0, float(np.abs(p_in).max()))
     q_next = _newton(residual, x0, tol, jac=jacobian, slot=slot, floor=floor)
     return q_next, p_out[0]
+
+
+def _solve_line(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot, diag):
+    """:func:`_solve_free` of a one-coordinate constant mass, on Python floats.
+
+    ``diag`` is the mass's diagonal, nonzero. The IEEE operations of
+    :func:`_solve_free`, :func:`discrete_momenta`, :func:`_del_block` and
+    :func:`_newton` are repeated in their order, and the model and
+    ``forces`` are called with fresh one-element arrays, so the result,
+    every error and the Jacobian kept in ``slot`` are bitwise those of
+    the array path; a kept Jacobian is made an array only when kept.
+    """
+    h = t_next - t_curr
+    q, p = q_curr.item(), p_in.item()
+    x = q + h * (p / diag.item())
+    if slot is None:
+        slot = _KeptJacobian()
+    slot.secant = False
+    tol = cfg.newton_tol * max(1.0, abs(p))
+    if h <= 0.0:
+        raise ValueError("interval must have positive duration")
+    half_h, tm = 0.5 * h, 0.5 * (t_curr + t_next)
+
+    def line_momenta(y):
+        """The residual and forward momentum at ``y``, as discrete_momenta forms them."""
+        qm = np.array([0.5 * (q + y)])
+        v = (y - q) / h
+        # The matrix product accumulates onto +0.0, so a -0.0 product reads +0.0.
+        mv = model.mass_matrix(qm).item() * v + 0.0
+        half = half_h * -model.potential_gradient(qm).item()
+        if forces is not None:
+            half = half + half_h * np.asarray(forces(qm, np.array([v]), tm), float).item()
+        return p + (-mv + half), mv + half
+
+    r, p_out = line_momenta(x)
+    rn = math.sqrt(r * r)
+    for it in range(NEWTON_MAX_ITER):
+        if rn <= tol:
+            return np.array([x]), np.array([p_out])
+        jmat, jdiag = slot.matrix, slot.diag
+        slot.keep(None, None)
+        fresh = jmat is None
+        dx = None
+        alpha = 1.0
+        while True:
+            if dx is None:
+                if fresh:
+                    jac, jmat = _line_jacobian(model, forces, q, t_curr, x, t_next), None
+                else:
+                    jac = jmat.item()
+                # A zero has no _diagonal, and np.linalg.solve raises on it.
+                if jac == 0.0:
+                    if fresh:
+                        raise StepFailureError(
+                            "singular Jacobian in implicit step: Singular matrix", rn, it
+                        )
+                    fresh = True
+                    continue
+                dx = -r / jac
+                step = dx
+            x_new = x + step
+            r_new, p_new = line_momenta(x_new)
+            rn_new = math.sqrt(r_new * r_new)
+            if rn_new < rn or rn_new <= tol:
+                if rn_new <= max(KEEP_RATE * rn, tol):
+                    if jmat is None:
+                        jmat = np.array([[jac]])
+                        jdiag = _diagonal(jmat)
+                    slot.keep(jmat, jdiag)
+                x, r, rn, p_out = x_new, r_new, rn_new, p_new
+                break
+            if not fresh:
+                dx, fresh = None, True
+                continue
+            alpha *= 0.5
+            if alpha < 1e-8:
+                # _solve_free's rounding floor, on floats.
+                m = model.mass_matrix(np.array([0.5 * (q + x)])).item()
+                q_size = math.sqrt(q * q) + math.sqrt(x * x)
+                size = math.sqrt(p * p) + math.sqrt(m * m) * q_size / h
+                if rn <= 8.0 * np.finfo(float).eps * size:
+                    return np.array([x]), np.array([p_out])
+                raise StepFailureError("step rejected by line search", rn, it)
+            step = alpha * dx
+    if rn <= tol:
+        return np.array([x]), np.array([p_out])
+    raise StepFailureError(
+        f"implicit step did not converge (residual {rn:.3e} > tol {tol:.3e})",
+        rn,
+        NEWTON_MAX_ITER,
+    )
+
+
+def _line_jacobian(model, forces, q_a, t_a, q_b, t_b):
+    """:func:`_del_block` of a one-coordinate constant mass, on Python floats."""
+    h = t_b - t_a
+    qm = np.array([0.5 * (q_a + q_b)])
+    jac = -model.mass_matrix(qm).item() / h - (0.25 * h) * model.potential_hessian(qm).item()
+    if forces is not None:
+        tm = 0.5 * (t_a + t_b)
+
+        def force(q):
+            value = forces(np.array([0.5 * (q_a + q)]), np.array([(q - q_a) / h]), tm)
+            return np.asarray(value, float).item()
+
+        f0 = force(q_b)
+        step = FD_REL * max(1.0, abs(q_b))
+        jac += (0.5 * h) * ((force(q_b + step) - f0) / step)
+    return jac
 
 
 def _solve_flight(model, p_in, q_curr, t_curr, t_next, mass):

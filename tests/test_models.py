@@ -39,6 +39,26 @@ class TestInterfaceSuite:
         validate_model(ball, [rng.standard_normal(1) for _ in range(1000)])
         validate_model(body, [rng.standard_normal(3) for _ in range(1000)])
 
+    def test_shipped_affine_potentials_have_exact_zero_hessians(self, rng):
+        # A declared affine potential's Hessian is zero, not differenced;
+        # the central differences of its bitwise-constant gradient, the
+        # former default, were +0.0 entries too.
+        models = [
+            CradleModel([1.0, 2.0, 0.5], [0.1, 0.15, 0.2]),
+            BilliardsModel([1.0, 2.0, 3.0], [0.1, 0.2, 0.15]),
+            BallModel(0.7),
+            legtail(),
+        ]
+        for model in models:
+            assert model.affine_potential
+            zeros = np.zeros((model.dim, model.dim)).tobytes()
+            for q in 3.0 * rng.standard_normal((5, model.dim)):
+                hess = model.potential_hessian(q)
+                assert hess.shape == (model.dim, model.dim)
+                assert hess.tobytes() == zeros
+                fd = _central_jacobian(model.potential_gradient, q, 1e-6)
+                assert np.ascontiguousarray(fd).tobytes() == zeros
+
     def test_central_jacobian_is_exact_on_a_quadratic(self, rng):
         # Central differences of a quadratic have no truncation error.
         # With dyadic points and steps no rounding is left either.

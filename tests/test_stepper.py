@@ -368,14 +368,22 @@ SHIPPED = ("ball", "billiards", "cradle", "legtail")
 
 
 def _count_newton(run):
-    """``run()`` and the number of ``_newton`` calls it made."""
+    """``run()`` and the number of Newton solves it made.
+
+    A solve is a ``_newton`` call, or a ``_solve_line`` call: the same
+    iteration on Python floats for a one-coordinate free step.
+    """
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return _newton(*args, **kwargs)
+    def spy(solve):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
 
-    with mock.patch.object(stepper, "_newton", spy):
+        return counted
+
+    with mock.patch.object(stepper, "_newton", spy(_newton)), \
+            mock.patch.object(stepper, "_solve_line", spy(stepper._solve_line)):
         return run(), len(calls)
 
 

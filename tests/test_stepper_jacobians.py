@@ -9,6 +9,7 @@ result beyond the Newton tolerance and is rebuilt when it stops
 contracting.
 """
 
+import contextlib
 import math
 from unittest import mock
 
@@ -245,9 +246,14 @@ class Oscillator(MechModel):
         return np.zeros((0, 1))
 
 
-def _counting_newton(counts):
-    """``_newton`` with every Jacobian build counted in ``counts["jac"]``."""
-    newton = stepper._newton
+@contextlib.contextmanager
+def _counting_jacobians(counts):
+    """Count every Newton Jacobian build in ``counts["jac"]``.
+
+    Builds are those of ``_newton`` and those of ``_line_jacobian``, the
+    float Jacobian of a one-coordinate free step.
+    """
+    newton, line_jacobian = stepper._newton, stepper._line_jacobian
 
     def spy(fun, x0, tol, jac, **kwargs):
         def counted(x, r, f):
@@ -256,7 +262,13 @@ def _counting_newton(counts):
 
         return newton(fun, x0, tol, counted, **kwargs)
 
-    return spy
+    def line_spy(*args):
+        counts["jac"] += 1
+        return line_jacobian(*args)
+
+    with mock.patch.object(stepper, "_newton", spy), \
+            mock.patch.object(stepper, "_line_jacobian", line_spy):
+        yield
 
 
 def test_oscillator_keeps_one_jacobian_across_steps():
@@ -265,7 +277,7 @@ def test_oscillator_keeps_one_jacobian_across_steps():
     # at every step would make one build per step.
     counts = {"jac": 0}
     cfg = StepperConfig(h=2 * math.pi / 100, newton_tol=1e-14)
-    with mock.patch.object(stepper, "_newton", _counting_newton(counts)):
+    with _counting_jacobians(counts):
         traj = stepper.simulate(Oscillator(), [1.0], [0.3], 1000 * cfg.h, cfg)
     assert traj.times.size == 1001
     assert 1 <= counts["jac"] <= 2
@@ -297,7 +309,7 @@ def test_variable_mass_refines_one_jacobian_by_secant_updates():
     # every step; its inverse refined by Broyden updates is built once.
     counts = {"jac": 0}
     cfg = StepperConfig(h=0.01)
-    with mock.patch.object(stepper, "_newton", _counting_newton(counts)):
+    with _counting_jacobians(counts):
         traj = stepper.simulate(PolarSpring(), [0.95, 0.0], [0.1, 1.2], 50 * cfg.h, cfg)
     assert traj.times.size == 51
     assert 1 <= counts["jac"] <= 2
@@ -352,7 +364,7 @@ def test_lifted_ball_keeps_its_free_step_jacobian_through_in_step_impacts():
     # A cache bounded by slot count would evict the free-step Jacobian
     # after enough in-step substeps and rebuild it once more.
     counts = {"jac": 0}
-    with mock.patch.object(stepper, "_newton", _counting_newton(counts)):
+    with _counting_jacobians(counts):
         traj = _simulate_lifted_ball()
     assert traj.times.size == 301
     assert counts["jac"] == 65

@@ -311,12 +311,14 @@ class CallerCountingMass(Oscillator):
 
 def test_constant_mass_is_evaluated_once_for_the_velocity_solves():
     # The initial guesses take the mass factored by the simulation; only
-    # the DEL momenta and Jacobian blocks evaluate the mass per step.
+    # the DEL momenta and Jacobian blocks evaluate the mass per step. A
+    # one-coordinate free step forms them on floats, in _solve_line's
+    # line_momenta and in _line_jacobian.
     model = CallerCountingMass()
     simulate(model, [1.0], [0.3], 100 * 0.01, StepperConfig(h=0.01))
     assert model.callers["__init__"] == 1
     assert model.callers["simulate"] == 1
-    assert set(model.callers) == {"__init__", "simulate", "discrete_momenta", "_del_block"}
+    assert set(model.callers) == {"__init__", "simulate", "line_momenta", "_line_jacobian"}
 
 
 # ---------------------------------------------------------------------------
