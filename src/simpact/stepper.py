@@ -10,6 +10,11 @@ discrete momentum is then mapped through the propagative resolution at
 the impact-configuration metric and the remainder of the interval is
 integrated from the mapped momentum.
 
+One function, :func:`_solve_held`, assembles the Newton system of every
+fixed-length step, with a gap row and an impulse multiplier per held
+contact; with none held it is the free step, which :func:`_solve_free`
+takes in closed form, on Python floats or by that Newton solve.
+
 Every Newton solve uses a Jacobian assembled from model derivatives:
 the mass matrix and potential Hessian for the momentum block, and the
 gap gradients for the constraint rows and multiplier columns. Forward
@@ -40,9 +45,7 @@ unknown.
 A force-free step with no contact held takes no Newton solve when the
 model declares ``constant_mass`` and ``affine_potential``: the midpoint
 DEL step is then exact uniformly accelerated flight, one mass solve in
-closed form (J. E. Marsden and M. West, Acta Numerica 10, 2001). Forced,
-held and localization solves, and the free steps of every other model,
-keep Newton.
+closed form (J. E. Marsden and M. West, Acta Numerica 10, 2001).
 
 The Newton free step of a one-coordinate constant mass with a nonzero
 diagonal, such as an oscillator, a pendulum or a forced ball, runs on
@@ -505,53 +508,32 @@ def _del_block(model, forces, q_a, t_a, q_b, t_b, fun, x, r):
 
 
 def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot=None, mass=None):
-    """Solve the DEL for the next configuration given the node momentum.
+    """Solve the DEL for the next configuration given the node momentum, none held.
 
     Returns the next configuration and the momentum it carries into the
-    node at ``t_next``, kept from the last residual evaluation. ``slot``
-    is the Newton Jacobian slot shared with earlier solves, or None for
-    one kept within this solve; ``mass`` is the constant mass and its
-    diagonal, or None to evaluate ``M(q)``. A one-coordinate constant
-    mass with a nonzero diagonal is solved by :func:`_solve_line`.
+    node at ``t_next``. ``slot`` is the Newton Jacobian slot shared with
+    earlier solves, or None for one kept within this solve; ``mass`` is
+    the constant mass and its diagonal, or None to evaluate ``M(q)``.
+    Given ``mass``, a force-free step of an affine potential flies
+    (:func:`_solve_flight`) and one coordinate with a nonzero diagonal
+    runs on floats (:func:`_solve_line`); every other step is
+    :func:`_solve_held` with nothing held.
     """
+    if mass is not None and forces is None and model.affine_potential:
+        return _solve_flight(model, p_in, q_curr, t_curr, t_next, mass)
     if mass is not None and mass[1] is not None and model.dim == 1:
         return _solve_line(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot, mass[1])
-    h = t_next - t_curr
-    v0 = _mass_solve(model, mass, q_curr, p_in)
-    x0 = q_curr + h * v0
-    p_out = [None]
-
-    def residual(q_next):
-        p_minus, p_out[0] = discrete_momenta(model, q_curr, t_curr, q_next, t_next, forces)
-        return p_in + p_minus
-
-    def jacobian(q_next, r, fun):
-        return _del_block(model, forces, q_curr, t_curr, q_next, t_next, fun, q_next, r)
-
-    def floor(q_next):
-        # The residual cancels p_in against M (q_next - q_curr) / h, whose
-        # rounding grows with |q|; a tight newton_tol can fall below it.
-        mass = np.linalg.norm(model.mass_matrix(0.5 * (q_curr + q_next)))
-        q_size = np.linalg.norm(q_curr) + np.linalg.norm(q_next)
-        return 8.0 * np.finfo(float).eps * (np.linalg.norm(p_in) + mass * q_size / h)
-
-    if slot is None:
-        slot = _KeptJacobian()
-    # The Jacobian of a variable mass is differenced (see _del_block):
-    # keep its inverse and refine it by secant updates instead.
-    slot.secant = not model.constant_mass
-    tol = cfg.newton_tol * max(1.0, float(np.abs(p_in).max()))
-    q_next = _newton(residual, x0, tol, jac=jacobian, slot=slot, floor=floor)
-    return q_next, p_out[0]
+    q, _, p = _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, (), slot, mass)
+    return q, p
 
 
 def _solve_line(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot, diag):
-    """:func:`_solve_free` of a one-coordinate constant mass, on Python floats.
+    """The Newton free step of a one-coordinate constant mass, on Python floats.
 
     ``diag`` is the mass's diagonal, nonzero. The IEEE operations of
-    :func:`_solve_free`, :func:`discrete_momenta`, :func:`_del_block` and
-    :func:`_newton` are repeated in their order, and the model and
-    ``forces`` are called with fresh one-element arrays, so the result,
+    :func:`_solve_held` with nothing held, :func:`discrete_momenta`,
+    :func:`_del_block` and :func:`_newton` are repeated in their order,
+    and the model and ``forces`` are called with fresh one-element arrays, so the result,
     every error and the Jacobian kept in ``slot`` are bitwise those of
     the array path; a kept Jacobian is made an array only when kept.
     """
@@ -619,7 +601,7 @@ def _solve_line(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot, diag):
                 continue
             alpha *= 0.5
             if alpha < 1e-8:
-                # _solve_free's rounding floor, on floats.
+                # _solve_held's rounding floor, on floats.
                 m = model.mass_matrix(np.array([0.5 * (q + x)])).item()
                 q_size = math.sqrt(q * q) + math.sqrt(x * x)
                 size = math.sqrt(p * p) + math.sqrt(m * m) * q_size / h
@@ -677,40 +659,60 @@ def _solve_flight(model, p_in, q_curr, t_curr, t_next, mass):
 
 def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, slot=None,
                 mass=None):
-    """Constrained DEL step: held gaps pinned to zero via impulse multipliers.
+    """Newton solve of a fixed-length DEL step, held gaps pinned to zero.
 
-    Returns the next configuration, the multiplier per held contact and
-    the momentum carried into the node at ``t_next`` (from the last
-    residual evaluation). A negative multiplier means the constraint
-    would need to pull; the caller releases such contacts and re-solves.
-    ``slot`` and ``mass`` are as in :func:`_solve_free`.
+    Each held contact adds its gap as a row and an impulse multiplier on
+    its normal at ``q_curr``. Returns the next configuration, the
+    multiplier per held contact and the momentum carried into the node at
+    ``t_next`` (from the last residual evaluation). A negative multiplier
+    means the constraint would need to pull; the caller releases such
+    contacts and re-solves. With none held it is the free step: only it
+    is accepted at the residual's rounding floor, and only its Jacobian
+    of a variable mass is kept as a secant inverse. ``slot`` and ``mass``
+    are as in :func:`_solve_free`.
     """
     held = list(held)
     n = model.dim
     h = t_next - t_curr
-    grads_curr = model.gap_gradients(q_curr)[held]
-    v0 = _mass_solve(model, mass, q_curr, p_in)
-    x0 = np.concatenate([q_curr + h * v0, np.zeros(len(held))])
     p_scale = max(1.0, float(np.abs(p_in).max()))
-    gap_scale = p_scale / model.length_scale
+    x0 = q_curr + h * _mass_solve(model, mass, q_curr, p_in)
+    if held:
+        grads_curr = model.gap_gradients(q_curr)[held]
+        gap_scale = p_scale / model.length_scale
+        x0 = np.concatenate([x0, np.zeros(len(held))])
     p_out = [None]
 
     def residual(z):
-        q_next, lam = z[:n], z[n:]
-        p_minus, p_out[0] = discrete_momenta(model, q_curr, t_curr, q_next, t_next, forces)
-        r = p_in + lam @ grads_curr + p_minus
-        gaps = model.gaps(q_next)[held] * gap_scale
-        return np.concatenate([r, gaps])
+        p_minus, p_out[0] = discrete_momenta(model, q_curr, t_curr, z[:n], t_next, forces)
+        if not held:
+            return p_in + p_minus
+        r = p_in + z[n:] @ grads_curr + p_minus
+        return np.concatenate([r, model.gaps(z[:n])[held] * gap_scale])
 
     def jacobian(z, r, fun):
-        q_next = z[:n]
+        block = _del_block(model, forces, q_curr, t_curr, z[:n], t_next, fun, z, r)
+        if not held:
+            return block
         jac = np.zeros((z.size, z.size))
-        jac[:n, :n] = _del_block(model, forces, q_curr, t_curr, q_next, t_next, fun, z, r)
+        jac[:n, :n] = block
         jac[:n, n:] = grads_curr.T
-        jac[n:, :n] = model.gap_gradients(q_next)[held] * gap_scale
+        jac[n:, :n] = model.gap_gradients(z[:n])[held] * gap_scale
         return jac
 
-    z = _newton(residual, x0, cfg.newton_tol * p_scale, jac=jacobian, slot=slot)
+    def floor(q_next):
+        # The residual cancels p_in against M (q_next - q_curr) / h, whose
+        # rounding grows with |q|; a tight newton_tol can fall below it.
+        mass = np.linalg.norm(model.mass_matrix(0.5 * (q_curr + q_next)))
+        q_size = np.linalg.norm(q_curr) + np.linalg.norm(q_next)
+        return 8.0 * np.finfo(float).eps * (np.linalg.norm(p_in) + mass * q_size / h)
+
+    if slot is None:
+        slot = _KeptJacobian()
+    # A variable mass's free-step Jacobian is differenced (see _del_block):
+    # keep its inverse and refine it by secant updates instead.
+    slot.secant = not (model.constant_mass or held)
+    z = _newton(residual, x0, cfg.newton_tol * p_scale, jac=jacobian, slot=slot,
+                floor=None if held else floor)
     return z[:n], dict(zip(held, z[n:])), p_out[0]
 
 
@@ -1035,8 +1037,6 @@ class _Sim:
         if model.constant_mass:
             matrix = model.mass_matrix(np.zeros(model.dim))
             self.mass = (matrix, _diagonal(matrix))
-        # Force-free free steps fly in closed form (_solve_flight).
-        self.flight = model.constant_mass and model.affine_potential
 
     def log(self, event):
         """Record an event, also among the recent ones of its contacts."""
@@ -1090,42 +1090,38 @@ class _Sim:
 
         return sampler
 
-    def solve_interval(self, q_c, t_c, p_in, t_target, forces):
+    def solve_interval(self, q_c, t_c, p_in, t_target, forces, full):
         """One DEL solve with the current held set, releasing as needed.
 
-        Returns the next configuration and its node momentum. A failed
-        solve raises :class:`StepFailureError` naming the step start and
-        the contacts held in it. A force-free step with no contact held
-        flies in closed form when the model allows it
-        (:func:`_solve_flight`). Otherwise a full-length solve shares the
-        Newton Jacobian of its held set with the earlier ones; the substep
-        after an in-step impact keeps its own within the solve.
+        Returns the next configuration and its node momentum. Held
+        contacts go to :func:`_solve_held`, re-solved without those whose
+        multipliers turn negative, and a step with none to
+        :func:`_solve_free`. A failed solve raises :class:`StepFailureError`
+        naming the step start and the contacts held in it. A ``full``
+        step shares the Newton Jacobian of its held set with the earlier
+        ones; the substep after an in-step impact keeps its own.
         """
         cfg = self.cfg
-        full = round((t_target - t_c) / cfg.h, 9) == 1
         try:
-            while True:
+            while self.held:
                 held = tuple(sorted(self.held))
-                slot = self.kept[held] if full else None
-                if held:
-                    q_n, lams, p_out = _solve_held(
-                        self.model, p_in, q_c, t_c, t_target, forces, cfg, held, slot,
-                        self.mass,
-                    )
-                    negative = [c for c, lam in lams.items() if lam < 0.0]
-                    if negative:
-                        for c in negative:
-                            del self.held[c]
-                        continue
-                    for c, lam in lams.items():
-                        self.held[c] = lam
-                        self.holds.append((t_target, c, lam))
-                    return q_n, p_out
-                if forces is None and self.flight:
-                    return _solve_flight(self.model, p_in, q_c, t_c, t_target, self.mass)
-                return _solve_free(
-                    self.model, p_in, q_c, t_c, t_target, forces, cfg, slot, self.mass
+                q_n, lams, p_out = _solve_held(
+                    self.model, p_in, q_c, t_c, t_target, forces, cfg, held,
+                    self.kept[held] if full else None, self.mass,
                 )
+                negative = [c for c, lam in lams.items() if lam < 0.0]
+                if negative:
+                    for c in negative:
+                        del self.held[c]
+                    continue
+                for c, lam in lams.items():
+                    self.held[c] = lam
+                    self.holds.append((t_target, c, lam))
+                return q_n, p_out
+            return _solve_free(
+                self.model, p_in, q_c, t_c, t_target, forces, cfg,
+                self.kept[()] if full else None, self.mass,
+            )
         except StepFailureError as exc:
             exc.t, exc.contacts = t_c, tuple(sorted(self.held))
             raise
@@ -1135,15 +1131,17 @@ class _Sim:
 
         ``gaps_c`` are the gaps at ``q_c``. Returns the end node's
         configuration, momentum and gaps, so the next step need not
-        evaluate them again.
+        evaluate them again. Its solves are ``full`` in
+        :meth:`solve_interval` until an in-step impact moves ``t_c``.
         """
         model, cfg = self.model, self.cfg
         act_tol = ACTIVATION_RTOL * model.length_scale
         pen_tol = PENETRATION_RTOL * model.length_scale
         impacts = 0
+        full = True
         while True:
             forces = self.effective_forces(q_c, t_c, p_in)
-            q_n, p_out = self.solve_interval(q_c, t_c, p_in, t_target, forces)
+            q_n, p_out = self.solve_interval(q_c, t_c, p_in, t_target, forces, full)
             gaps_n = model.gaps(q_n)
             crossing = [
                 i
@@ -1195,6 +1193,7 @@ class _Sim:
                 if h1 > TINY_FRACTION * cfg.h:
                     p_star = node_momentum(model, q_c, t_c, q_star, t_star, forces)
                     gaps_c = gaps_star
+                    full = False
                 else:
                     p_star, q_star, t_star = p_in, q_c, t_c
                 frame = _contact_frame(model, q_star, p_star, contacts)
@@ -1266,8 +1265,8 @@ def simulate(
         q, p, gaps = sim.advance(q, t, p, t_target, gaps)
         t = t_target
         times.append(t)
-        states.append(q.copy())
-        momenta.append(p.copy())
+        states.append(q)
+        momenta.append(p)
 
     return Trajectory(
         times=np.asarray(times),

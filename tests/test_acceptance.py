@@ -275,7 +275,7 @@ def test_criterion_7_integrator():
     # The implicit solve runs at machine tolerance so that any residual
     # trend reflects the integrator, not the Newton stopping rule.
     period = 2 * math.pi
-    osc = Oscillator(1.0)
+    osc = Oscillator()
     cfg = StepperConfig(h=period / 100, newton_tol=1e-14)
     traj = simulate(osc, [1.0], [0.0], 1000 * period, cfg)
     assert traj.times.size == 100_001

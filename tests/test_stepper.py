@@ -44,6 +44,10 @@ from simpact.stepper import (
 )
 
 
+# ---------------------------------------------------------------------------
+# Contact-free test systems, shared with the other stepper test modules
+
+
 class FreeParticle(MechModel):
     dim = 1
     constant_mass = True
@@ -70,8 +74,13 @@ class GravityParticle(FreeParticle):
 
 
 class Oscillator(FreeParticle):
-    def __init__(self, k=1.0):
-        self.k = k
+    """Mass on a linear spring: V = k q^2 / 2."""
+
+    def __init__(self, mass=1.0, stiffness=1.0):
+        self.m, self.k = mass, stiffness
+
+    def mass_matrix(self, q):
+        return np.array([[self.m]])
 
     def potential(self, q):
         return 0.5 * self.k * q[0] ** 2
@@ -108,6 +117,30 @@ class BreathingMass(MechModel):
 
     def gap_gradients(self, q):
         return np.zeros((0, 1))
+
+
+class PolarSpring(MechModel):
+    """Planar particle on a central spring: M(q) = diag(m, m r^2), no contacts."""
+
+    dim = 2
+    constant_mass = False
+
+    def mass_matrix(self, q):
+        r = float(q[0])
+        return np.diag([1.3, 1.3 * r * r])
+
+    def potential_gradient(self, q):
+        return np.array([12.0 * (float(q[0]) - 0.9), 0.0])
+
+    def gaps(self, q):
+        return np.zeros(0)
+
+    def gap_gradients(self, q):
+        return np.zeros((0, 2))
+
+
+# ---------------------------------------------------------------------------
+# Contact models
 
 
 class Slider(MechModel):
@@ -237,7 +270,9 @@ class TestDiscreteMomenta:
         _, fp = discrete_momenta(GravityParticle(g), [q_a], 0.0, [q_b], h)
         assert fp[0] == pytest.approx((q_b - q_a) / h - g * h / 2, rel=1e-14)
 
-    @pytest.mark.parametrize("model", [GravityParticle(), Oscillator(3.0), BreathingMass()])
+    @pytest.mark.parametrize(
+        "model", [GravityParticle(), Oscillator(stiffness=3.0), BreathingMass()]
+    )
     def test_matches_finite_differences(self, model, rng):
         # The analytic momenta are the endpoint partial derivatives of
         # the discrete Lagrangian.
@@ -282,7 +317,7 @@ class TestDelStep:
         # The midpoint DEL keeps the oscillator energy in a tight band
         # with no trend; quadratic invariants are preserved essentially
         # exactly, far inside the required two percent.
-        model = Oscillator(1.0)
+        model = Oscillator()
         period = 2 * math.pi
         cfg = StepperConfig(h=period / 100)
         traj = simulate(model, [1.0], [0.0], 100 * period, cfg)
@@ -400,7 +435,9 @@ class TestFreeFlight:
         cfg = StepperConfig(h=h)
         mass = _Sim(model, cfg, None).mass
         q_flight, p_flight = stepper._solve_flight(model, p, q, 0.3, 0.3 + h, mass)
-        q_newton, p_newton = _solve_free(model, p, q, 0.3, 0.3 + h, None, cfg, None, mass)
+        # Given the mass, _solve_free would fly too: call the Newton solve.
+        q_newton, _, p_newton = stepper._solve_held(model, p, q, 0.3, 0.3 + h, None, cfg, (),
+                                                    None, mass)
         assert np.all(np.abs(q_flight - q_newton) <= cfg.newton_tol * np.maximum(1.0, np.abs(q)))
         assert np.all(np.abs(p_flight - p_newton) <= cfg.newton_tol * max(1.0, np.abs(p).max()))
         np.testing.assert_array_equal(
@@ -929,8 +966,8 @@ class TestStepFailure:
         return _solve_free(model, p_in, q_curr, t_curr, *args)
 
     def test_error_names_time_and_no_contacts(self, monkeypatch):
-        # A force sampler keeps the ball's free steps on Newton; force-free,
-        # they fly in closed form.
+        # Every free step, Newton or closed-form flight, goes through
+        # _solve_free; the sampler makes these Newton steps.
         monkeypatch.setattr(stepper, "_solve_free", self._failing_free)
         with pytest.raises(StepFailureError) as err:
             simulate(BallModel(1.0), [0.05], [0.0], 0.3, StepperConfig(h=0.01),

@@ -22,6 +22,8 @@ from simpact import stepper
 from simpact.models import BallModel, BilliardsModel, CradleModel, LegTailModel, MechModel
 from simpact.stepper import StepperConfig
 
+from test_stepper import Oscillator, PolarSpring
+
 
 class PendulumStop(MechModel):
     """Pendulum with a nonlinear potential and an angular stop at -0.5."""
@@ -224,28 +226,6 @@ def test_locate_recovers_from_time_below_interval(case, u, below):
 # Kept Jacobians
 
 
-class Oscillator(MechModel):
-    """Mass on a linear spring, free of contacts."""
-
-    dim = 1
-    constant_mass = True
-
-    def __init__(self, mass=1.0, stiffness=1.0):
-        self.mass, self.stiffness = mass, stiffness
-
-    def mass_matrix(self, q):
-        return np.array([[self.mass]])
-
-    def potential_gradient(self, q):
-        return np.array([self.stiffness * q[0]])
-
-    def gaps(self, q):
-        return np.zeros(0)
-
-    def gap_gradients(self, q):
-        return np.zeros((0, 1))
-
-
 @contextlib.contextmanager
 def _counting_jacobians(counts):
     """Count every Newton Jacobian build in ``counts["jac"]``.
@@ -281,26 +261,6 @@ def test_oscillator_keeps_one_jacobian_across_steps():
         traj = stepper.simulate(Oscillator(), [1.0], [0.3], 1000 * cfg.h, cfg)
     assert traj.times.size == 1001
     assert 1 <= counts["jac"] <= 2
-
-
-class PolarSpring(MechModel):
-    """Planar particle on a central spring: M(q) = diag(m, m r^2), no contacts."""
-
-    dim = 2
-    constant_mass = False
-
-    def mass_matrix(self, q):
-        r = float(q[0])
-        return np.diag([1.3, 1.3 * r * r])
-
-    def potential_gradient(self, q):
-        return np.array([12.0 * (float(q[0]) - 0.9), 0.0])
-
-    def gaps(self, q):
-        return np.zeros(0)
-
-    def gap_gradients(self, q):
-        return np.zeros((0, 2))
 
 
 def test_variable_mass_refines_one_jacobian_by_secant_updates():
@@ -358,6 +318,31 @@ def test_kept_jacobians_are_keyed_by_the_held_sets_of_full_steps():
     (sim,) = sims
     assert set(sim.kept) == {held for held, full in calls if full} == {(), (0,)}
     assert all(isinstance(slot, stepper._KeptJacobian) for slot in sim.kept.values())
+
+
+@pytest.mark.parametrize("k", [3_276_801, 3_276_802])
+def test_full_step_far_from_the_origin_shares_the_kept_jacobian(k):
+    # From k = 3,276,802 on, (k + 1) h - k h at h = 0.01 differs from h by
+    # more than 5e-10 h in rounding. The step still spans its whole
+    # interval and shares the Jacobian kept for its held set.
+    cfg = StepperConfig(h=0.01)
+    sim = stepper._Sim(Oscillator(), cfg, None)
+    sim.advance(np.array([1.0]), k * cfg.h, np.array([0.3]), (k + 1) * cfg.h, np.zeros(0))
+    assert list(sim.kept) == [()]
+
+
+def test_held_solve_with_nothing_held_forms_no_gap_row():
+    # The free step of a contact model through the array path: the one
+    # fixed-length assembly evaluates no gap and no gap gradient, and
+    # returns no multiplier.
+    model, q, p, forces = _legtail([0.3, -0.2, 0.5, 0.1], damped_drive)
+    cfg = StepperConfig(h=H)
+    with mock.patch.object(model, "gaps", wraps=model.gaps) as gaps, \
+            mock.patch.object(model, "gap_gradients", wraps=model.gap_gradients) as grads:
+        q_next, lams, p_out = stepper._solve_held(model, p, q, T0, T0 + H, forces, cfg, ())
+    assert (gaps.call_count, grads.call_count) == (0, 0)
+    assert lams == {}
+    assert q_next.shape == p_out.shape == (3,)
 
 
 def test_lifted_ball_keeps_its_free_step_jacobian_through_in_step_impacts():

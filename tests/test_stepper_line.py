@@ -18,28 +18,10 @@ from hypothesis import strategies as st
 
 from simpact import stepper
 from simpact.errors import StepFailureError
-from simpact.models import BallModel, MechModel
+from simpact.models import BallModel
 from simpact.stepper import StepperConfig, _KeptJacobian, _Sim, discrete_momenta
 
-
-class Oscillator(MechModel):
-    dim = 1
-    constant_mass = True
-
-    def __init__(self, mass, stiffness):
-        self.m, self.k = mass, stiffness
-
-    def mass_matrix(self, q):
-        return np.array([[self.m]])
-
-    def potential_gradient(self, q):
-        return np.array([self.k * q[0]])
-
-    def gaps(self, q):
-        return np.zeros(0)
-
-    def gap_gradients(self, q):
-        return np.zeros((0, 1))
+from test_stepper import Oscillator
 
 
 class Pendulum(Oscillator):

@@ -21,9 +21,11 @@ from hypothesis import strategies as st
 
 from simpact import stepper
 from simpact.errors import ConfigError
-from simpact.models import BallModel, BilliardsModel, CradleModel, LegTailModel, MechModel
+from simpact.models import BallModel, BilliardsModel, CradleModel, LegTailModel
 from simpact.resolution import ImpactKind
 from simpact.stepper import FrictionConfig, StepperConfig, simulate
+
+from test_stepper import Oscillator, PolarSpring
 
 
 def _bits(a):
@@ -132,26 +134,6 @@ def _lapack(matrix, diag, rhs):
     return np.linalg.solve(matrix, rhs)
 
 
-class PolarSpring(MechModel):
-    """Planar particle on a central spring: M(q) = diag(m, m r^2), no contacts."""
-
-    dim = 2
-    constant_mass = False
-
-    def mass_matrix(self, q):
-        r = float(q[0])
-        return np.diag([1.3, 1.3 * r * r])
-
-    def potential_gradient(self, q):
-        return np.array([12.0 * (float(q[0]) - 0.9), 0.0])
-
-    def gaps(self, q):
-        return np.zeros(0)
-
-    def gap_gradients(self, q):
-        return np.zeros((0, 2))
-
-
 def _lift(amplitude, period):
     def force(q, v, t):
         return np.array([amplitude * math.sin(math.pi * t / period) ** 8])
@@ -239,25 +221,6 @@ def test_runs_match_lapack_oracle_bitwise(name):
 # LAPACK calls left on the free-step path
 
 
-class Oscillator(MechModel):
-    """Mass on a linear spring, free of contacts."""
-
-    dim = 1
-    constant_mass = True
-
-    def mass_matrix(self, q):
-        return np.array([[1.7]])
-
-    def potential_gradient(self, q):
-        return np.array([4.0 * q[0]])
-
-    def gaps(self, q):
-        return np.zeros(0)
-
-    def gap_gradients(self, q):
-        return np.zeros((0, 1))
-
-
 def _vertical_legtail():
     model = LegTailModel(1.2, 0.08, [0.3, -0.25], [-0.1, -0.25])
     q0 = model.double_contact_pose()
@@ -268,7 +231,7 @@ def _vertical_legtail():
 FREE = {
     # Each runs 100 steps without an impact. The vertical drop and the
     # ball at rest keep zero entries in their momenta and residuals.
-    "oscillator": (Oscillator(), [1.0], [0.3]),
+    "oscillator": (Oscillator(1.7, 4.0), [1.0], [0.3]),
     "ball": (BallModel(1.3), [2.0], [0.5]),
     "cradle": (CradleModel([1.0, 0.7, 1.6], [0.1] * 3), [0.0, 0.5, 1.0], [-0.4, 0.3, 1.1]),
     "cradle-ball-at-rest": (
@@ -302,6 +265,7 @@ class CallerCountingMass(Oscillator):
     """An oscillator that counts the functions calling ``mass_matrix``."""
 
     def __init__(self):
+        super().__init__(1.7, 4.0)
         self.callers = Counter()
 
     def mass_matrix(self, q):
