@@ -161,6 +161,7 @@ class CradleModel(MechModel):
             raise ValueError("a cradle needs at least two balls")
         self.masses = masses
         self.radii = radii
+        self._contact_distances = radii[:-1] + radii[1:]
         self.dim = masses.size
         self.length_scale = float(2.0 * radii.mean())
         self._mass = np.diag(masses)
@@ -175,7 +176,7 @@ class CradleModel(MechModel):
 
     def gaps(self, q):
         q = np.asarray(q, dtype=float)
-        return q[1:] - q[:-1] - (self.radii[:-1] + self.radii[1:])
+        return q[1:] - q[:-1] - self._contact_distances
 
     def gap_gradients(self, q):
         return self._grads

@@ -43,9 +43,11 @@ and re-differencing it at every step costs one residual evaluation per
 unknown.
 
 A force-free step with no contact held takes no Newton solve when the
-model declares ``constant_mass`` and ``affine_potential``: the midpoint
-DEL step is then exact uniformly accelerated flight, one mass solve in
-closed form (J. E. Marsden and M. West, Acta Numerica 10, 2001).
+model declares ``constant_mass`` and ``affine_potential`` and its mass
+is diagonal: the midpoint DEL step is then exact uniformly accelerated
+flight (J. E. Marsden and M. West, Acta Numerica 10, 2001), flown in
+closed form per coordinate on Python floats (:func:`_solve_flight`).
+A constant mass that is not diagonal takes the Newton free step.
 
 The Newton free step of a one-coordinate constant mass with a nonzero
 diagonal, such as an oscillator, a pendulum or a forced ball, runs on
@@ -514,15 +516,17 @@ def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot=None, mas
     node at ``t_next``. ``slot`` is the Newton Jacobian slot shared with
     earlier solves, or None for one kept within this solve; ``mass`` is
     the constant mass and its diagonal, or None to evaluate ``M(q)``.
-    Given ``mass``, a force-free step of an affine potential flies
-    (:func:`_solve_flight`) and one coordinate with a nonzero diagonal
-    runs on floats (:func:`_solve_line`); every other step is
-    :func:`_solve_held` with nothing held.
+    Given a diagonal ``mass``, a force-free step of an affine potential
+    flies (:func:`_solve_flight`) and one coordinate runs on floats
+    (:func:`_solve_line`); every other step, the flight of a constant
+    mass that is not diagonal among them, is :func:`_solve_held` with
+    nothing held.
     """
-    if mass is not None and forces is None and model.affine_potential:
-        return _solve_flight(model, p_in, q_curr, t_curr, t_next, mass)
-    if mass is not None and mass[1] is not None and model.dim == 1:
-        return _solve_line(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot, mass[1])
+    diag = None if mass is None else mass[1]
+    if diag is not None and forces is None and model.affine_potential:
+        return _solve_flight(model, p_in, q_curr, t_curr, t_next, diag)
+    if diag is not None and model.dim == 1:
+        return _solve_line(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot, diag)
     q, _, p = _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, (), slot, mass)
     return q, p
 
@@ -636,25 +640,34 @@ def _line_jacobian(model, forces, q_a, t_a, q_b, t_b):
     return jac
 
 
-def _solve_flight(model, p_in, q_curr, t_curr, t_next, mass):
-    """The force-free DEL step of a constant mass in an affine potential, in closed form.
+def _solve_flight(model, p_in, q_curr, t_curr, t_next, diag):
+    """The force-free DEL step of a constant diagonal mass in an affine potential.
 
     The step is exact uniformly accelerated flight, ``q_next = q_curr +
-    h M^-1 (p_in - (h/2) grad V)``; ``mass`` is the constant mass and its
-    diagonal. The momentum carried into ``t_next`` takes the operations
-    of :func:`discrete_momenta` in its order, so it is bitwise the node
+    h M^-1 (p_in - (h/2) grad V)``, taken per coordinate on Python floats;
+    ``diag`` is the mass's diagonal, with no zero on it. The momentum
+    carried into ``t_next`` takes the operations of
+    :func:`discrete_momenta` in its order, so it is bitwise the node
     momentum of the step's end points. Raises :class:`StepFailureError`
     when either is not finite.
     """
     h = t_next - t_curr
-    half = 0.5 * h * -model.potential_gradient(q_curr)
-    q_next = q_curr + h * _solve(*mass, p_in + half)
-    p_out = mass[0] @ ((q_next - q_curr) / h) + half
-    # A non-finite q_next makes its velocity, and through the positive
-    # diagonal of the mass, p_out non-finite too.
-    if not np.isfinite(p_out).all():
-        raise StepFailureError("free flight step is not finite")
-    return q_next, p_out
+    half_h = 0.5 * h
+    q_next, p_out = [], []
+    for q, p, g, d in zip(q_curr.tolist(), p_in.tolist(),
+                          model.potential_gradient(q_curr).tolist(), diag.tolist()):
+        half = half_h * -g
+        x = q + h * ((p + half) / d)
+        # The matrix product accumulates onto +0.0, so a -0.0 product (a
+        # zero velocity times a negative entry) reads +0.0. A non-finite x
+        # makes its velocity, and through the nonzero diagonal, the
+        # momentum non-finite too.
+        m = d * ((x - q) / h) + 0.0 + half
+        if not math.isfinite(m):
+            raise StepFailureError("free flight step is not finite")
+        q_next.append(x)
+        p_out.append(m)
+    return np.array(q_next), np.array(p_out)
 
 
 def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, slot=None,
@@ -1032,6 +1045,11 @@ class _Sim:
         self.recent: defaultdict[int, deque] = defaultdict(
             lambda: deque(maxlen=ZENO_WINDOW)
         )
+        # The thresholds of advance's crossing scan, and whether it has
+        # any gaps to scan.
+        self.act_tol = ACTIVATION_RTOL * model.length_scale
+        self.pen_tol = PENETRATION_RTOL * model.length_scale
+        self.contact_free = n == 0
         # A constant mass and its diagonal, for the velocity solves.
         self.mass = None
         if model.constant_mass:
@@ -1131,25 +1149,28 @@ class _Sim:
 
         ``gaps_c`` are the gaps at ``q_c``. Returns the end node's
         configuration, momentum and gaps, so the next step need not
-        evaluate them again. Its solves are ``full`` in
+        evaluate them again; a model without contacts returns ``gaps_c``
+        and never evaluates them. Its solves are ``full`` in
         :meth:`solve_interval` until an in-step impact moves ``t_c``.
         """
         model, cfg = self.model, self.cfg
-        act_tol = ACTIVATION_RTOL * model.length_scale
-        pen_tol = PENETRATION_RTOL * model.length_scale
+        act_tol, floor = self.act_tol, -self.pen_tol
         impacts = 0
         full = True
         while True:
             forces = self.effective_forces(q_c, t_c, p_in)
             q_n, p_out = self.solve_interval(q_c, t_c, p_in, t_target, forces, full)
+            if self.contact_free:
+                return q_n, p_out, gaps_c
             gaps_n = model.gaps(q_n)
+            # Most steps end above the penetration floor: test it first.
             crossing = [
                 i
-                for i in range(gaps_n.size)
-                if i not in self.held
-                and gaps_n[i] < -pen_tol
+                for i, g in enumerate(gaps_n.tolist())
+                if g < floor
+                and i not in self.held
                 and gaps_c[i] >= -act_tol
-                and gaps_n[i] < gaps_c[i]
+                and g < gaps_c[i]
             ]
             if not crossing:
                 return q_n, p_out, gaps_n

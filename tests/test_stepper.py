@@ -97,6 +97,29 @@ class Pendulum(FreeParticle):
         return np.array([9.81 * math.sin(q[0])])
 
 
+class CoupledGravityPoint(MechModel):
+    """A planar point with a constant, non-diagonal mass under uniform gravity."""
+
+    dim = 2
+    constant_mass = True
+    affine_potential = True
+
+    def mass_matrix(self, q):
+        return np.array([[2.0, 0.5], [0.5, 1.0]])
+
+    def potential(self, q):
+        return 9.81 * q[1]
+
+    def potential_gradient(self, q):
+        return np.array([0.0, 9.81])
+
+    def gaps(self, q):
+        return np.zeros(0)
+
+    def gap_gradients(self, q):
+        return np.zeros((0, 2))
+
+
 class BreathingMass(MechModel):
     """Configuration-dependent mass, for the momenta cross-check."""
 
@@ -434,7 +457,7 @@ class TestFreeFlight:
         model, q, p = _free_flight_case(name, u)
         cfg = StepperConfig(h=h)
         mass = _Sim(model, cfg, None).mass
-        q_flight, p_flight = stepper._solve_flight(model, p, q, 0.3, 0.3 + h, mass)
+        q_flight, p_flight = stepper._solve_flight(model, p, q, 0.3, 0.3 + h, mass[1])
         # Given the mass, _solve_free would fly too: call the Newton solve.
         q_newton, _, p_newton = stepper._solve_held(model, p, q, 0.3, 0.3 + h, None, cfg, (),
                                                     None, mass)
@@ -481,6 +504,21 @@ class TestFreeFlight:
             traj, calls = _count_newton(lambda: simulate(model, q, qdot, 0.3, cfg, forces))
             assert not traj.events
             assert calls == expected
+
+    def test_non_diagonal_mass_takes_newton_and_follows_the_parabola(self):
+        # Only a diagonal mass flies on floats; a coupled constant mass in
+        # an affine potential takes the Newton free step, whose midpoint
+        # DEL step is still exact uniformly accelerated flight.
+        model = CoupledGravityPoint()
+        q0, qdot0 = np.array([0.2, 1.0]), np.array([0.7, -0.3])
+        cfg = StepperConfig(h=0.01)
+        traj, calls = _count_newton(lambda: simulate(model, q0, qdot0, 1.0, cfg))
+        assert traj.times.size == 101 and not traj.events
+        assert calls > 0
+        accel = np.linalg.solve(model.mass_matrix(q0), -model.potential_gradient(q0))
+        t = traj.times[:, None]
+        parabola = q0 + qdot0 * t + 0.5 * accel * t**2
+        assert np.abs(traj.states - parabola).max() <= cfg.newton_tol * model.length_scale
 
     def test_overflowing_flight_is_a_step_failure(self):
         # Ball 0 leaves at -1e308 m/s: its first 10 s step overflows,

@@ -1,11 +1,13 @@
 """Square solves of the stepper: diagonal division against LAPACK.
 
 The stepper divides by the diagonal of a diagonal mass or Newton
-Jacobian instead of calling ``np.linalg.solve``. These tests check the
+Jacobian instead of calling ``np.linalg.solve``, and flies force-free
+steps of a diagonal mass on Python floats. These tests check the
 premise (the quotient is LAPACK's solution, bit for bit up to the sign
-of a zero entry), run whole simulations against an oracle that sends
-every solve to LAPACK, and count the LAPACK calls left on the free-step
-path.
+of a zero entry), check the float flight against the array flight with
+LAPACK's mass solve, run whole simulations against an oracle that sends
+every solve and flight to LAPACK, and count the LAPACK calls left on
+the free-step path.
 """
 
 import itertools
@@ -20,12 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpact import stepper
-from simpact.errors import ConfigError
+from simpact.errors import ConfigError, StepFailureError
 from simpact.models import BallModel, BilliardsModel, CradleModel, LegTailModel
 from simpact.resolution import ImpactKind
 from simpact.stepper import FrictionConfig, StepperConfig, simulate
 
-from test_stepper import Oscillator, PolarSpring
+from test_stepper import SHIPPED, Oscillator, PolarSpring, _free_flight_case
 
 
 def _bits(a):
@@ -134,6 +136,72 @@ def _lapack(matrix, diag, rhs):
     return np.linalg.solve(matrix, rhs)
 
 
+def _lapack_flight(model, p_in, q_curr, t_curr, t_next, diag):
+    """``stepper._solve_flight`` on arrays, with the mass solve sent to LAPACK."""
+    h = t_next - t_curr
+    mass = model.mass_matrix(q_curr)
+    half = 0.5 * h * -model.potential_gradient(q_curr)
+    q_next = q_curr + h * np.linalg.solve(mass, p_in + half)
+    p_out = mass @ ((q_next - q_curr) / h) + half
+    if not np.isfinite(p_out).all():
+        raise StepFailureError("free flight step is not finite")
+    return q_next, p_out
+
+
+#: Entries of the flight states: signed and exact zeros, tiny and
+#: subnormal magnitudes, and ordinary values.
+flight_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, -1e-322]),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+@settings(max_examples=300, deadline=None)
+@given(q=st.lists(flight_entries, min_size=6, max_size=6),
+       p=st.lists(flight_entries, min_size=6, max_size=6),
+       h=st.sampled_from([1e-3, 0.01, 0.05, 0.5, 10.0]))
+def test_float_flight_is_the_lapack_flight(name, q, p, h):
+    model = _free_flight_case(name, [0.0, 1.0, 0.0, 0.0])[0]
+    q, p = np.array(q[:model.dim]), np.array(p[:model.dim])
+    diag = stepper._diagonal(model.mass_matrix(q))
+    q_next, p_out = stepper._solve_flight(model, p, q, 0.3, 0.3 + h, diag)
+    q_oracle, p_oracle = _lapack_flight(model, p, q, 0.3, 0.3 + h, diag)
+    assert _bits(p_out) == _bits(p_oracle)
+    assert np.array_equal(q_next, q_oracle)
+    # LAPACK may flip the sign of a zero entry of its solution, where the
+    # division keeps it (see the premise tests above), and -0.0 + h * 0.0
+    # is +0.0: the configurations may differ there only, in the sign of a
+    # zero at a configuration entry of -0.0.
+    rhs = p + 0.5 * h * -model.potential_gradient(q)
+    lapack, division = np.linalg.solve(model.mass_matrix(q), rhs), rhs / diag
+    for i in range(model.dim):
+        if _bits(q_next[i]) != _bits(q_oracle[i]):
+            assert _bits(lapack[i]) != _bits(division[i]) and division[i] == 0.0
+
+
+class SignedDiagonal:
+    """A force-free diagonal mass with a negative entry, for the flight's zero signs."""
+
+    def mass_matrix(self, q):
+        return np.diag([-1.0, 2.0])
+
+    def potential_gradient(self, q):
+        return np.zeros(2)
+
+
+def test_float_flight_reads_a_zero_product_as_the_matrix_product():
+    # A zero velocity times a negative mass is -0.0, and so is the zero
+    # gradient's half impulse; the matrix product accumulates onto +0.0.
+    model = SignedDiagonal()
+    q, p = np.array([0.5, 1.0]), np.array([-0.0, 0.0])
+    diag = stepper._diagonal(model.mass_matrix(q))
+    flight = stepper._solve_flight(model, p, q, 0.3, 0.31, diag)
+    oracle = _lapack_flight(model, p, q, 0.3, 0.31, diag)
+    assert _bits(flight[1]) == _bits(oracle[1]) == _bits(np.zeros(2))
+    assert _bits(flight[0]) == _bits(oracle[0])
+
+
 def _lift(amplitude, period):
     def force(q, v, t):
         return np.array([amplitude * math.sin(math.pi * t / period) ** 8])
@@ -205,9 +273,10 @@ def _counted_run(build):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_runs_match_lapack_oracle_bitwise(name):
     traj, calls = _counted_run(RUNS[name])
-    with mock.patch.object(stepper, "_solve", _lapack):
+    with mock.patch.object(stepper, "_solve", _lapack), \
+            mock.patch.object(stepper, "_solve_flight", _lapack_flight):
         oracle, oracle_calls = _counted_run(RUNS[name])
-    assert calls < oracle_calls  # the division path was taken
+    assert calls < oracle_calls  # the division or float flight path was taken
     assert _bits(traj.times) == _bits(oracle.times)
     assert _bits(traj.states) == _bits(oracle.states)
     assert _bits(traj.momenta) == _bits(oracle.momenta)
@@ -283,6 +352,26 @@ def test_constant_mass_is_evaluated_once_for_the_velocity_solves():
     assert model.callers["__init__"] == 1
     assert model.callers["simulate"] == 1
     assert set(model.callers) == {"__init__", "simulate", "line_momenta", "_line_jacobian"}
+
+
+class CallerCountingGaps(Oscillator):
+    """An oscillator that counts the functions calling ``gaps``."""
+
+    def __init__(self):
+        super().__init__(1.7, 4.0)
+        self.callers = Counter()
+
+    def gaps(self, q):
+        self.callers[sys._getframe(1).f_code.co_name] += 1
+        return super().gaps(q)
+
+
+def test_contact_free_model_evaluates_no_gaps_per_step():
+    # simulate checks the initial gaps and the simulation counts the
+    # contacts once; the steps have no gap to scan.
+    model = CallerCountingGaps()
+    simulate(model, [1.0], [0.3], 100 * 0.01, StepperConfig(h=0.01))
+    assert model.callers == Counter({"simulate": 1, "n_contacts": 1})
 
 
 # ---------------------------------------------------------------------------
