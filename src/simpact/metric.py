@@ -11,6 +11,16 @@ that one solve for a set of contact normals (and a momentum) and
 carries their Gram matrix and inner products, from which the resolver,
 the uniqueness checks and the design residual read every metric
 quantity of the normals.
+
+A metric keeps the last frame built through :meth:`KineticMetric.frame`,
+so the calls of one impact query (resolve, measure the indeterminacy,
+classify the pair) share one solve. A frame always solves one column
+more than it has normals, a zero one when no momentum is given: LAPACK
+gives a column bits that depend on the number of columns but not on
+the values of the others, so the normals' duals, Gram matrix and norms
+are bitwise the same with and without a momentum, and a frame without
+one may be served by a frame with one. Results never depend on which
+calls came before.
 """
 
 from __future__ import annotations
@@ -60,6 +70,8 @@ class KineticMetric:
         self._mass.setflags(write=False)
         self._chol = chol
         self._chol.setflags(write=False)
+        # (rows bytes, momentum bytes or None, frame) of the last frame.
+        self._last = None
 
     @property
     def dim(self) -> int:
@@ -78,6 +90,37 @@ class KineticMetric:
         """Apply the inverse mass matrix to a row covector."""
         row = self._check(a)
         return np.linalg.solve(self._mass, row)
+
+    def frame(self, normals: Sequence, p=None) -> "ContactFrame":
+        """The :class:`ContactFrame` of ``normals`` (and ``p``) under this metric.
+
+        Returns the last frame built here when its normals are bitwise
+        ``normals`` and, if ``p`` is given, its momentum is bitwise
+        ``p``; otherwise builds the frame and keeps it in place of the
+        last. Kept frames are shared, so their arrays are read-only.
+        Normals that do not form a (k, n) float array, or a ``p`` that
+        is not an n-vector, bypass the memo, so the frame raises its
+        own error.
+        """
+        try:
+            rows = np.asarray(normals, dtype=float)
+            row_p = None if p is None else np.atleast_1d(np.asarray(p, dtype=float))
+        except (TypeError, ValueError):
+            return ContactFrame(self, normals, p)
+        n = self.dim
+        if rows.shape != (len(normals), n) or not (row_p is None or row_p.shape == (n,)):
+            return ContactFrame(self, normals, p)
+        key_rows = rows.tobytes()
+        key_p = None if row_p is None else row_p.tobytes()
+        last = self._last
+        if last is not None and last[0] == key_rows and (key_p is None or last[1] == key_p):
+            return last[2]
+        frame = ContactFrame(self, rows, row_p)
+        for value in vars(frame).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self._last = (key_rows, key_p, frame)
+        return frame
 
     def _check(self, a) -> np.ndarray:
         row = np.atleast_1d(np.asarray(a, dtype=float))
@@ -124,7 +167,9 @@ class ContactFrame:
     Holds ``rows`` (k x n), their ``duals``, ``gram`` (``rows @ duals.T``,
     symmetrised), ``norms2`` (its diagonal) and ``scales``
     (``1 / sqrt(norms2)``); given ``p``, also ``p``, ``dual_p``,
-    ``a = duals @ p`` and ``p_norm2``.
+    ``a = duals @ p`` and ``p_norm2``. The solve always takes ``k + 1``
+    columns, the last a zero one when no ``p`` is given, so the
+    normals' quantities are bitwise the same with and without ``p``.
     """
 
     def __init__(self, metric: KineticMetric, normals: Sequence, p=None):
@@ -136,7 +181,7 @@ class ContactFrame:
         if rows is None or rows.shape != (k, n):
             # Checked one by one, so a bad normal is reported as before.
             rows = np.array([metric._check(u) for u in normals], dtype=float).reshape(k, n)
-        stacked = np.empty((k if p is None else k + 1, n))
+        stacked = np.zeros((k + 1, n))
         stacked[:k] = rows
         if p is not None:
             stacked[k] = metric._check(p)
@@ -187,13 +232,22 @@ def _check_gram(gram: np.ndarray) -> None:
     """Reject linearly dependent normal sets, naming the offending subset.
 
     ``gram`` is a :class:`ContactFrame` Gram matrix, whose diagonal the
-    frame has already checked to be positive.
+    frame has already checked to be positive. The unit Gram matrix of
+    two normals, ``[[1, c], [c, 1]]``, has the eigenvalues ``1 - |c|``
+    and ``1 + |c|``, so a pair takes the eigenvalue test in closed form.
     """
-    unit_gram = gram / np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
-    eigvals, eigvecs = np.linalg.eigh(unit_gram)
-    if eigvals[0] <= GRAM_RCOND * max(eigvals[-1], 1.0):
-        vec = eigvecs[:, 0]
-        bad = sorted(np.flatnonzero(np.abs(vec) > 1e-8 * np.abs(vec).max()).tolist())
+    if gram.shape == (2, 2):
+        (g00, g01), (_, g11) = gram.tolist()
+        c = abs(g01 / math.sqrt(g00 * g11))
+        bad = [0, 1] if 1.0 - c <= GRAM_RCOND * (1.0 + c) else None
+    else:
+        unit_gram = gram / np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+        eigvals, eigvecs = np.linalg.eigh(unit_gram)
+        bad = None
+        if eigvals[0] <= GRAM_RCOND * max(eigvals[-1], 1.0):
+            vec = eigvecs[:, 0]
+            bad = sorted(np.flatnonzero(np.abs(vec) > 1e-8 * np.abs(vec).max()).tolist())
+    if bad is not None:
         raise DegenerateNormalsError(
             f"normals at indices {bad} are linearly dependent under the metric",
             bad,

@@ -174,7 +174,7 @@ def two_contact_reflection_bound(metric: mt.KineticMetric, u, v) -> int:
     of the feasible cone, computed from the unit normals via
     ``sin(gamma) = |u_hat + v_hat| / 2``.
     """
-    return _pair_bound(mt.ContactFrame(metric, [u, v]).pair_cosine())
+    return _pair_bound(metric.frame([u, v]).pair_cosine())
 
 
 def _pair_bound(c: float) -> int:
@@ -211,7 +211,7 @@ def elastic_cascade(
     policy = policy or CascadePolicy.most_violating()
     _check_normals(normals, "cascade")
     policy.validate_for(len(normals))
-    return _cascade(mt.ContactFrame(metric, normals, p_minus), policy)[0]
+    return _cascade(metric.frame(normals, p_minus), policy)[0]
 
 
 def _cascade(frame: mt.ContactFrame, policy: CascadePolicy):
@@ -379,7 +379,7 @@ def enumerate_outcomes(
     if depth_cap < 1:
         raise ValueError("depth_cap must be at least 1")
     _check_normals(normals, "enumeration")
-    frame = mt.ContactFrame(metric, normals, p_minus)
+    frame = metric.frame(normals, p_minus)
     dedup_tol = DEDUP_RTOL * max(math.sqrt(max(frame.p_norm2, 0.0)), 1e-300)
     k_count = len(frame)
     columns = frame.gram.T.tolist()
@@ -476,7 +476,7 @@ def plastic_resolve(metric: mt.KineticMetric, p_minus, normals: Sequence) -> Imp
     independent under the metric.
     """
     _check_normals(normals, "plastic resolution")
-    return _plastic(mt.ContactFrame(metric, normals, p_minus))[0]
+    return _plastic(metric.frame(normals, p_minus))[0]
 
 
 def _plastic(frame: mt.ContactFrame):
@@ -511,7 +511,7 @@ def inelastic_resolve(
     policy = policy or CascadePolicy.most_violating()
     _check_normals(normals, "cascade")
     policy.validate_for(len(normals))
-    frame = mt.ContactFrame(metric, normals, p_minus)
+    frame = metric.frame(normals, p_minus)
     return _inelastic(frame, restitution, policy)[0]
 
 

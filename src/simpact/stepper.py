@@ -84,7 +84,9 @@ import numpy as np
 from . import metric as mt
 from .errors import (
     ConfigError,
+    DimensionError,
     ImpactLocationError,
+    NotPositiveDefiniteError,
     SimpactError,
     StepFailureError,
     VerificationError,
@@ -849,7 +851,7 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held, cros
     return t_star, q_star, tuple(sorted(contacts)), gaps_star
 
 
-def _node_contacts(model, q, p, gaps, crossing, act_tol):
+def _node_contacts(model, metric, q, p, gaps, crossing, act_tol):
     """Test the crossing contacts closed at the node ``q`` against ``p``.
 
     ``crossing`` holds the contacts that cross in the step under the one
@@ -870,7 +872,7 @@ def _node_contacts(model, q, p, gaps, crossing, act_tol):
     if not touching:
         return [], [], (), None
     contacts = tuple(np.flatnonzero(np.abs(gaps) <= act_tol).tolist())
-    frame = _contact_frame(model, q, p, contacts)
+    frame = _contact_frame(model, metric, q, p, contacts)
     rows = [contacts.index(i) for i in touching]
     values = frame.a[rows] * frame.scales[rows]
     p_tol = 1e-9 * max(1.0, math.sqrt(max(frame.p_norm2, 0.0)))
@@ -879,9 +881,15 @@ def _node_contacts(model, q, p, gaps, crossing, act_tol):
     return approaching, tangent, contacts, frame
 
 
-def _contact_frame(model, q, p, contacts):
-    """Contact frame of the given contacts at configuration ``q``."""
-    return mt.ContactFrame(model.metric_at(q), model.gap_gradients(q)[list(contacts)], p)
+def _contact_frame(model, metric, q, p, contacts):
+    """Contact frame of the given contacts at configuration ``q``.
+
+    ``metric`` is the simulation's metric of a constant mass; None
+    takes the metric of a configuration-dependent mass at ``q``.
+    """
+    if metric is None:
+        metric = model.metric_at(q)
+    return mt.ContactFrame(metric, model.gap_gradients(q)[list(contacts)], p)
 
 
 def _resolve_event(frame, t_star, contacts, r_eff, cfg, forced):
@@ -1050,11 +1058,23 @@ class _Sim:
         self.act_tol = ACTIVATION_RTOL * model.length_scale
         self.pen_tol = PENETRATION_RTOL * model.length_scale
         self.contact_free = n == 0
-        # A constant mass and its diagonal, for the velocity solves.
+        # A constant mass and its diagonal, for the velocity solves, and
+        # its metric, for the contact frames of every event. Without
+        # contacts there is no frame, and a diagonal mass is positive
+        # definite exactly when its diagonal is, so only the check is made.
         self.mass = None
+        self.metric = None
         if model.constant_mass:
             matrix = model.mass_matrix(np.zeros(model.dim))
-            self.mass = (matrix, _diagonal(matrix))
+            diag = _diagonal(matrix)
+            try:
+                if n or diag is None:
+                    self.metric = mt.KineticMetric(matrix)
+                elif not all(0.0 < d < math.inf for d in diag.tolist()):
+                    raise NotPositiveDefiniteError("mass matrix is not positive definite")
+            except (DimensionError, NotPositiveDefiniteError) as exc:
+                raise ConfigError(f"constant mass: {exc}") from exc
+            self.mass = (matrix, diag)
 
     def log(self, event):
         """Record an event, also among the recent ones of its contacts."""
@@ -1184,7 +1204,7 @@ class _Sim:
                 )
 
             approaching, tangent, node_event, frame = _node_contacts(
-                model, q_c, p_in, gaps_c, crossing, act_tol
+                model, self.metric, q_c, p_in, gaps_c, crossing, act_tol
             )
             if approaching:
                 t_star, q_star, contacts = t_c, q_c, node_event
@@ -1217,7 +1237,7 @@ class _Sim:
                     full = False
                 else:
                     p_star, q_star, t_star = p_in, q_c, t_c
-                frame = _contact_frame(model, q_star, p_star, contacts)
+                frame = _contact_frame(model, self.metric, q_star, p_star, contacts)
 
             forced = None
             r_eff = min(cfg.restitution_for(i) for i in contacts)
@@ -1255,8 +1275,9 @@ def simulate(
     Every input rejected before the first step raises
     :class:`ConfigError`: a duration that is not positive and finite,
     an initial state of the wrong dimension, not finite, or penetrating
-    a contact, and a cascade order, restitution count or friction
-    contact that does not fit the model.
+    a contact, a cascade order, restitution count or friction contact
+    that does not fit the model, and a constant mass matrix that is not
+    symmetric positive definite.
     """
     if not 0.0 < duration < math.inf:
         raise ConfigError(f"duration must be positive and finite, got {duration!r}")

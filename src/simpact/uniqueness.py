@@ -69,7 +69,7 @@ def classify_pair(metric: mt.KineticMetric, u, v, tol: float = CLASSIFY_TOL) -> 
     order; pairs at minus one half resolve uniquely in three. Parallel
     normals are rejected.
     """
-    value = mt.ContactFrame(metric, [u, v]).pair_cosine()
+    value = metric.frame([u, v]).pair_cosine()
     if abs(value) >= 1.0 - mt.GRAM_RCOND:
         raise DegenerateNormalsError("normals are metric-parallel", (0, 1))
     if abs(value) <= tol:
@@ -91,7 +91,7 @@ def indeterminacy_xi(metric: mt.KineticMetric, p_minus, u, v) -> float:
     frame and yield only their impulse sums; no outcome momentum is
     formed, since the frame distance reads the sums alone.
     """
-    frame = mt.ContactFrame(metric, [u, v], p_minus)
+    frame = metric.frame([u, v], p_minus)
     p_norm = math.sqrt(max(frame.p_norm2, 0.0))
     if p_norm == 0.0:
         return 0.0
@@ -170,7 +170,7 @@ def verify_commutation(
     coordinates of one frame over ``u`` and ``v``, and each gap is a
     frame distance over the metric norm of the sampled momentum.
     """
-    frame = mt.ContactFrame(metric, [u, v])
+    frame = metric.frame([u, v])
     value = frame.pair_cosine()
     rng = np.random.default_rng(seed)
     max_two = 0.0

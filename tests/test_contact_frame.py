@@ -9,6 +9,7 @@ statuses and branch counts exactly and their momenta, impulses and xi
 to 1e-12, and must solve against the mass matrix once per call.
 """
 
+import dataclasses
 import math
 import tracemalloc
 import types
@@ -24,7 +25,7 @@ from simpact import metric as mt
 from simpact import resolution
 from simpact.cli import build_model, load_config
 from simpact.design import legtail_orthogonality_problem, solve_orthogonal, xi_at_optimum
-from simpact.errors import DegenerateNormalsError, DimensionError
+from simpact.errors import DegenerateNormalsError, DimensionError, SimpactError
 from simpact.models import BilliardsModel, LegTailModel, billiards_pair_inner
 from simpact.metric import (
     DEADBAND,
@@ -849,7 +850,9 @@ def test_frame_momentum_identity(rng):
 # Solves against the mass matrix
 
 
-def test_pair_query_solves_at_most_three_times(rng, mass_solves):
+def test_pair_query_solves_once(rng, mass_solves):
+    # The cascade builds the metric's frame of the pair and p; the xi
+    # walks and the pair class read the same frame.
     metric = random_metric(rng, 4)
     u, v = pair_with_inner(metric, rng, -0.995)
     p = pair_momentum(metric, rng, u, v)
@@ -862,7 +865,7 @@ def test_pair_query_solves_at_most_three_times(rng, mass_solves):
 
     solves, out = mass_solves(metric, query)
     assert len(out.sequence) > 20
-    assert solves <= 3
+    assert solves == 1
 
 
 PUBLIC_CALLS = {
@@ -883,7 +886,10 @@ def test_each_call_solves_once(rng, mass_solves, name):
     metric = random_metric(rng, 4)
     u, v = pair_with_inner(metric, rng, -0.9)
     p = pair_momentum(metric, rng, u, v)
-    solves, _ = mass_solves(metric, lambda: PUBLIC_CALLS[name](metric, p, u, v))
+    # pair_momentum has left a frame of the pair on the metric: count on
+    # a metric that keeps none.
+    cold = KineticMetric(metric.mass)
+    solves, _ = mass_solves(cold, lambda: PUBLIC_CALLS[name](cold, p, u, v))
     # outcome_xi also runs the enumeration that feeds it.
     assert solves == (2 if name == "outcome_xi" else 1)
 
@@ -910,18 +916,17 @@ def test_narrow_wedge_enumeration_solves_once(rng, mass_solves):
     assert solves == 1
 
 
-def test_node_impact_builds_one_frame(monkeypatch, mass_solves):
+def test_node_impact_builds_one_frame(mass_solves):
     # A body dropping flat onto two contacts closed at the node: the
     # stepper's node test classifies both from one contact frame, and
-    # that frame is the frame the impact is resolved in.
+    # that frame is the frame the impact is resolved in. The body's mass
+    # is constant, so the frame is built on the simulation's metric.
     body = LegTailModel(1.0, 0.1, (0.3, -0.2), (-0.3, -0.2), gravity=0.0)
     q = body.double_contact_pose()
-    metric = body.metric_at(q)
-    monkeypatch.setattr(body, "metric_at", lambda _: metric)
     sim = _Sim(body, StepperConfig(h=0.01), None)
     p_in = body.mass_matrix(q) @ np.array([0.0, -1.0, 0.0])
     gaps = body.gaps(q)
-    solves, _ = mass_solves(metric, lambda: sim.advance(q, 0.0, p_in, 0.01, gaps))
+    solves, _ = mass_solves(sim.metric, lambda: sim.advance(q, 0.0, p_in, 0.01, gaps))
     assert [(ev.t, ev.contacts) for ev in sim.events] == [(0.0, (0, 1))]
     assert solves == 1
 
@@ -1009,3 +1014,175 @@ def test_one_pair_cosine_at_design_optimum():
     assert verify_commutation(metric, u, v).inner_value == value
     assert problem.residuals(problem.pack(result.q_opt, result.params_opt))[2] == value
     assert abs(value) <= problem.tol_inner
+
+
+# ---------------------------------------------------------------------------
+# The metric's last frame: every public call on one metric gives, bit for
+# bit, what it gives on a fresh metric, whatever was called before.
+
+
+def _bits(result):
+    """``result`` with every float and array replaced by its exact bits."""
+    if isinstance(result, np.ndarray):
+        return (result.dtype.str, result.shape, result.tobytes())
+    if isinstance(result, float):
+        return float(result).hex()
+    if dataclasses.is_dataclass(result):
+        return (type(result).__name__,) + tuple(
+            _bits(getattr(result, f.name)) for f in dataclasses.fields(result)
+        )
+    if isinstance(result, (tuple, list)):
+        return tuple(_bits(item) for item in result)
+    return result
+
+
+def _outcome(call, mass):
+    """The bits of ``call(metric)`` on a fresh metric, or of the error it raises."""
+    metric = KineticMetric(mass)
+    try:
+        return _bits(call(metric))
+    except SimpactError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _query_calls(normals, p, restitution, policy):
+    """The public calls of an impact query, each a function of the metric."""
+    u, v = normals[:2]
+    stacked = np.array(normals)
+    calls = [
+        lambda m: elastic_cascade(m, p, normals, policy),
+        lambda m: elastic_cascade(m, p, stacked, policy),
+        lambda m: plastic_resolve(m, p, normals),
+        lambda m: inelastic_resolve(m, p, normals, restitution, policy),
+        lambda m: enumerate_outcomes(m, p, normals, 6),
+        lambda m: classify_pair(m, u, v),
+        lambda m: two_contact_reflection_bound(m, u, v),
+        lambda m: verify_commutation(m, u, v, samples=3),
+        lambda m: plastic_resolve(m, -p, normals),
+    ]
+    if len(normals) == 2:
+        calls.append(lambda m: indeterminacy_xi(m, p, u, v))
+        calls.append(lambda m: indeterminacy_xi(m, 2.0 * p, u, v))
+    else:
+        calls.append(lambda m: plastic_resolve(m, p, [u, v]))
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([2, 2, 3, 4]),
+    extra=st.integers(0, 3),
+    order=st.lists(st.integers(0, 10), min_size=1, max_size=16),
+)
+def test_calls_on_one_metric_equal_calls_on_fresh_metrics(seed, k, extra, order):
+    rng = np.random.default_rng(seed)
+    n = k + extra
+    mass = random_metric(rng, n).mass
+    if k == 2:
+        metric = KineticMetric(mass)
+        normals = list(pair_with_inner(metric, rng, rng.uniform(-0.99, 0.99)))
+        normals = [rng.uniform(0.5, 2.0) * u for u in normals]
+    else:
+        normals = [rng.standard_normal(n) for _ in range(k)]
+    p = rng.standard_normal(n) - sum(normals)
+    fixed = "fixed:" + ",".join(str(i) for i in rng.permutation(k))
+    policy = CascadePolicy.parse(["most-violating", "least-violating", fixed][seed % 3])
+    calls = _query_calls(normals, p, float(rng.uniform()), policy)
+    metric = KineticMetric(mass)
+    for index in order:
+        call = calls[index % len(calls)]
+        assert _outcome(lambda _: call(metric), mass) == _outcome(call, mass)
+
+
+def test_frame_without_p_equals_frame_with_p_bitwise(rng):
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(1, min(n, 4) + 1))
+        metric = random_metric(rng, n)
+        normals = rng.standard_normal((k, n)) * rng.uniform(0.1, 10.0)
+        with_p = ContactFrame(metric, normals, rng.standard_normal(n))
+        without = ContactFrame(metric, normals)
+        for name in ("rows", "duals", "gram", "norms2", "scales"):
+            assert getattr(with_p, name).tobytes() == getattr(without, name).tobytes(), name
+
+
+def test_frame_without_p_is_served_by_the_frame_with_p(rng):
+    metric = random_metric(rng, 4)
+    normals = [rng.standard_normal(4) for _ in range(3)]
+    p = rng.standard_normal(4)
+    frame = metric.frame(normals, p)
+    assert metric.frame(np.array(normals)) is frame
+    assert metric.frame(normals, p.copy()) is frame
+    # A momentum the kept frame does not carry, or other normals, build anew.
+    assert metric.frame(normals, -p) is not frame
+    bare = metric.frame(normals[:2])
+    assert not hasattr(bare, "p")
+    assert metric.frame(normals[:2], p) is not bare
+
+
+def test_frame_keys_are_bits_not_values():
+    metric = KineticMetric(np.eye(2))
+    u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    frame = metric.frame([u, v], np.array([-1.0, 0.0]))
+    assert metric.frame([u, v], np.array([-1.0, -0.0])) is not frame
+    assert metric.frame([u, np.array([-0.0, 1.0])]) is not frame
+
+
+ERROR_CASES = {
+    "ragged": (
+        lambda u, v: [u, np.ones(2)], lambda p: p,
+        DimensionError, "covector of shape (2,) does not match metric dim 3",
+    ),
+    "zero-norm": (
+        lambda u, v: [u, np.zeros(3)], lambda p: p,
+        DegenerateNormalsError, "zero-norm normals at indices [1]",
+    ),
+    "p-length": (
+        lambda u, v: [u, v], lambda p: p[:2],
+        DimensionError, "covector of shape (2,) does not match metric dim 3",
+    ),
+}
+
+FRAME_CALLS = {
+    "frame": lambda m, p, n: m.frame(n, p),
+    "elastic_cascade": lambda m, p, n: elastic_cascade(m, p, n),
+    "plastic_resolve": lambda m, p, n: plastic_resolve(m, p, n),
+    "inelastic_resolve": lambda m, p, n: inelastic_resolve(m, p, n, 0.5),
+    "enumerate_outcomes": lambda m, p, n: enumerate_outcomes(m, p, n, 8),
+    "indeterminacy_xi": lambda m, p, n: indeterminacy_xi(m, p, *n),
+    "classify_pair": lambda m, p, n: classify_pair(m, *n),
+    "two_contact_reflection_bound": lambda m, p, n: two_contact_reflection_bound(m, *n),
+    "verify_commutation": lambda m, p, n: verify_commutation(m, *n, samples=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+@pytest.mark.parametrize("name", sorted(FRAME_CALLS))
+def test_bad_input_raises_as_a_fresh_frame_does(case, name):
+    normals_of, p_of, error, message = ERROR_CASES[case]
+    metric = KineticMetric(np.diag([1.0, 2.0, 0.5]))
+    u, v = np.array([1.0, 0.0, 0.0]), np.array([0.3, 1.0, 0.0])
+    p = np.array([-1.0, -1.0, 0.2])
+    kept = metric.frame([u, v], p)
+    call = FRAME_CALLS[name]
+    if case == "p-length" and name in ("classify_pair", "two_contact_reflection_bound", "verify_commutation"):
+        call(metric, p_of(p), normals_of(u, v))  # these take no momentum
+    else:
+        with pytest.raises(error) as err:
+            call(metric, p_of(p), normals_of(u, v))
+        assert str(err.value) == message
+    # A call that raised leaves the kept frame in place.
+    assert metric.frame([u, v], p) is kept
+
+
+def test_kept_frames_are_read_only(rng):
+    metric = random_metric(rng, 4)
+    normals = [rng.standard_normal(4) for _ in range(2)]
+    for frame in (metric.frame(normals, rng.standard_normal(4)), metric.frame(normals[::-1])):
+        arrays = {k: a for k, a in vars(frame).items() if isinstance(a, np.ndarray)}
+        assert {"rows", "duals", "gram", "norms2", "scales"} <= set(arrays)
+        for name, array in arrays.items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[...] = 0.0

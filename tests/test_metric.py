@@ -5,6 +5,8 @@ the null part of ``p``, and ``p - p_plus`` (equally ``-impulses`` over
 the normals) the span part.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,14 +19,17 @@ from simpact.errors import (
 )
 from simpact.metric import (
     DEADBAND,
+    GRAM_RCOND,
+    ContactFrame,
     KineticMetric,
+    _check_gram,
     inner,
     is_feasible,
     norm,
 )
 from simpact.resolution import plastic_resolve
 
-from conftest import random_metric, random_spd
+from conftest import pair_with_inner, random_metric, random_spd
 
 
 def euclidean3():
@@ -254,3 +259,65 @@ class TestProjections:
         with pytest.raises(DegenerateNormalsError) as err:
             project_null(m, np.ones(3), [u, np.array([0.0, 1.0, 0.0]), -2.0 * u])
         assert 0 in err.value.indices and 2 in err.value.indices
+
+
+def eigh_dependent(gram):
+    """The indices the eigenvalue test names for ``gram``, or None."""
+    unit_gram = gram / np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+    eigvals, eigvecs = np.linalg.eigh(unit_gram)
+    if eigvals[0] <= GRAM_RCOND * max(eigvals[-1], 1.0):
+        vec = eigvecs[:, 0]
+        return sorted(np.flatnonzero(np.abs(vec) > 1e-8 * np.abs(vec).max()).tolist())
+    return None
+
+
+def closed_form_dependent(gram):
+    """The indices ``_check_gram`` names for ``gram``, or None."""
+    try:
+        _check_gram(gram)
+    except DegenerateNormalsError as err:
+        assert str(err) == (
+            f"normals at indices {list(err.indices)} are linearly dependent under the metric"
+        )
+        return list(err.indices)
+    return None
+
+
+class TestPairGramCheck:
+    """Two normals take the eigenvalue test in closed form."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("gap, dependent", [(1e-13, True), (1e-11, False), (0.0, True)])
+    def test_near_parallel(self, rng, sign, gap, dependent):
+        for _ in range(20):
+            metric = random_metric(rng, int(rng.integers(2, 6)))
+            u, v = pair_with_inner(metric, rng, sign * (1.0 - gap))
+            gram = ContactFrame(metric, [rng.uniform(0.5, 2.0) * u, rng.uniform(0.5, 2.0) * v]).gram
+            want = [0, 1] if dependent else None
+            assert eigh_dependent(gram) == want
+            assert closed_form_dependent(gram) == want
+
+    def test_exactly_parallel(self):
+        for c in (1.0, -1.0):
+            gram = np.array([[4.0, 2.0 * c], [2.0 * c, 1.0]])
+            assert eigh_dependent(gram) == closed_form_dependent(gram) == [0, 1]
+
+    def test_random_pairs_agree_with_eigh(self, rng):
+        for _ in range(2000):
+            metric = random_metric(rng, int(rng.integers(2, 6)))
+            # 1 - |c| from 1e-16 to 1, across the threshold at about 2e-12.
+            c = rng.choice([-1.0, 1.0]) * (1.0 - 10.0 ** rng.uniform(-16.0, 0.0))
+            if abs(math.log10(max(1.0 - abs(c), 1e-300) / 2e-12)) < 0.01:
+                continue  # within rounding of the threshold
+            u, v = pair_with_inner(metric, rng, c)
+            gram = ContactFrame(metric, [u, rng.uniform(0.1, 10.0) * v]).gram
+            assert closed_form_dependent(gram) == eigh_dependent(gram)
+
+    @pytest.mark.parametrize("factor", [2.0, -3.0])
+    def test_plastic_rejects_parallel_normals(self, factor):
+        metric = KineticMetric(np.diag([1.0, 2.0, 0.5]))
+        u = np.array([0.3, -1.0, 0.7])
+        with pytest.raises(DegenerateNormalsError) as err:
+            plastic_resolve(metric, np.array([1.0, 1.0, -1.0]), [u, factor * u])
+        assert err.value.indices == (0, 1)
+        assert str(err.value) == "normals at indices [0, 1] are linearly dependent under the metric"

@@ -21,13 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simpact import metric as mt
 from simpact import stepper
 from simpact.errors import ConfigError, StepFailureError
-from simpact.models import BallModel, BilliardsModel, CradleModel, LegTailModel
+from simpact.models import BallModel, BilliardsModel, CradleModel, LegTailModel, MechModel
 from simpact.resolution import ImpactKind
 from simpact.stepper import FrictionConfig, StepperConfig, simulate
 
-from test_stepper import SHIPPED, Oscillator, PolarSpring, _free_flight_case
+from test_stepper import SHIPPED, GravityParticle, Oscillator, PolarSpring, _free_flight_case
+from test_stepper_jacobians import BreathingBall
 
 
 def _bits(a):
@@ -402,3 +404,84 @@ def test_simulate_rejects_friction_on_unknown_contact():
     cfg = StepperConfig(h=0.005, friction=FrictionConfig(0.5, (7,)))
     with pytest.raises(ConfigError, match=r"friction references unknown contacts \[7\]"):
         simulate(model, q0, np.zeros(3), 0.1, cfg)
+
+
+# ---------------------------------------------------------------------------
+# The metric of a constant mass, checked once per simulation
+
+
+class NegativeMass(GravityParticle):
+    def mass_matrix(self, q):
+        return np.array([[-1.0]])
+
+
+class IndefinitePlanar(MechModel):
+    dim = 2
+    constant_mass = True
+
+    def mass_matrix(self, q):
+        return np.array([[1.0, 2.0], [2.0, 1.0]])
+
+    def gaps(self, q):
+        return np.zeros(0)
+
+    def gap_gradients(self, q):
+        return np.zeros((0, 2))
+
+
+class NegativeBall(BallModel):
+    def mass_matrix(self, q):
+        return -self._mass
+
+
+@pytest.mark.parametrize(
+    "model, q0",
+    [(NegativeMass(), [0.0]), (IndefinitePlanar(), [0.0, 0.0]), (NegativeBall(1.0), [1.0])],
+    ids=["diagonal", "dense", "with-contacts"],
+)
+def test_simulate_rejects_a_constant_mass_that_is_not_positive_definite(model, q0):
+    # The diagonal case used to run: q went 0 -> -0.051 over 10 steps of
+    # h = 0.01.
+    with pytest.raises(ConfigError, match=r"^constant mass: mass matrix is not positive definite"):
+        simulate(model, q0, np.zeros(model.dim), 0.1, StepperConfig(h=0.01))
+
+
+def _count_metrics(monkeypatch, model):
+    """Count the metrics built, and the model's ``metric_at`` calls among them."""
+    counts = Counter()
+    original_init, original_at = mt.KineticMetric.__init__, model.metric_at
+
+    def counting_init(self, mass):
+        counts["metrics"] += 1
+        original_init(self, mass)
+
+    def counting_at(q):
+        counts["metric_at"] += 1
+        return original_at(q)
+
+    monkeypatch.setattr(mt.KineticMetric, "__init__", counting_init)
+    monkeypatch.setattr(model, "metric_at", counting_at)
+    return counts
+
+
+def test_contact_free_diagonal_mass_builds_no_metric(monkeypatch):
+    model = Oscillator()
+    counts = _count_metrics(monkeypatch, model)
+    simulate(model, [1.0], [0.3], 0.1, StepperConfig(h=0.01))
+    assert counts == Counter()
+
+
+def test_constant_mass_events_frame_on_the_simulation_metric(monkeypatch):
+    model = BallModel(1.0)
+    counts = _count_metrics(monkeypatch, model)
+    traj = simulate(model, [0.1], [0.0], 1.0, StepperConfig(h=0.01, restitution=0.8))
+    assert len(traj.events) >= 3
+    assert counts == Counter({"metrics": 1})
+
+
+def test_variable_mass_events_frame_on_the_metric_at_the_impact(monkeypatch):
+    model = BreathingBall()
+    counts = _count_metrics(monkeypatch, model)
+    traj = simulate(model, [0.1], [0.0], 1.0, StepperConfig(h=0.01))
+    assert len(traj.events) >= 1
+    assert counts["metric_at"] == counts["metrics"] >= len(traj.events)
