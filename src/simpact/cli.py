@@ -363,14 +363,24 @@ def _write_csv(path: Path, comments: Sequence[str], header: str, rows) -> None:
 
 
 def _initial_state(config: dict, model) -> tuple[np.ndarray, np.ndarray]:
+    """The config's initial ``q`` and ``qdot``, zeros where it gives none; unchecked."""
     section = config.get("initial", {})
     q = np.asarray(section.get("q", np.zeros(model.dim)), dtype=float)
     qdot = np.asarray(section.get("qdot", np.zeros(model.dim)), dtype=float)
+    return q, qdot
+
+
+def _initial_q(config: dict, model) -> np.ndarray:
+    """The initial ``q`` of a task that does not simulate, its state checked for length.
+
+    ``simulate`` checks the state of the simulate task itself.
+    """
+    q, qdot = _initial_state(config, model)
     if q.size != model.dim or qdot.size != model.dim:
         raise ConfigError(
             f"initial state length must equal the model dimension {model.dim}"
         )
-    return q, qdot
+    return q
 
 
 def _task_simulate(config, model, out_dir: Path) -> list[Path]:
@@ -424,7 +434,7 @@ def _task_resolve(config, model, out_dir: Path) -> list[Path]:
     if "p_minus" not in task:
         raise ConfigError("resolve task requires p_minus")
     policy = CascadePolicy.parse(config.get("policy", "most-violating"))
-    q0, _ = _initial_state(config, model)
+    q0 = _initial_q(config, model)
     p_minus = np.asarray(task["p_minus"], dtype=float)
     if p_minus.size != model.dim:
         raise ConfigError("p_minus length must equal the model dimension")
@@ -512,7 +522,7 @@ def _task_optimize(config, model, out_dir: Path) -> list[Path]:
         # All-zero coordinates put every billiards ball on the same
         # center, and a leg-tail body's origin on the floor.
         raise ConfigError("optimize task requires initial.q")
-    q0, _ = _initial_state(config, model)
+    q0 = _initial_q(config, model)
     tol_inner = task.get("tol_inner", 1e-6)
     try:
         if isinstance(model, LegTailModel):

@@ -46,8 +46,12 @@ A force-free step with no contact held takes no Newton solve when the
 model declares ``constant_mass`` and ``affine_potential`` and its mass
 is diagonal: the midpoint DEL step is then exact uniformly accelerated
 flight (J. E. Marsden and M. West, Acta Numerica 10, 2001), flown in
-closed form per coordinate on Python floats (:func:`_solve_flight`).
-A constant mass that is not diagonal takes the Newton free step.
+closed form per coordinate on Python floats (:func:`_solve_flight`)
+with the constant force taken once per simulation. A run without a
+force sampler flies its stretches of such steps in one loop
+(:meth:`_Sim.fly`) and hands only the steps that cross a contact, and
+the held ones, to :meth:`_Sim.advance`. A constant mass that is not
+diagonal takes the Newton free step.
 
 The Newton free step of a one-coordinate constant mass with a nonzero
 diagonal, such as an oscillator, a pendulum or a forced ball, runs on
@@ -511,22 +515,25 @@ def _del_block(model, forces, q_a, t_a, q_b, t_b, fun, x, r):
 # DEL steps
 
 
-def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot=None, mass=None):
+def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot=None, mass=None,
+                flight=None):
     """Solve the DEL for the next configuration given the node momentum, none held.
 
     Returns the next configuration and the momentum it carries into the
     node at ``t_next``. ``slot`` is the Newton Jacobian slot shared with
     earlier solves, or None for one kept within this solve; ``mass`` is
-    the constant mass and its diagonal, or None to evaluate ``M(q)``.
-    Given a diagonal ``mass``, a force-free step of an affine potential
-    flies (:func:`_solve_flight`) and one coordinate runs on floats
-    (:func:`_solve_line`); every other step, the flight of a constant
-    mass that is not diagonal among them, is :func:`_solve_held` with
-    nothing held.
+    the constant mass and its diagonal, or None to evaluate ``M(q)``;
+    ``flight`` is the simulation's constant force and mass diagonal as
+    lists (:attr:`_Sim.flight`), or None. Given ``flight``, a force-free
+    step flies (:func:`_solve_flight`); given a diagonal ``mass``, one
+    coordinate runs on floats (:func:`_solve_line`); every other step,
+    the flight of a constant mass that is not diagonal among them, is
+    :func:`_solve_held` with nothing held.
     """
+    if flight is not None and forces is None:
+        q_next, p_out = _solve_flight(q_curr.tolist(), p_in.tolist(), t_next - t_curr, *flight)
+        return np.array(q_next), np.array(p_out)
     diag = None if mass is None else mass[1]
-    if diag is not None and forces is None and model.affine_potential:
-        return _solve_flight(model, p_in, q_curr, t_curr, t_next, diag)
     if diag is not None and model.dim == 1:
         return _solve_line(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot, diag)
     q, _, p = _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, (), slot, mass)
@@ -642,34 +649,34 @@ def _line_jacobian(model, forces, q_a, t_a, q_b, t_b):
     return jac
 
 
-def _solve_flight(model, p_in, q_curr, t_curr, t_next, diag):
+def _solve_flight(q, p, h, force, diag):
     """The force-free DEL step of a constant diagonal mass in an affine potential.
 
-    The step is exact uniformly accelerated flight, ``q_next = q_curr +
-    h M^-1 (p_in - (h/2) grad V)``, taken per coordinate on Python floats;
-    ``diag`` is the mass's diagonal, with no zero on it. The momentum
-    carried into ``t_next`` takes the operations of
-    :func:`discrete_momenta` in its order, so it is bitwise the node
-    momentum of the step's end points. Raises :class:`StepFailureError`
-    when either is not finite.
+    The step is exact uniformly accelerated flight over ``h``, ``q_next =
+    q + h M^-1 (p + (h/2) f)``, taken per coordinate on Python floats:
+    ``q``, ``p``, the constant force ``f = -grad V`` and ``diag``, the
+    mass's diagonal with no zero on it, are lists of floats, and so are
+    the configuration and momentum returned. Given the step's time
+    difference as ``h``, the momentum carried into its end takes the
+    operations of :func:`discrete_momenta` in its order, so it is bitwise
+    the node momentum of the step's end points. Raises
+    :class:`StepFailureError` when either is not finite.
     """
-    h = t_next - t_curr
     half_h = 0.5 * h
     q_next, p_out = [], []
-    for q, p, g, d in zip(q_curr.tolist(), p_in.tolist(),
-                          model.potential_gradient(q_curr).tolist(), diag.tolist()):
-        half = half_h * -g
-        x = q + h * ((p + half) / d)
+    for x0, p0, f, d in zip(q, p, force, diag):
+        half = half_h * f
+        x = x0 + h * ((p0 + half) / d)
         # The matrix product accumulates onto +0.0, so a -0.0 product (a
         # zero velocity times a negative entry) reads +0.0. A non-finite x
         # makes its velocity, and through the nonzero diagonal, the
         # momentum non-finite too.
-        m = d * ((x - q) / h) + 0.0 + half
+        m = d * ((x - x0) / h) + 0.0 + half
         if not math.isfinite(m):
             raise StepFailureError("free flight step is not finite")
         q_next.append(x)
         p_out.append(m)
-    return np.array(q_next), np.array(p_out)
+    return q_next, p_out
 
 
 def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, slot=None,
@@ -739,12 +746,30 @@ def _crossing_fraction(g0: float, g1: float) -> float:
     return g0 / (g0 - g1)
 
 
+def _crossing(gaps_n, gaps_c, held, floor, act_tol):
+    """The contacts that cross in a step from the gaps ``gaps_c`` to the list ``gaps_n``.
+
+    A contact crosses when it is not ``held``, starts at most
+    ``act_tol`` inside its manifold, ends below ``floor`` and closes.
+    """
+    # Most steps end above the penetration floor: one min tests it first.
+    # A NaN gap crosses in neither test: it fails g < floor, and a NaN
+    # min fails >= floor.
+    if min(gaps_n, default=floor) >= floor:
+        return []
+    return [
+        i
+        for i, g in enumerate(gaps_n)
+        if g < floor and i not in held and gaps_c[i] >= -act_tol and g < gaps_c[i]
+    ]
+
+
 def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held, crossing,
             gaps_curr, gaps_cand):
     """Solve the substep DEL jointly with the earliest crossing gap.
 
     ``crossing``, never empty, lists the contacts that cross in the
-    step, as :meth:`_Sim.advance` decides them from ``gaps_curr`` and
+    step, as :func:`_crossing` decides them from ``gaps_curr`` and
     ``gaps_cand``, the gaps at ``q_curr`` and ``q_cand``: not held,
     starting at most ``ACTIVATION_RTOL`` inside the manifold, ending more
     than ``PENETRATION_RTOL`` inside it, and closing. Unknowns are the
@@ -1025,7 +1050,12 @@ def friction_force(
 
 
 class _Sim:
-    """Mutable state of one simulation run; single threaded by design."""
+    """Mutable state of one simulation run; single threaded by design.
+
+    :meth:`advance` takes one step with its impacts and holds;
+    :meth:`fly` takes a stretch of force-free steps that cross no
+    contact, with nothing held, as exact flight on floats.
+    """
 
     def __init__(self, model, config, forces):
         n = model.n_contacts
@@ -1064,6 +1094,9 @@ class _Sim:
         # definite exactly when its diagonal is, so only the check is made.
         self.mass = None
         self.metric = None
+        # The constant force -grad V and the mass diagonal, as lists, when
+        # the run has no force sampler and its unheld steps fly; else None.
+        self.flight = None
         if model.constant_mass:
             matrix = model.mass_matrix(np.zeros(model.dim))
             diag = _diagonal(matrix)
@@ -1075,6 +1108,11 @@ class _Sim:
             except (DimensionError, NotPositiveDefiniteError) as exc:
                 raise ConfigError(f"constant mass: {exc}") from exc
             self.mass = (matrix, diag)
+            if forces is None and diag is not None and model.affine_potential:
+                # validate_model holds a declared affine potential's
+                # gradient bitwise the same everywhere: take it once.
+                grad = model.potential_gradient(np.zeros(model.dim))
+                self.flight = ([-g for g in grad.tolist()], diag.tolist())
 
     def log(self, event):
         """Record an event, also among the recent ones of its contacts."""
@@ -1158,11 +1196,52 @@ class _Sim:
                 return q_n, p_out
             return _solve_free(
                 self.model, p_in, q_c, t_c, t_target, forces, cfg,
-                self.kept[()] if full else None, self.mass,
+                self.kept[()] if full else None, self.mass, self.flight,
             )
         except StepFailureError as exc:
             exc.t, exc.contacts = t_c, tuple(sorted(self.held))
             raise
+
+    def fly(self, k, n_steps, q, p, gaps, states, momenta):
+        """Fly force-free steps from node ``k`` until a step crosses a contact.
+
+        Needs :attr:`flight` and nothing held. Step ``j`` runs from
+        ``j h`` to ``(j + 1) h`` by :func:`_solve_flight`, the kernel of
+        :meth:`advance`'s flight, and each node's gaps are evaluated once
+        and scanned by :func:`_crossing`, so the run is bitwise the one
+        :meth:`advance` takes step by step. Appends each flown node's
+        configuration and momentum to ``states`` and ``momenta``, and
+        returns the index of the first step not flown, with the
+        configuration, momentum and gaps at its start: the step that
+        crosses is left to :meth:`advance`, which flies it again, and
+        ``n_steps`` means the run ended in flight. A flight that is not
+        finite raises :class:`StepFailureError` naming the step start and
+        no contacts, as :meth:`solve_interval` does.
+        """
+        model, h = self.model, self.cfg.h
+        force, diag = self.flight
+        floor, act_tol = -self.pen_tol, self.act_tol
+        scan = not self.contact_free
+        q_c, p_c, g_c = q.tolist(), p.tolist(), gaps.tolist()
+        t_c = k * h
+        while k < n_steps:
+            t_n = (k + 1) * h
+            try:
+                q_n, p_n = _solve_flight(q_c, p_c, t_n - t_c, force, diag)
+            except StepFailureError as exc:
+                exc.t, exc.contacts = t_c, ()
+                raise
+            q_next = np.array(q_n)
+            if scan:
+                gaps_n = model.gaps(q_next)
+                g_n = gaps_n.tolist()
+                if _crossing(g_n, g_c, (), floor, act_tol):
+                    break
+                gaps, g_c = gaps_n, g_n
+            states.append(q_next)
+            momenta.append(p_n)
+            q, q_c, p_c, t_c, k = q_next, q_n, p_n, t_n, k + 1
+        return k, q, np.array(p_c), gaps
 
     def advance(self, q_c, t_c, p_in, t_target, gaps_c):
         """Advance to the target time, resolving any impacts on the way.
@@ -1183,15 +1262,7 @@ class _Sim:
             if self.contact_free:
                 return q_n, p_out, gaps_c
             gaps_n = model.gaps(q_n)
-            # Most steps end above the penetration floor: test it first.
-            crossing = [
-                i
-                for i, g in enumerate(gaps_n.tolist())
-                if g < floor
-                and i not in self.held
-                and gaps_c[i] >= -act_tol
-                and g < gaps_c[i]
-            ]
+            crossing = _crossing(gaps_n.tolist(), gaps_c, self.held, floor, act_tol)
             if not crossing:
                 return q_n, p_out, gaps_n
 
@@ -1272,6 +1343,13 @@ def simulate(
     permutation of the model's contacts; each event reflects its own
     contacts in that order.
 
+    When its steps fly (:attr:`_Sim.flight`: a constant diagonal mass,
+    an affine potential and no ``forces`` sampler), a run takes each
+    stretch of steps with nothing held that cross no contact in one loop,
+    :meth:`_Sim.fly`; the step that crosses, and every held step, go to
+    :meth:`_Sim.advance`. The samples are bitwise those of advancing
+    every step.
+
     Every input rejected before the first step raises
     :class:`ConfigError`: a duration that is not positive and finite,
     an initial state of the wrong dimension, not finite, or penetrating
@@ -1296,22 +1374,24 @@ def simulate(
 
     sim = _Sim(model, config, forces)
     n_steps = max(1, int(round(duration / config.h)))
-    times = [0.0]
     states = [q0.copy()]
     p = model.mass_matrix(q0) @ qdot0
     momenta = [p.copy()]
 
-    t, q, gaps = 0.0, q0, gaps0
-    for k in range(n_steps):
-        t_target = (k + 1) * config.h
-        q, p, gaps = sim.advance(q, t, p, t_target, gaps)
-        t = t_target
-        times.append(t)
+    # Node k is at k h, whether flown or advanced to.
+    k, q, gaps = 0, q0, gaps0
+    while k < n_steps:
+        if sim.flight is not None and not sim.held:
+            k, q, p, gaps = sim.fly(k, n_steps, q, p, gaps, states, momenta)
+            if k == n_steps:
+                break
+        q, p, gaps = sim.advance(q, k * config.h, p, (k + 1) * config.h, gaps)
         states.append(q)
         momenta.append(p)
+        k += 1
 
     return Trajectory(
-        times=np.asarray(times),
+        times=np.arange(n_steps + 1) * config.h,
         states=np.asarray(states),
         momenta=np.asarray(momenta),
         events=sim.events,

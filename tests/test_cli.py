@@ -542,6 +542,22 @@ class TestConfigErrorsLeaveNoOutput:
             tmp_path, capsys, path, "initial.q invalid: initial configuration penetrates a contact"
         )
 
+    @pytest.mark.parametrize("key, value", [("q", [0.0, 0.2]), ("qdot", [1.0, 0.0, 0.0, 0.0])])
+    def test_simulate_from_an_initial_state_of_the_wrong_length(
+        self, tmp_path, capsys, key, value
+    ):
+        # simulate checks the length; the task does not check it first.
+        path = shipped_with(tmp_path, "cradle_restitution.json", ("initial", key), value)
+        assert_config_error(
+            tmp_path, capsys, path, "initial state does not match the model dimension"
+        )
+
+    def test_resolve_from_an_initial_q_of_the_wrong_length(self, tmp_path, capsys):
+        path = write_config(tmp_path, cradle_resolve_config(initial={"q": [0.0, 0.2]}))
+        assert_config_error(
+            tmp_path, capsys, path, "initial state length must equal the model dimension 3"
+        )
+
     @pytest.mark.parametrize("key", ["newton_max_iter", "impact_time_tol", "zeno_window"])
     def test_removed_stepper_key(self, tmp_path, capsys, key):
         # The Newton cap and the Zeno window are module constants and the

@@ -456,8 +456,10 @@ class TestFreeFlight:
     def test_closed_form_matches_newton(self, name, u, h):
         model, q, p = _free_flight_case(name, u)
         cfg = StepperConfig(h=h)
-        mass = _Sim(model, cfg, None).mass
-        q_flight, p_flight = stepper._solve_flight(model, p, q, 0.3, 0.3 + h, mass[1])
+        sim = _Sim(model, cfg, None)
+        mass = sim.mass
+        q_flight, p_flight = map(np.array, stepper._solve_flight(
+            q.tolist(), p.tolist(), (0.3 + h) - 0.3, *sim.flight))
         # Given the mass, _solve_free would fly too: call the Newton solve.
         q_newton, _, p_newton = stepper._solve_held(model, p, q, 0.3, 0.3 + h, None, cfg, (),
                                                     None, mass)

@@ -138,16 +138,25 @@ def _lapack(matrix, diag, rhs):
     return np.linalg.solve(matrix, rhs)
 
 
-def _lapack_flight(model, p_in, q_curr, t_curr, t_next, diag):
+def _lapack_flight(q, p, h, force, diag):
     """``stepper._solve_flight`` on arrays, with the mass solve sent to LAPACK."""
-    h = t_next - t_curr
-    mass = model.mass_matrix(q_curr)
-    half = 0.5 * h * -model.potential_gradient(q_curr)
-    q_next = q_curr + h * np.linalg.solve(mass, p_in + half)
+    q_curr, mass = np.array(q), np.diag(diag)
+    half = 0.5 * h * np.array(force)
+    q_next = q_curr + h * np.linalg.solve(mass, np.array(p) + half)
     p_out = mass @ ((q_next - q_curr) / h) + half
     if not np.isfinite(p_out).all():
         raise StepFailureError("free flight step is not finite")
-    return q_next, p_out
+    return q_next.tolist(), p_out.tolist()
+
+
+def _flight(model, q, p, h):
+    """``stepper._solve_flight``'s arguments for one step of ``model`` over ``h``.
+
+    The force is the negated gradient at ``q``, as the simulation takes it once.
+    """
+    force = (-model.potential_gradient(q)).tolist()
+    diag = stepper._diagonal(model.mass_matrix(q)).tolist()
+    return q.tolist(), p.tolist(), h, force, diag
 
 
 #: Entries of the flight states: signed and exact zeros, tiny and
@@ -167,8 +176,9 @@ def test_float_flight_is_the_lapack_flight(name, q, p, h):
     model = _free_flight_case(name, [0.0, 1.0, 0.0, 0.0])[0]
     q, p = np.array(q[:model.dim]), np.array(p[:model.dim])
     diag = stepper._diagonal(model.mass_matrix(q))
-    q_next, p_out = stepper._solve_flight(model, p, q, 0.3, 0.3 + h, diag)
-    q_oracle, p_oracle = _lapack_flight(model, p, q, 0.3, 0.3 + h, diag)
+    args = _flight(model, q, p, (0.3 + h) - 0.3)
+    q_next, p_out = map(np.array, stepper._solve_flight(*args))
+    q_oracle, p_oracle = map(np.array, _lapack_flight(*args))
     assert _bits(p_out) == _bits(p_oracle)
     assert np.array_equal(q_next, q_oracle)
     # LAPACK may flip the sign of a zero entry of its solution, where the
@@ -197,9 +207,9 @@ def test_float_flight_reads_a_zero_product_as_the_matrix_product():
     # gradient's half impulse; the matrix product accumulates onto +0.0.
     model = SignedDiagonal()
     q, p = np.array([0.5, 1.0]), np.array([-0.0, 0.0])
-    diag = stepper._diagonal(model.mass_matrix(q))
-    flight = stepper._solve_flight(model, p, q, 0.3, 0.31, diag)
-    oracle = _lapack_flight(model, p, q, 0.3, 0.31, diag)
+    args = _flight(model, q, p, 0.31 - 0.3)
+    flight = stepper._solve_flight(*args)
+    oracle = _lapack_flight(*args)
     assert _bits(flight[1]) == _bits(oracle[1]) == _bits(np.zeros(2))
     assert _bits(flight[0]) == _bits(oracle[0])
 
@@ -275,10 +285,24 @@ def _counted_run(build):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_runs_match_lapack_oracle_bitwise(name):
     traj, calls = _counted_run(RUNS[name])
+    flights = []
+
+    def lapack_flight(*args):
+        flights.append(args)
+        return _lapack_flight(*args)
+
     with mock.patch.object(stepper, "_solve", _lapack), \
-            mock.patch.object(stepper, "_solve_flight", _lapack_flight):
+            mock.patch.object(stepper, "_solve_flight", lapack_flight):
         oracle, oracle_calls = _counted_run(RUNS[name])
     assert calls < oracle_calls  # the division or float flight path was taken
+    # Every step that starts with nothing held flies through the oracle,
+    # whether simulate's loop flies it or _Sim.advance does.
+    model, *_, forces = RUNS[name]()
+    if model.affine_potential and forces is None:
+        held_steps = len({t for t, _, _ in traj.holds})
+        assert len(flights) >= traj.times.size - 1 - held_steps > 0
+    else:
+        assert not flights
     assert _bits(traj.times) == _bits(oracle.times)
     assert _bits(traj.states) == _bits(oracle.states)
     assert _bits(traj.momenta) == _bits(oracle.momenta)
@@ -374,6 +398,54 @@ def test_contact_free_model_evaluates_no_gaps_per_step():
     model = CallerCountingGaps()
     simulate(model, [1.0], [0.3], 100 * 0.01, StepperConfig(h=0.01))
     assert model.callers == Counter({"simulate": 1, "n_contacts": 1})
+
+
+class CallerCountingCradle(CradleModel):
+    """A cradle that counts the functions calling ``gaps`` and ``potential_gradient``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.gap_callers, self.gradient_callers = Counter(), Counter()
+
+    def gaps(self, q):
+        self.gap_callers[sys._getframe(1).f_code.co_name] += 1
+        return super().gaps(q)
+
+    def potential_gradient(self, q):
+        self.gradient_callers[sys._getframe(1).f_code.co_name] += 1
+        return super().potential_gradient(q)
+
+
+def test_force_free_cradle_advances_only_the_step_that_crosses(monkeypatch):
+    # The one-event cradle op of the impacts benchmark: the loop flies 59
+    # of its 60 steps, evaluating the gaps at each node once, and hands
+    # the step of the impact to _Sim.advance.
+    model = CallerCountingCradle([1.0, 0.7, 1.6, 1.2], [0.1] * 4)
+    q0 = model.touching_positions()
+    q0[0] -= 0.05
+    advanced = []
+    advance = stepper._Sim.advance
+
+    def counted_advance(self, q_c, t_c, *args):
+        advanced.append(t_c)
+        return advance(self, q_c, t_c, *args)
+
+    monkeypatch.setattr(stepper._Sim, "advance", counted_advance)
+    traj = simulate(model, q0, [1.2, 0.0, 0.0, 0.0], 0.3, StepperConfig(h=0.005))
+    (event,) = traj.events
+    assert advanced == [int(event.t / 0.005) * 0.005]
+    # fly evaluates the gaps at each of the 59 nodes it flies to, and at
+    # the end of the step that crosses, which it leaves to advance;
+    # advance flies that step again and evaluates the gaps at its end
+    # and at the node after the impact. _locate evaluates its own.
+    calls = model.gap_callers
+    assert calls["fly"] == 60 and calls["advance"] == 2
+    assert set(calls) == {"simulate", "n_contacts", "fly", "advance", "_locate", "residual"}
+    assert calls["simulate"] == calls["n_contacts"] == calls["_locate"] == 1
+    # The flight takes the gradient once; the impact's substep DEL takes
+    # its own in discrete_momenta.
+    assert model.gradient_callers["__init__"] == 1
+    assert set(model.gradient_callers) == {"__init__", "discrete_momenta"}
 
 
 # ---------------------------------------------------------------------------
