@@ -38,13 +38,19 @@ class MechModel:
     energy. ``affine_potential``, which needs ``constant_mass``, declares
     a potential gradient that is the same at every configuration: the
     stepper then takes each force-free step without held contacts as
-    uniformly accelerated flight, in closed form. Models are immutable
+    uniformly accelerated flight, in closed form. ``linear_gaps``
+    declares gaps ``G q + c`` with a constant gradient ``G``: the stepper
+    then takes ``G`` and ``c`` once per run, evaluates the gaps at its
+    nodes on floats, and, given a flight, takes each force-free held step
+    as the flight projected onto the held manifold, in closed form.
+    :func:`validate_model` checks both declarations. Models are immutable
     after construction and evaluation is pure.
     """
 
     dim: int = 0
     constant_mass: bool = False
     affine_potential: bool = False
+    linear_gaps: bool = False
     length_scale: float = 1.0
 
     def mass_matrix(self, q: np.ndarray) -> np.ndarray:
@@ -151,6 +157,7 @@ class CradleModel(MechModel):
 
     constant_mass = True
     affine_potential = True
+    linear_gaps = True
 
     def __init__(self, masses: Sequence[float], radii: Sequence[float]):
         masses = _positive(masses, "masses")
@@ -194,6 +201,7 @@ class BallModel(MechModel):
 
     constant_mass = True
     affine_potential = True
+    linear_gaps = True
 
     def __init__(self, mass: float, gravity: float = 9.81, radius: float = 0.0):
         (self.m,) = _positive([mass], "mass")
@@ -459,11 +467,16 @@ def validate_model(model: MechModel, q_samples: Sequence[np.ndarray]):
     must also declare ``constant_mass`` and give a potential gradient
     bitwise equal at every configuration, since its closed-form step
     takes the gradient at the step start where the node momentum takes
-    it at the midpoint. Raises on the first violation.
+    it at the midpoint. A model declaring ``linear_gaps`` must give gap
+    gradients ``G`` bitwise equal at every configuration, and gaps equal
+    to ``G q + c`` to rounding, with ``c`` its gaps at zero: the stepper
+    takes ``G`` and ``c`` once, at zero. Raises on the first violation.
     """
     if model.affine_potential and not model.constant_mass:
         raise VerificationError("an affine potential is declared without a constant mass")
-    grad_ref = None
+    grad_ref = g_ref = None
+    if model.linear_gaps:
+        c_ref = np.asarray(model.gaps(np.zeros(model.dim)), dtype=float)
     for q in q_samples:
         q = np.asarray(q, dtype=float)
         model.metric_at(q)  # raises unless SPD
@@ -477,6 +490,22 @@ def validate_model(model: MechModel, q_samples: Sequence[np.ndarray]):
                     "but the potential is declared affine"
                 )
         grads = model.gap_gradients(q)
+        if model.linear_gaps:
+            grads = np.asarray(grads, dtype=float)
+            if g_ref is None:
+                g_ref = grads
+            elif grads.shape != g_ref.shape or grads.tobytes() != g_ref.tobytes():
+                raise VerificationError(
+                    f"gap gradients at q={q} differ from {g_ref.tolist()}, "
+                    "but the gaps are declared linear"
+                )
+            err = np.abs(model.gaps(q) - (g_ref @ q + c_ref))
+            bound = 8.0 * np.finfo(float).eps * (np.abs(g_ref) @ np.abs(q) + np.abs(c_ref))
+            if np.any(~(err <= bound)):
+                raise VerificationError(
+                    f"gaps at q={q} differ from G q + c by {err.max():.3e}, "
+                    "but the gaps are declared linear"
+                )
         fd = _central_jacobian(model.gaps, q, 1e-7)
         err = np.abs(grads - fd).max(initial=0.0)
         if err > 1e-6 * max(1.0, np.abs(grads).max(initial=0.0)):

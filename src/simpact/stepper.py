@@ -13,7 +13,9 @@ integrated from the mapped momentum.
 One function, :func:`_solve_held`, assembles the Newton system of every
 fixed-length step, with a gap row and an impulse multiplier per held
 contact; with none held it is the free step, which :func:`_solve_free`
-takes in closed form, on Python floats or by that Newton solve.
+takes in closed form, on Python floats or by that Newton solve. A
+force-free held step of linear gaps is linear and takes its closed form
+instead (:func:`_solve_held_flight`).
 
 Every Newton solve uses a Jacobian assembled from model derivatives:
 the mass matrix and potential Hessian for the momentum block, and the
@@ -49,9 +51,18 @@ flight (J. E. Marsden and M. West, Acta Numerica 10, 2001), flown in
 closed form per coordinate on Python floats (:func:`_solve_flight`)
 with the constant force taken once per simulation. A run without a
 force sampler flies its stretches of such steps in one loop
-(:meth:`_Sim.fly`) and hands only the steps that cross a contact, and
-the held ones, to :meth:`_Sim.advance`. A constant mass that is not
-diagonal takes the Newton free step.
+(:meth:`_Sim.fly`) and hands only the steps that cross a contact, as
+flown, and the held ones to :meth:`_Sim.advance`. A constant mass that
+is not diagonal takes the Newton free step.
+
+When such a model also declares ``linear_gaps``, gaps ``G q + c`` with
+``G`` and ``c`` taken once per simulation, a node's gaps are evaluated
+on floats (:meth:`_Sim.node_gaps`), and a force-free step with contacts
+held is linear: it is the flight projected onto the held manifold, with
+one multiplier per held contact from a small system on floats whose
+factors are kept per held set (:func:`_solve_held_flight`). Its release
+rule is the Newton step's. Steps under a force sampler or friction, and
+models with nonlinear gaps, keep the Newton held step.
 
 The Newton free step of a one-coordinate constant mass with a nonzero
 diagonal, such as an oscillator, a pendulum or a forced ball, runs on
@@ -679,6 +690,112 @@ def _solve_flight(q, p, h, force, diag):
     return q_next, p_out
 
 
+def _affine_rows(grads, offsets):
+    """The rows of ``G q + c`` from ``G`` and ``c``, for :func:`_affine_gaps`.
+
+    Each row is its offset ``c_i`` and its nonzero gradient entries as
+    ``(j, G_ij)`` pairs, in column order. A zero offset is kept as -0.0,
+    which adds to every float without changing it, as subtracting +0.0
+    does; +0.0 would turn a -0.0 gap into +0.0.
+    """
+    return [
+        (c or -0.0, tuple((j, a) for j, a in enumerate(row) if a != 0.0))
+        for row, c in zip(grads.tolist(), offsets.tolist())
+    ]
+
+
+def _affine_gaps(q, rows):
+    """``G q + c`` at ``q``, a list of floats, from its :func:`_affine_rows`.
+
+    Each gap sums its row's products in column order, starting from
+    -0.0, and then adds ``c_i``. A gap whose entries are +-1, as the
+    cradle's and the ball's are, is then bitwise the model's own
+    difference.
+    """
+    out = []
+    for c, terms in rows:
+        g = -0.0
+        for j, a in terms:
+            g += a * q[j]
+        out.append(g + c)
+    return out
+
+
+def _held_system(rows, diag, held):
+    """The closed-form system of a force-free held step, for :func:`_solve_held_flight`.
+
+    ``rows`` are the model's :func:`_affine_rows`, ``diag`` the mass
+    diagonal and ``held`` the held contacts. Returns the held rows, the
+    velocity ``M^-1 G_a^T`` of each held normal as ``(j, G_aj / d_j)``
+    pairs, and the LDL^T factors of ``K = G_H M^-1 G_H^T``: the unit
+    lower triangle as lists and the pivots. Raises
+    :class:`StepFailureError` when a pivot falls to the rounding of its
+    diagonal entry, so that the held normals are dependent.
+    """
+    held_rows = [rows[i] for i in held]
+    velocities = [tuple((j, a / diag[j]) for j, a in terms) for _, terms in held_rows]
+    gram = [
+        [math.fsum(a * w.get(j, 0.0) for j, a in terms) for w in map(dict, velocities)]
+        for _, terms in held_rows
+    ]
+    lower, pivots = [], []
+    for i, row in enumerate(gram):
+        lower.append([])
+        for j in range(i + 1):
+            entry = row[j]
+            for m in range(j):
+                entry -= lower[i][m] * lower[j][m] * pivots[m]
+            if j < i:
+                lower[i].append(entry / pivots[j])
+            elif entry > 4.0 * np.finfo(float).eps * row[i]:
+                pivots.append(entry)
+            else:
+                raise StepFailureError("singular held-contact system: dependent normals")
+    return held_rows, velocities, (lower, pivots)
+
+
+def _solve_held_flight(q, p, h, force, diag, system):
+    """The force-free held step of a constant diagonal mass, affine potential and linear gaps.
+
+    With the held gaps ``G_H q + c_H`` pinned to zero, the DEL step is
+    linear: it is the flight ``q_fly`` of :func:`_solve_flight`
+    projected onto the held manifold, ``q_n = q_fly + h M^-1 G_H^T lam``
+    with ``h K lam = -(G_H q_fly + c_H)`` and ``K = G_H M^-1 G_H^T``.
+    ``lam`` is the impulse multiplier of each held contact, as in
+    :func:`_solve_held`. ``system`` is the :func:`_held_system` of the
+    held contacts; ``q``, ``p``, ``force`` and ``diag`` are lists of
+    floats as in :func:`_solve_flight`, and so are the configuration,
+    the multipliers and the momentum returned. The momentum carried into
+    the step's end takes :func:`_solve_flight`'s operations on ``q`` and
+    ``q_n``, so it is bitwise their node momentum. Raises
+    :class:`StepFailureError` when a value is not finite.
+    """
+    held_rows, velocities, (lower, pivots) = system
+    q_n, _ = _solve_flight(q, p, h, force, diag)
+    # Solve h K lam = -g by the LDL^T factors: forward, scale, back.
+    lam = []
+    for i, g in enumerate(_affine_gaps(q_n, held_rows)):
+        y = -g / h
+        for b in range(i):
+            y -= lower[i][b] * lam[b]
+        lam.append(y)
+    lam = [y / d for y, d in zip(lam, pivots)]
+    for i in reversed(range(len(lam))):
+        for b in range(i + 1, len(lam)):
+            lam[i] -= lower[b][i] * lam[b]
+    for lam_a, vel in zip(lam, velocities):
+        for j, w in vel:
+            q_n[j] += h * (lam_a * w)
+    half_h = 0.5 * h
+    p_out = []
+    for x0, x, f, d in zip(q, q_n, force, diag):
+        m = d * ((x - x0) / h) + 0.0 + half_h * f
+        if not math.isfinite(m):
+            raise StepFailureError("held flight step is not finite")
+        p_out.append(m)
+    return q_n, lam, p_out
+
+
 def _solve_held(model, p_in, q_curr, t_curr, t_next, forces, cfg, held, slot=None,
                 mass=None):
     """Newton solve of a fixed-length DEL step, held gaps pinned to zero.
@@ -1054,7 +1171,8 @@ class _Sim:
 
     :meth:`advance` takes one step with its impacts and holds;
     :meth:`fly` takes a stretch of force-free steps that cross no
-    contact, with nothing held, as exact flight on floats.
+    contact, with nothing held, as exact flight on floats, and hands the
+    step that crosses, as flown, to :meth:`advance`.
     """
 
     def __init__(self, model, config, forces):
@@ -1113,6 +1231,44 @@ class _Sim:
                 # gradient bitwise the same everywhere: take it once.
                 grad = model.potential_gradient(np.zeros(model.dim))
                 self.flight = ([-g for g in grad.tolist()], diag.tolist())
+        # The rows of declared linear gaps G q + c, which validate_model
+        # holds to G and c at zero, for node_gaps; else None. With a
+        # flight, the closed-form system of each held set, built once.
+        self.gap_rows = None
+        self.held_systems = None
+        if model.linear_gaps and n:
+            zeros = np.zeros(model.dim)
+            self.gap_rows = _affine_rows(model.gap_gradients(zeros), model.gaps(zeros))
+            if self.flight is not None:
+                self.held_systems = {}
+
+    def node_gaps(self, q):
+        """The gaps at ``q``, a list of floats or an array, as a list of floats.
+
+        Declared linear gaps are ``G q + c`` on floats
+        (:func:`_affine_gaps`); other gaps are the model's.
+        """
+        if self.gap_rows is None:
+            return self.model.gaps(np.asarray(q, dtype=float)).tolist()
+        if isinstance(q, np.ndarray):
+            q = q.tolist()
+        return _affine_gaps(q, self.gap_rows)
+
+    def held_flight(self, q_c, p_in, h, held):
+        """The closed-form held step of the contacts ``held``, :func:`_solve_held_flight`.
+
+        Their system is built once per run. Returns what
+        :func:`_solve_held` returns: the next configuration, the
+        multiplier per held contact and the node momentum.
+        """
+        system = self.held_systems.get(held)
+        if system is None:
+            system = _held_system(self.gap_rows, self.flight[1], held)
+            self.held_systems[held] = system
+        q_n, lams, p_out = _solve_held_flight(
+            q_c.tolist(), p_in.tolist(), h, *self.flight, system
+        )
+        return np.array(q_n), dict(zip(held, lams)), np.array(p_out)
 
     def log(self, event):
         """Record an event, also among the recent ones of its contacts."""
@@ -1170,21 +1326,27 @@ class _Sim:
         """One DEL solve with the current held set, releasing as needed.
 
         Returns the next configuration and its node momentum. Held
-        contacts go to :func:`_solve_held`, re-solved without those whose
-        multipliers turn negative, and a step with none to
-        :func:`_solve_free`. A failed solve raises :class:`StepFailureError`
-        naming the step start and the contacts held in it. A ``full``
-        step shares the Newton Jacobian of its held set with the earlier
-        ones; the substep after an in-step impact keeps its own.
+        contacts are re-solved without those whose multipliers turn
+        negative; a step with none goes to :func:`_solve_free`. A held
+        step with no ``forces`` takes the closed form
+        (:meth:`held_flight`) when the run flies and the model declares
+        ``linear_gaps``, and :func:`_solve_held` otherwise. A failed solve
+        raises :class:`StepFailureError` naming the step start and the
+        contacts held in it. A ``full`` Newton step shares the Jacobian of
+        its held set with the earlier ones; the substep after an in-step
+        impact keeps its own.
         """
         cfg = self.cfg
         try:
             while self.held:
                 held = tuple(sorted(self.held))
-                q_n, lams, p_out = _solve_held(
-                    self.model, p_in, q_c, t_c, t_target, forces, cfg, held,
-                    self.kept[held] if full else None, self.mass,
-                )
+                if forces is None and self.held_systems is not None:
+                    q_n, lams, p_out = self.held_flight(q_c, p_in, t_target - t_c, held)
+                else:
+                    q_n, lams, p_out = _solve_held(
+                        self.model, p_in, q_c, t_c, t_target, forces, cfg, held,
+                        self.kept[held] if full else None, self.mass,
+                    )
                 negative = [c for c, lam in lams.items() if lam < 0.0]
                 if negative:
                     for c in negative:
@@ -1208,21 +1370,25 @@ class _Sim:
         Needs :attr:`flight` and nothing held. Step ``j`` runs from
         ``j h`` to ``(j + 1) h`` by :func:`_solve_flight`, the kernel of
         :meth:`advance`'s flight, and each node's gaps are evaluated once
-        and scanned by :func:`_crossing`, so the run is bitwise the one
-        :meth:`advance` takes step by step. Appends each flown node's
+        by :meth:`node_gaps` and scanned by :func:`_crossing`, so the run
+        is bitwise the one :meth:`advance` takes step by step. ``gaps``
+        and the gaps returned are lists. Appends each flown node's
         configuration and momentum to ``states`` and ``momenta``, and
         returns the index of the first step not flown, with the
-        configuration, momentum and gaps at its start: the step that
-        crosses is left to :meth:`advance`, which flies it again, and
-        ``n_steps`` means the run ended in flight. A flight that is not
-        finite raises :class:`StepFailureError` naming the step start and
-        no contacts, as :meth:`solve_interval` does.
+        configuration, momentum and gaps at its start, and that step as
+        flown: its end configuration, momentum and gaps, which
+        :meth:`advance` takes instead of flying the step again. When the
+        run ends in flight, the index is ``n_steps`` and the step None.
+        A flight that is not finite raises :class:`StepFailureError`
+        naming the step start and no contacts, as :meth:`solve_interval`
+        does.
         """
-        model, h = self.model, self.cfg.h
+        h = self.cfg.h
         force, diag = self.flight
         floor, act_tol = -self.pen_tol, self.act_tol
         scan = not self.contact_free
-        q_c, p_c, g_c = q.tolist(), p.tolist(), gaps.tolist()
+        node_gaps = self.node_gaps
+        q_c, p_c, g_c = q.tolist(), p.tolist(), gaps
         t_c = k * h
         while k < n_steps:
             t_n = (k + 1) * h
@@ -1231,26 +1397,27 @@ class _Sim:
             except StepFailureError as exc:
                 exc.t, exc.contacts = t_c, ()
                 raise
-            q_next = np.array(q_n)
             if scan:
-                gaps_n = model.gaps(q_next)
-                g_n = gaps_n.tolist()
+                g_n = node_gaps(q_n)
                 if _crossing(g_n, g_c, (), floor, act_tol):
-                    break
-                gaps, g_c = gaps_n, g_n
-            states.append(q_next)
+                    flown = (np.array(q_n), np.array(p_n), g_n)
+                    return k, np.array(q_c), np.array(p_c), g_c, flown
+                g_c = g_n
+            states.append(q_n)
             momenta.append(p_n)
-            q, q_c, p_c, t_c, k = q_next, q_n, p_n, t_n, k + 1
-        return k, q, np.array(p_c), gaps
+            q_c, p_c, t_c, k = q_n, p_n, t_n, k + 1
+        return k, np.array(q_c), np.array(p_c), g_c, None
 
-    def advance(self, q_c, t_c, p_in, t_target, gaps_c):
+    def advance(self, q_c, t_c, p_in, t_target, gaps_c, flown=None):
         """Advance to the target time, resolving any impacts on the way.
 
-        ``gaps_c`` are the gaps at ``q_c``. Returns the end node's
-        configuration, momentum and gaps, so the next step need not
-        evaluate them again; a model without contacts returns ``gaps_c``
-        and never evaluates them. Its solves are ``full`` in
-        :meth:`solve_interval` until an in-step impact moves ``t_c``.
+        ``gaps_c`` are the gaps at ``q_c``. ``flown``, when given, is the
+        step's first solve as :meth:`fly` flew it: its end configuration,
+        momentum and gaps. Returns the end node's configuration, momentum
+        and gaps, so the next step need not evaluate them again; a model
+        without contacts returns ``gaps_c`` and never evaluates them.
+        Its solves are ``full`` in :meth:`solve_interval` until an
+        in-step impact moves ``t_c``.
         """
         model, cfg = self.model, self.cfg
         act_tol, floor = self.act_tol, -self.pen_tol
@@ -1258,11 +1425,14 @@ class _Sim:
         full = True
         while True:
             forces = self.effective_forces(q_c, t_c, p_in)
-            q_n, p_out = self.solve_interval(q_c, t_c, p_in, t_target, forces, full)
-            if self.contact_free:
-                return q_n, p_out, gaps_c
-            gaps_n = model.gaps(q_n)
-            crossing = _crossing(gaps_n.tolist(), gaps_c, self.held, floor, act_tol)
+            if flown is None:
+                q_n, p_out = self.solve_interval(q_c, t_c, p_in, t_target, forces, full)
+                if self.contact_free:
+                    return q_n, p_out, gaps_c
+                gaps_n = self.node_gaps(q_n)
+            else:
+                (q_n, p_out, gaps_n), flown = flown, None
+            crossing = _crossing(gaps_n, gaps_c, self.held, floor, act_tol)
             if not crossing:
                 return q_n, p_out, gaps_n
 
@@ -1304,7 +1474,7 @@ class _Sim:
                 h1 = t_star - t_c
                 if h1 > TINY_FRACTION * cfg.h:
                     p_star = node_momentum(model, q_c, t_c, q_star, t_star, forces)
-                    gaps_c = gaps_star
+                    gaps_c = gaps_star.tolist()
                     full = False
                 else:
                     p_star, q_star, t_star = p_in, q_c, t_c
@@ -1346,9 +1516,9 @@ def simulate(
     When its steps fly (:attr:`_Sim.flight`: a constant diagonal mass,
     an affine potential and no ``forces`` sampler), a run takes each
     stretch of steps with nothing held that cross no contact in one loop,
-    :meth:`_Sim.fly`; the step that crosses, and every held step, go to
-    :meth:`_Sim.advance`. The samples are bitwise those of advancing
-    every step.
+    :meth:`_Sim.fly`; the step that crosses, as flown, and every held
+    step go to :meth:`_Sim.advance`. The samples are bitwise those
+    of advancing every step.
 
     Every input rejected before the first step raises
     :class:`ConfigError`: a duration that is not positive and finite,
@@ -1379,13 +1549,14 @@ def simulate(
     momenta = [p.copy()]
 
     # Node k is at k h, whether flown or advanced to.
-    k, q, gaps = 0, q0, gaps0
+    k, q, gaps = 0, q0, gaps0.tolist()
     while k < n_steps:
+        flown = None
         if sim.flight is not None and not sim.held:
-            k, q, p, gaps = sim.fly(k, n_steps, q, p, gaps, states, momenta)
+            k, q, p, gaps, flown = sim.fly(k, n_steps, q, p, gaps, states, momenta)
             if k == n_steps:
                 break
-        q, p, gaps = sim.advance(q, k * config.h, p, (k + 1) * config.h, gaps)
+        q, p, gaps = sim.advance(q, k * config.h, p, (k + 1) * config.h, gaps, flown)
         states.append(q)
         momenta.append(p)
         k += 1

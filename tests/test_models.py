@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from simpact.errors import DegenerateNormalsError, DimensionError, SimpactError
+from simpact.errors import (
+    DegenerateNormalsError,
+    DimensionError,
+    SimpactError,
+    VerificationError,
+)
 from simpact.metric import inner, norm
 from simpact.models import (
     BallModel,
@@ -38,6 +43,38 @@ class TestInterfaceSuite:
         validate_model(billiards, [base + rng.standard_normal(6) * 0.3 for _ in range(1000)])
         validate_model(ball, [rng.standard_normal(1) for _ in range(1000)])
         validate_model(body, [rng.standard_normal(3) for _ in range(1000)])
+
+    def test_linear_gaps_are_declared_by_the_cradle_and_ball_only(self):
+        assert CradleModel([1.0, 2.0], [0.1, 0.1]).linear_gaps
+        assert BallModel(0.7).linear_gaps
+        assert not BilliardsModel([1.0, 2.0, 3.0], [0.1, 0.2, 0.15]).linear_gaps
+        assert not legtail().linear_gaps
+
+    def test_validate_model_rejects_varying_gradients_declared_linear(self, rng):
+        class LinearBilliards(BilliardsModel):
+            linear_gaps = True
+
+        base = np.array([0.0, 0.0, 2.0, 0.0, 1.0, 1.5])
+        samples = [base + rng.standard_normal(6) * 0.3 for _ in range(5)]
+        validate_model(BilliardsModel([1.0, 2.0, 3.0], [0.1, 0.2, 0.15]), samples)
+        with pytest.raises(VerificationError, match="gap gradients .* declared linear"):
+            validate_model(LinearBilliards([1.0, 2.0, 3.0], [0.1, 0.2, 0.15]), samples)
+
+    def test_validate_model_rejects_gaps_that_are_not_g_q_plus_c(self, rng):
+        # Constant gradients, as the cradle's, but gaps that bend away
+        # from G q + c by far more than the finite-difference check sees.
+        class BentCradle(CradleModel):
+            def gaps(self, q):
+                q = np.asarray(q, dtype=float)
+                return super().gaps(q) + 1e-9 * q[1:] ** 2
+
+        class UndeclaredBentCradle(BentCradle):
+            linear_gaps = False
+
+        samples = [rng.standard_normal(3) * 2 for _ in range(5)]
+        validate_model(UndeclaredBentCradle([1.0, 2.0, 0.5], [0.1, 0.15, 0.2]), samples)
+        with pytest.raises(VerificationError, match="differ from G q \\+ c .* declared linear"):
+            validate_model(BentCradle([1.0, 2.0, 0.5], [0.1, 0.15, 0.2]), samples)
 
     def test_shipped_affine_potentials_have_exact_zero_hessians(self, rng):
         # A declared affine potential's Hessian is zero, not differenced;

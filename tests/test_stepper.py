@@ -1018,13 +1018,27 @@ class TestStepFailure:
         assert (exc.residual_norm, exc.iterations) == (0.5, 7)
 
     def test_held_failure_names_held_contacts(self, monkeypatch):
-        # A plastic landing holds the ball's contact; fail its next solve.
+        # A plastic landing holds the ball's contact; fail its next solve,
+        # which takes the closed form: the ball is force free.
+        def failing_held(*args):
+            raise StepFailureError("forced failure", 0.5, 7)
+
+        monkeypatch.setattr(stepper, "_solve_held_flight", failing_held)
+        with pytest.raises(StepFailureError) as err:
+            simulate(BallModel(1.0), [0.05], [0.0], 0.3, StepperConfig(h=0.01, restitution=0.0))
+        assert err.value.contacts == (0,)
+        assert 0.1 <= err.value.t < 0.11
+
+    def test_forced_held_failure_names_held_contacts(self, monkeypatch):
+        # The same landing under a zero force sampler: its held step is
+        # the Newton solve.
         def failing_held(*args):
             raise StepFailureError("forced failure", 0.5, 7)
 
         monkeypatch.setattr(stepper, "_solve_held", failing_held)
         with pytest.raises(StepFailureError) as err:
-            simulate(BallModel(1.0), [0.05], [0.0], 0.3, StepperConfig(h=0.01, restitution=0.0))
+            simulate(BallModel(1.0), [0.05], [0.0], 0.3, StepperConfig(h=0.01, restitution=0.0),
+                     forces=lambda q, v, t: np.zeros(1))
         assert err.value.contacts == (0,)
         assert 0.1 <= err.value.t < 0.11
 

@@ -1,10 +1,10 @@
 """Force-free stretches of a run flown in one loop, against advancing every step.
 
 ``simulate`` flies each stretch of force-free steps with nothing held in
-``_Sim.fly``, and hands the step that crosses a contact, and every held
-step, to ``_Sim.advance``. With ``fly`` patched to fly no step, every
-step goes through ``advance``: the two runs must be bitwise equal, and
-so must the errors they raise.
+``_Sim.fly``, and hands the step that crosses a contact, with its
+flight, and every held step to ``_Sim.advance``. With ``fly`` patched to
+fly no step and hand none, every step goes through ``advance``: the two
+runs must be bitwise equal, and so must the errors they raise.
 """
 
 from unittest import mock
@@ -26,7 +26,7 @@ def _bits(a):
 
 
 def _fly_nothing(self, k, n_steps, q, p, gaps, states, momenta):
-    return k, q, p, gaps
+    return k, q, p, gaps, None
 
 
 def _run(run, loop):

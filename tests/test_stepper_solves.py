@@ -419,29 +419,37 @@ class CallerCountingCradle(CradleModel):
 def test_force_free_cradle_advances_only_the_step_that_crosses(monkeypatch):
     # The one-event cradle op of the impacts benchmark: the loop flies 59
     # of its 60 steps, evaluating the gaps at each node once, and hands
-    # the step of the impact to _Sim.advance.
+    # the step of the impact, with its flight, to _Sim.advance.
     model = CallerCountingCradle([1.0, 0.7, 1.6, 1.2], [0.1] * 4)
     q0 = model.touching_positions()
     q0[0] -= 0.05
-    advanced = []
-    advance = stepper._Sim.advance
+    advanced, node_gaps_callers = [], Counter()
+    advance, node_gaps = stepper._Sim.advance, stepper._Sim.node_gaps
 
     def counted_advance(self, q_c, t_c, *args):
         advanced.append(t_c)
         return advance(self, q_c, t_c, *args)
 
+    def counted_node_gaps(self, q):
+        node_gaps_callers[sys._getframe(1).f_code.co_name] += 1
+        return node_gaps(self, q)
+
     monkeypatch.setattr(stepper._Sim, "advance", counted_advance)
+    monkeypatch.setattr(stepper._Sim, "node_gaps", counted_node_gaps)
     traj = simulate(model, q0, [1.2, 0.0, 0.0, 0.0], 0.3, StepperConfig(h=0.005))
     (event,) = traj.events
     assert advanced == [int(event.t / 0.005) * 0.005]
     # fly evaluates the gaps at each of the 59 nodes it flies to, and at
-    # the end of the step that crosses, which it leaves to advance;
-    # advance flies that step again and evaluates the gaps at its end
-    # and at the node after the impact. _locate evaluates its own.
+    # the end of the step that crosses, which it hands to advance with
+    # its flight; advance evaluates them only at the node after the
+    # impact. The cradle's gaps are linear, so these evaluations take
+    # G q + c on floats and call no model gaps.
+    assert node_gaps_callers == Counter({"fly": 60, "advance": 1})
+    # The model's gaps: the initial check, the contact count, G q + c
+    # taken once at zero, and _locate's own.
     calls = model.gap_callers
-    assert calls["fly"] == 60 and calls["advance"] == 2
-    assert set(calls) == {"simulate", "n_contacts", "fly", "advance", "_locate", "residual"}
-    assert calls["simulate"] == calls["n_contacts"] == calls["_locate"] == 1
+    assert set(calls) == {"simulate", "n_contacts", "__init__", "_locate", "residual"}
+    assert calls["simulate"] == calls["n_contacts"] == calls["__init__"] == calls["_locate"] == 1
     # The flight takes the gradient once; the impact's substep DEL takes
     # its own in discrete_momenta.
     assert model.gradient_callers["__init__"] == 1
