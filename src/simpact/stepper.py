@@ -67,11 +67,10 @@ models with nonlinear gaps, keep the Newton held step.
 The Newton free step of a one-coordinate constant mass with a nonzero
 diagonal, such as an oscillator, a pendulum or a forced ball, runs on
 Python floats (:func:`_solve_line`), since numpy calls on one-element
-arrays cost far more than their arithmetic. It repeats the array path's
-IEEE operations in their order, so its configuration, node momentum,
-errors and kept Jacobian are bitwise those of the array path. Held and
-localization solves, models with more coordinates and variable masses
-keep the array path.
+arrays cost far more than their arithmetic. It supplies its residual,
+Jacobian and rounding floor, formed in the array path's IEEE operations,
+to the shared :func:`_newton`, so its results, errors and kept Jacobian
+are bitwise those of the array path.
 
 Square solves divide by the diagonal when the matrix is diagonal with no
 zero on it, as a constant diagonal mass and its DEL Jacobian are; the
@@ -322,7 +321,12 @@ KEEP_RATE = 1e-3
 
 
 def _diagonal(matrix):
-    """The diagonal of ``matrix`` when it is its only nonzero entries, else None."""
+    """The diagonal of ``matrix`` when it is its only nonzero entries, else None.
+
+    A float is a 1x1 matrix: its own diagonal unless it is zero.
+    """
+    if isinstance(matrix, float):
+        return matrix if matrix != 0.0 else None
     diag = matrix.diagonal()
     if np.count_nonzero(matrix) == diag.size and diag.all():
         return diag
@@ -333,10 +337,12 @@ def _solve(matrix, diag, rhs):
     """``matrix^-1 rhs`` for a 1-D ``rhs``, with ``diag = _diagonal(matrix)``.
 
     Divides by ``diag`` when there is one; otherwise ``np.linalg.solve``,
-    which raises ``LinAlgError`` for a singular matrix.
+    which raises ``LinAlgError`` for a singular matrix, as a zero float does.
     """
     if diag is not None:
         return rhs / diag
+    if isinstance(matrix, float):
+        raise np.linalg.LinAlgError("Singular matrix")
     return np.linalg.solve(matrix, rhs)
 
 
@@ -352,9 +358,10 @@ class _KeptJacobian:
     """One Newton Jacobian kept between iterations and between solves.
 
     :meth:`keep` sets ``matrix`` with ``diag``, its :func:`_diagonal`,
-    and clears ``inverse``. A ``secant`` slot keeps ``inverse`` instead:
-    the inverse of its last built Jacobian, refined by :func:`_broyden`
-    after each accepted step.
+    and clears ``inverse``; a one-coordinate step on floats keeps a
+    float (:func:`_solve_line`). A ``secant`` slot keeps ``inverse``
+    instead: the inverse of its last built Jacobian, refined by
+    :func:`_broyden` after each accepted step.
     """
 
     __slots__ = ("matrix", "diag", "inverse", "secant")
@@ -408,12 +415,21 @@ def _fd_jacobian(fun, x, r0, cols):
     return jac
 
 
-def _newton(fun, x0, tol, jac, slot=None, floor=None):
-    """Damped simplified Newton iteration.
+def _norm(r):
+    """The 2-norm of a residual as ``np.linalg.norm`` computes it, for a 1-D array or a float."""
+    if isinstance(r, float):
+        return math.sqrt(r * r)
+    return math.sqrt(float(r @ r))
 
-    ``jac(x, r, fun)`` returns the Jacobian at ``x`` given the residual
-    ``r = fun(x)``. ``slot`` is the :class:`_KeptJacobian` kept from
-    earlier solves; None keeps the Jacobian within this solve only.
+
+def _newton(fun, x0, tol, jac, slot=None, floor=None):
+    """Damped simplified Newton iteration, the one loop of every implicit solve.
+
+    ``x0`` is a 1-D array, which is copied, or a float, which
+    :func:`_solve_line` supplies with its float residual, Jacobian and
+    floor. ``jac(x, r, fun)`` returns the Jacobian at ``x`` given the
+    residual ``r = fun(x)``. ``slot`` is the :class:`_KeptJacobian` kept
+    from earlier solves; None keeps the Jacobian within this solve only.
     A kept Jacobian is tried first, with a full step that is taken when
     it lowers the residual. A Jacobian stays kept while each of its
     steps cuts the residual norm by the factor ``KEEP_RATE`` or to
@@ -435,10 +451,9 @@ def _newton(fun, x0, tol, jac, slot=None, floor=None):
     """
     if slot is None:
         slot = _KeptJacobian()
-    x = np.asarray(x0, dtype=float).copy()
+    x = x0 if isinstance(x0, float) else np.asarray(x0, dtype=float).copy()
     r = fun(x)
-    # The 2-norm as np.linalg.norm computes it for a 1-D float array.
-    rn = math.sqrt(float(r @ r))
+    rn = _norm(r)
     for it in range(NEWTON_MAX_ITER):
         if rn <= tol:
             return x
@@ -468,7 +483,7 @@ def _newton(fun, x0, tol, jac, slot=None, floor=None):
                 step = dx
             x_new = x + step
             r_new = fun(x_new)
-            rn_new = math.sqrt(float(r_new @ r_new))
+            rn_new = _norm(r_new)
             if rn_new < rn or rn_new <= tol:
                 if inverse is not None:
                     slot.inverse = _broyden(inverse, x_new - x, r_new - r)
@@ -484,9 +499,7 @@ def _newton(fun, x0, tol, jac, slot=None, floor=None):
                 if floor is not None and rn <= floor(x):
                     fun(x)
                     return x
-                raise StepFailureError(
-                    "step rejected by line search", rn, it
-                )
+                raise StepFailureError("step rejected by line search", rn, it)
             step = alpha * dx
     if rn <= tol:
         return x
@@ -554,26 +567,23 @@ def _solve_free(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot=None, mas
 def _solve_line(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot, diag):
     """The Newton free step of a one-coordinate constant mass, on Python floats.
 
-    ``diag`` is the mass's diagonal, nonzero. The IEEE operations of
-    :func:`_solve_held` with nothing held, :func:`discrete_momenta`,
-    :func:`_del_block` and :func:`_newton` are repeated in their order,
-    and the model and ``forces`` are called with fresh one-element arrays, so the result,
-    every error and the Jacobian kept in ``slot`` are bitwise those of
-    the array path; a kept Jacobian is made an array only when kept.
+    ``diag`` is the mass's diagonal, nonzero. The step supplies
+    :func:`_newton` with the residual, Jacobian (:func:`_line_jacobian`)
+    and rounding floor of :func:`_solve_held` with nothing held, formed
+    on floats in the array path's IEEE operations, with the model and
+    ``forces`` called on fresh one-element arrays. So the result, every
+    error and the Jacobian kept in ``slot``, a float, are bitwise those
+    of the array path.
     """
     h = t_next - t_curr
-    q, p = q_curr.item(), p_in.item()
-    x = q + h * (p / diag.item())
-    if slot is None:
-        slot = _KeptJacobian()
-    slot.secant = False
-    tol = cfg.newton_tol * max(1.0, abs(p))
     if h <= 0.0:
         raise ValueError("interval must have positive duration")
+    q, p = q_curr.item(), p_in.item()
     half_h, tm = 0.5 * h, 0.5 * (t_curr + t_next)
+    p_out = [None]
 
-    def line_momenta(y):
-        """The residual and forward momentum at ``y``, as discrete_momenta forms them."""
+    def residual(y):
+        # discrete_momenta's operations; keeps the node momentum.
         qm = np.array([0.5 * (q + y)])
         v = (y - q) / h
         # The matrix product accumulates onto +0.0, so a -0.0 product reads +0.0.
@@ -581,65 +591,18 @@ def _solve_line(model, p_in, q_curr, t_curr, t_next, forces, cfg, slot, diag):
         half = half_h * -model.potential_gradient(qm).item()
         if forces is not None:
             half = half + half_h * np.asarray(forces(qm, np.array([v]), tm), float).item()
-        return p + (-mv + half), mv + half
+        p_out[0] = mv + half
+        return p + (-mv + half)
 
-    r, p_out = line_momenta(x)
-    rn = math.sqrt(r * r)
-    for it in range(NEWTON_MAX_ITER):
-        if rn <= tol:
-            return np.array([x]), np.array([p_out])
-        jmat, jdiag = slot.matrix, slot.diag
-        slot.keep(None, None)
-        fresh = jmat is None
-        dx = None
-        alpha = 1.0
-        while True:
-            if dx is None:
-                if fresh:
-                    jac, jmat = _line_jacobian(model, forces, q, t_curr, x, t_next), None
-                else:
-                    jac = jmat.item()
-                # A zero has no _diagonal, and np.linalg.solve raises on it.
-                if jac == 0.0:
-                    if fresh:
-                        raise StepFailureError(
-                            "singular Jacobian in implicit step: Singular matrix", rn, it
-                        )
-                    fresh = True
-                    continue
-                dx = -r / jac
-                step = dx
-            x_new = x + step
-            r_new, p_new = line_momenta(x_new)
-            rn_new = math.sqrt(r_new * r_new)
-            if rn_new < rn or rn_new <= tol:
-                if rn_new <= max(KEEP_RATE * rn, tol):
-                    if jmat is None:
-                        jmat = np.array([[jac]])
-                        jdiag = _diagonal(jmat)
-                    slot.keep(jmat, jdiag)
-                x, r, rn, p_out = x_new, r_new, rn_new, p_new
-                break
-            if not fresh:
-                dx, fresh = None, True
-                continue
-            alpha *= 0.5
-            if alpha < 1e-8:
-                # _solve_held's rounding floor, on floats.
-                m = model.mass_matrix(np.array([0.5 * (q + x)])).item()
-                q_size = math.sqrt(q * q) + math.sqrt(x * x)
-                size = math.sqrt(p * p) + math.sqrt(m * m) * q_size / h
-                if rn <= 8.0 * np.finfo(float).eps * size:
-                    return np.array([x]), np.array([p_out])
-                raise StepFailureError("step rejected by line search", rn, it)
-            step = alpha * dx
-    if rn <= tol:
-        return np.array([x]), np.array([p_out])
-    raise StepFailureError(
-        f"implicit step did not converge (residual {rn:.3e} > tol {tol:.3e})",
-        rn,
-        NEWTON_MAX_ITER,
-    )
+    def floor(y):
+        m = model.mass_matrix(np.array([0.5 * (q + y)])).item()
+        q_size = math.sqrt(q * q) + math.sqrt(y * y)
+        return 8.0 * np.finfo(float).eps * (math.sqrt(p * p) + math.sqrt(m * m) * q_size / h)
+
+    x = _newton(residual, q + h * (p / diag.item()), cfg.newton_tol * max(1.0, abs(p)),
+                jac=lambda y, r, fun: _line_jacobian(model, forces, q, t_curr, y, t_next),
+                slot=slot, floor=floor)
+    return np.array([x]), np.array(p_out)
 
 
 def _line_jacobian(model, forces, q_a, t_a, q_b, t_b):
@@ -962,24 +925,18 @@ def _locate(model, p_in, q_curr, t_curr, q_cand, t_next, forces, cfg, held, cros
             f"impact localization failed: {exc}", t_curr, crossing, exc.residual_norm
         ) from exc
     q_star, t_star = z[:n], float(z[n])
-
-    def residual_norm():
-        # Evaluated on failure only: a solve that converged to a point
-        # the checks below reject still names its residual.
-        r = residual(z)
-        return math.sqrt(float(r @ r))
-
+    # A converged point that the checks below reject still names its residual.
     if not (t_curr - time_tol <= t_star <= t_next + time_tol):
         raise ImpactLocationError(
             f"impact time {t_star} escaped the step [{t_curr}, {t_next}]", t_curr, crossing,
-            residual_norm(),
+            _norm(residual(z)),
         )
     t_star = min(max(t_star, t_curr + TINY_FRACTION * h_full), t_next)
     gaps_star = model.gaps(q_star)
     if abs(gaps_star[earliest]) > 1e-10 * model.length_scale:
         raise ImpactLocationError(
             f"gap {earliest} not closed at impact: {gaps_star[earliest]:.3e}", t_curr, crossing,
-            residual_norm(),
+            _norm(residual(z)),
         )
 
     contacts = {earliest}

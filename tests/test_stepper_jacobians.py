@@ -230,10 +230,10 @@ def test_locate_recovers_from_time_below_interval(case, u, below):
 def _counting_jacobians(counts):
     """Count every Newton Jacobian build in ``counts["jac"]``.
 
-    Builds are those of ``_newton`` and those of ``_line_jacobian``, the
-    float Jacobian of a one-coordinate free step.
+    Every build is ``_newton``'s, the float Jacobian of a one-coordinate
+    free step (``_line_jacobian``) among them.
     """
-    newton, line_jacobian = stepper._newton, stepper._line_jacobian
+    newton = stepper._newton
 
     def spy(fun, x0, tol, jac, **kwargs):
         def counted(x, r, f):
@@ -242,12 +242,7 @@ def _counting_jacobians(counts):
 
         return newton(fun, x0, tol, counted, **kwargs)
 
-    def line_spy(*args):
-        counts["jac"] += 1
-        return line_jacobian(*args)
-
-    with mock.patch.object(stepper, "_newton", spy), \
-            mock.patch.object(stepper, "_line_jacobian", line_spy):
+    with mock.patch.object(stepper, "_newton", spy):
         yield
 
 

@@ -1,9 +1,10 @@
 """One-coordinate free steps on Python floats against the array path.
 
 ``_solve_free`` hands a one-coordinate constant mass with a nonzero
-diagonal to ``_solve_line``, which repeats the array path's operations
-on floats. Called without the simulation's mass, ``_solve_free`` takes
-the array path, which is the reference here: every result, kept
+diagonal to ``_solve_line``, which forms the array path's residual,
+Jacobian and rounding floor on floats and iterates on them with the
+shared ``_newton``. Called without the simulation's mass, ``_solve_free``
+takes the array path, which is the reference here: every result, kept
 Jacobian and error must match it bit for bit.
 """
 
@@ -83,6 +84,13 @@ def _bits(a):
     return None if a is None else (a.shape, np.asarray(a).tobytes())
 
 
+def _as_1x1(value, ndim=2):
+    if value is None:
+        return None
+    assert type(value) is float
+    return np.full((1,) * ndim, value)
+
+
 def _assert_same(line, array):
     if isinstance(array[0], type):
         assert line == array
@@ -94,8 +102,9 @@ def _assert_same(line, array):
 
 
 def _assert_same_slot(line, array):
-    assert _bits(line.matrix) == _bits(array.matrix)
-    assert _bits(line.diag) == _bits(array.diag)
+    # The line path keeps its Jacobian as a float, the array path as a 1x1 matrix.
+    assert _bits(_as_1x1(line.matrix)) == _bits(array.matrix)
+    assert _bits(_as_1x1(line.diag, 1)) == _bits(array.diag)
     assert (line.inverse, line.secant) == (array.inverse, array.secant) == (None, False)
 
 
@@ -200,3 +209,62 @@ def test_benchmark_runs_are_bitwise_the_array_path(monkeypatch):
             assert _bits(getattr(line, name)) == _bits(getattr(array, name)), op.label
         assert repr(line.events) == repr(array.events)
         assert repr(line.holds) == repr(array.holds)
+
+
+# ---------------------------------------------------------------------------
+# _newton on a float iterate against the same call on a one-element array
+
+
+def _cube(x):
+    # x**3 as products, which Python floats and numpy arrays round alike.
+    return x * x * x
+
+
+def _newton_trace(x0, fun, jac, floor):
+    """The iterates of one ``_newton`` call and its result or error, as bits.
+
+    ``jac(x)`` is a float; an array iterate gets it as a 1x1 matrix.
+    """
+    iterates = []
+
+    def recorded(x):
+        iterates.append(np.asarray(x, float).tobytes())
+        return fun(x)
+
+    def jacobian(x, r, f):
+        return jac(x) if isinstance(x0, float) else np.array([[jac(x.item())]])
+
+    try:
+        result = stepper._newton(recorded, x0, 1e-60, jacobian, floor=floor)
+    except StepFailureError as exc:
+        return iterates, (type(exc), str(exc), repr(exc.residual_norm), exc.iterations)
+    assert (type(result) is float) == isinstance(x0, float)
+    return iterates, np.asarray(result, float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "fun, jac, floor, outcome",
+    [
+        # Newton on x**3 keeps only two thirds of x per step.
+        (_cube, lambda x: 3.0 * x * x, None, "implicit step did not converge"),
+        # A Jacobian of the wrong sign: every halved step raises the residual.
+        (lambda x: 1.0 * x, lambda x: -1.0, None, "step rejected by line search"),
+        (lambda x: 1.0 * x, lambda x: -1.0, lambda x: 0.5, "step rejected by line search"),
+        (lambda x: 1.0 * x, lambda x: -1.0, lambda x: 2.0, None),
+        (lambda x: x - 2.0, lambda x: 0.0, None, "singular Jacobian in implicit step"),
+    ],
+    ids=["iteration-cap", "stalled", "stalled-above-floor", "stalled-within-floor", "singular"],
+)
+def test_newton_on_a_float_is_bitwise_the_one_element_array(fun, jac, floor, outcome):
+    line = _newton_trace(1.0, fun, jac, floor)
+    array = _newton_trace(np.array([1.0]), fun, jac, floor)
+    assert line == array
+    iterates, result = line
+    if outcome is None:
+        # Accepted at the floor: the last evaluation is at the point returned.
+        assert result == iterates[-1] == iterates[0]
+    else:
+        assert result[1].startswith(outcome)
+    if outcome == "implicit step did not converge":
+        assert result[3] == stepper.NEWTON_MAX_ITER == 60
+        assert len(iterates) == 61

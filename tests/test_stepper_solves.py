@@ -130,11 +130,39 @@ def test_diagonal_rejects_off_diagonal_entries():
     assert _bits(stepper._diagonal(np.array([[2.0, -0.0], [0.0, 3.0]]))) == _bits([2.0, 3.0])
 
 
+# A float, the Jacobian of a one-coordinate step on floats, is a 1x1 matrix.
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("pivot", [3.0, -20.0, 1e-3, -1e-300, math.inf, math.nan])
+def test_nonzero_float_is_its_own_diagonal_and_divides_as_its_1x1_matrix(pivot):
+    matrix = np.array([[pivot]])
+    assert stepper._diagonal(pivot) is pivot
+    assert _bits(stepper._diagonal(pivot)) == _bits(stepper._diagonal(matrix))
+    for value in SPECIAL:
+        x = stepper._solve(pivot, pivot, value)
+        assert type(x) is float
+        assert _bits(x) == _bits(stepper._solve(matrix, stepper._diagonal(matrix), np.array([value])))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_zero_float_is_singular_as_lapack_says(zero):
+    assert stepper._diagonal(zero) is None
+    with pytest.raises(np.linalg.LinAlgError) as lapack:
+        np.linalg.solve(np.array([[zero]]), np.array([1.0]))
+    with pytest.raises(np.linalg.LinAlgError) as solve:
+        stepper._solve(zero, None, 1.0)
+    assert str(solve.value) == str(lapack.value) == "Singular matrix"
+
+
 # ---------------------------------------------------------------------------
 # Oracle: every solve through LAPACK gives the same run, bit for bit
 
 
 def _lapack(matrix, diag, rhs):
+    if isinstance(matrix, float):
+        # The Jacobian of a one-coordinate free step on floats.
+        return np.linalg.solve([[matrix]], [rhs]).item()
     return np.linalg.solve(matrix, rhs)
 
 
@@ -372,12 +400,12 @@ def test_constant_mass_is_evaluated_once_for_the_velocity_solves():
     # The initial guesses take the mass factored by the simulation; only
     # the DEL momenta and Jacobian blocks evaluate the mass per step. A
     # one-coordinate free step forms them on floats, in _solve_line's
-    # line_momenta and in _line_jacobian.
+    # residual and in _line_jacobian.
     model = CallerCountingMass()
     simulate(model, [1.0], [0.3], 100 * 0.01, StepperConfig(h=0.01))
     assert model.callers["__init__"] == 1
     assert model.callers["simulate"] == 1
-    assert set(model.callers) == {"__init__", "simulate", "line_momenta", "_line_jacobian"}
+    assert set(model.callers) == {"__init__", "simulate", "residual", "_line_jacobian"}
 
 
 class CallerCountingGaps(Oscillator):
