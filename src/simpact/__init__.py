@@ -18,6 +18,7 @@ from .errors import (
     DimensionError,
     EnergyGainError,
     ImpactLocationError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     SimpactError,
     StepFailureError,

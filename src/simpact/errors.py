@@ -26,6 +26,18 @@ class DegenerateNormalsError(SimpactError, ValueError):
         self.indices = tuple(indices)
 
 
+class NonFiniteError(SimpactError, ValueError):
+    """A contact normal or momentum holds a NaN or an infinity.
+
+    ``indices`` names the offending normals; it is empty when the
+    momentum is at fault.
+    """
+
+    def __init__(self, message, indices=()):
+        super().__init__(message)
+        self.indices = tuple(indices)
+
+
 class StepFailureError(SimpactError, RuntimeError):
     """An implicit time step did not converge.
 

@@ -30,7 +30,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateNormalsError, DimensionError, NotPositiveDefiniteError
+from .errors import (
+    DegenerateNormalsError,
+    DimensionError,
+    NonFiniteError,
+    NotPositiveDefiniteError,
+)
 
 #: Relative tolerance for the symmetry check at metric construction.
 SYMMETRY_RTOL = 1e-12
@@ -192,8 +197,14 @@ class ContactFrame:
         self.duals = duals[:k]
         self.gram = 0.5 * (gram + gram.T)
         self.norms2 = np.diag(self.gram).copy()
-        if np.any(self.norms2 <= 0.0):
-            bad = sorted(np.flatnonzero(self.norms2 <= 0.0).tolist())
+        norms2 = self.norms2.tolist()
+        if not all(0.0 < x < math.inf for x in norms2):
+            # A column of the solve depends on its own normal only, so a
+            # NaN or an infinity reaches the norm of that normal alone.
+            bad = [i for i, x in enumerate(norms2) if not x < math.inf]
+            if bad:
+                raise NonFiniteError(f"non-finite normals at indices {bad}", bad)
+            bad = [i for i, x in enumerate(norms2) if x <= 0.0]
             raise DegenerateNormalsError(f"zero-norm normals at indices {bad}", bad)
         self.scales = 1.0 / np.sqrt(self.norms2)
         if p is not None:
@@ -201,6 +212,8 @@ class ContactFrame:
             self.dual_p = duals[k]
             self.a = self.duals @ self.p
             self.p_norm2 = float(self.p @ self.dual_p)
+            if not self.p_norm2 < math.inf:
+                raise NonFiniteError("non-finite momentum")
 
     def __len__(self) -> int:
         return self.rows.shape[0]

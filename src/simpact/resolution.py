@@ -139,14 +139,72 @@ class ImpactOutcome:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """All distinct minimal-sequence outcomes found by depth-first search."""
+    """All distinct minimal-sequence outcomes found by depth-first search.
+
+    A result of :func:`enumerate_outcomes` keeps its outcomes as their
+    per-contact impulse sums, sequences and impulses, and forms the
+    :class:`ImpactOutcome` objects on the first read of ``outcomes``;
+    a measure that needs only the sums (:meth:`impulse_sums`) forms
+    none.
+    """
 
     outcomes: tuple[ImpactOutcome, ...]
     truncated: bool
     branches_explored: int
 
+    @classmethod
+    def _of_leaves(cls, frame, sums, leaves, truncated, explored):
+        """A search's result, its outcomes not yet formed.
+
+        ``sums`` holds the kept leaves' impulse sums in ``frame``, one
+        row each, and ``leaves`` their ``(sequence, impulses)`` pairs.
+        """
+        result = object.__new__(cls)
+        object.__setattr__(result, "truncated", truncated)
+        object.__setattr__(result, "branches_explored", explored)
+        object.__setattr__(result, "_leaves", (frame, sums, leaves))
+        return result
+
+    def __getattr__(self, name):
+        # Reached only for an attribute not set: a search's outcomes
+        # before their first read.
+        leaves = self.__dict__.get("_leaves")
+        if name != "outcomes" or leaves is None:
+            raise AttributeError(name)
+        frame, sums, pairs = leaves
+        outcomes = tuple(
+            ImpactOutcome(
+                p_plus=frame.momentum(lam),
+                sequence=sequence,
+                impulses=impulses,
+                status=CascadeStatus.CONVERGED,
+                kind=ImpactKind.ELASTIC,
+            )
+            for lam, (sequence, impulses) in zip(sums, pairs)
+        )
+        object.__setattr__(self, "outcomes", outcomes)
+        return outcomes
+
     def __len__(self) -> int:
-        return len(self.outcomes)
+        leaves = self.__dict__.get("_leaves")
+        return len(self.outcomes) if leaves is None else len(leaves[2])
+
+    def impulse_sums(self, k: int) -> np.ndarray:
+        """Per-contact impulse sums over ``k`` normals, one row per outcome.
+
+        Outcome ``i`` is ``p + impulse_sums(k)[i] @ normals``. Each sum
+        adds the outcome's impulses in ``sequence`` order, as the search
+        does, so a search's sums and those of its formed outcomes are
+        bitwise the same.
+        """
+        leaves = self.__dict__.get("_leaves")
+        if leaves is not None:
+            return leaves[1]
+        sums = np.zeros((len(self.outcomes), k))
+        for row, out in zip(sums, self.outcomes):
+            for i, step in zip(out.sequence, out.impulses):
+                row[i] += step
+        return sums
 
 
 def reflect(metric: mt.KineticMetric, p, u) -> tuple[np.ndarray, float]:
@@ -420,18 +478,9 @@ def enumerate_outcomes(
         return EnumerationResult((), truncated, explored)
 
     lams = np.array([leaf[0] for leaf in leaves])
-    kept = _first_of_clusters(frame, lams, dedup_tol)
-    outcomes = tuple(
-        ImpactOutcome(
-            p_plus=frame.momentum(lams[i]),
-            sequence=leaves[i][1],
-            impulses=leaves[i][2],
-            status=CascadeStatus.CONVERGED,
-            kind=ImpactKind.ELASTIC,
-        )
-        for i in np.flatnonzero(kept)
-    )
-    return EnumerationResult(outcomes, truncated, explored)
+    kept = np.flatnonzero(_first_of_clusters(frame, lams, dedup_tol))
+    pairs = [leaves[i][1:] for i in kept.tolist()]
+    return EnumerationResult._of_leaves(frame, lams[kept], pairs, truncated, explored)
 
 
 def _first_of_clusters(frame: mt.ContactFrame, lams: np.ndarray, dedup_tol: float) -> np.ndarray:

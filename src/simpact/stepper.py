@@ -443,8 +443,10 @@ def _newton(fun, x0, tol, jac, slot=None, floor=None):
     The last call of ``fun`` is at the returned point, so callers may
     keep what that evaluation computed.
     ``floor(x)``, when given, is the rounding floor of the residual at
-    ``x``: a point whose line search stalls is accepted when its
-    residual norm is within it, since no step can then lower it.
+    ``x``: a point where the full step of a fresh Jacobian fails is
+    accepted when its residual norm is within the floor, since no step
+    can then lower it; otherwise, and in a solve without a floor, the
+    step is halved.
     Raises :class:`StepFailureError` with the last residual norm when it
     cannot reduce the residual below ``tol`` in :data:`NEWTON_MAX_ITER`
     iterations.
@@ -494,11 +496,13 @@ def _newton(fun, x0, tol, jac, slot=None, floor=None):
             if not fresh:
                 dx, fresh = None, True
                 continue
+            # No step lowers a residual within its rounding floor, and
+            # the floor depends on x alone: test it before any halving.
+            if alpha == 1.0 and floor is not None and rn <= floor(x):
+                fun(x)
+                return x
             alpha *= 0.5
             if alpha < 1e-8:
-                if floor is not None and rn <= floor(x):
-                    fun(x)
-                    return x
                 raise StepFailureError("step rejected by line search", rn, it)
             step = alpha * dx
     if rn <= tol:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import metric as mt
 from .errors import DegenerateNormalsError, VerificationError
-from .resolution import CascadePolicy, _walk, enumerate_outcomes
+from .resolution import CascadePolicy, EnumerationResult, _walk, enumerate_outcomes
 
 #: Default classification tolerance on unit-normalized inner products.
 #: Configuration-dependent metrics rarely reach exact zeros after
@@ -26,7 +26,7 @@ from .resolution import CascadePolicy, _walk, enumerate_outcomes
 CLASSIFY_TOL = 1e-9
 
 #: Elements of one block of outcome differences in :func:`outcome_xi`.
-XI_BLOCK = 1 << 16
+XI_BLOCK = 1 << 15
 
 #: Default reflection-depth cap of the pairwise outcome enumeration.
 PAIRWISE_DEPTH_CAP = 16
@@ -102,37 +102,57 @@ def indeterminacy_xi(metric: mt.KineticMetric, p_minus, u, v) -> float:
     return frame.distance(lam_1, lam_2) / p_norm
 
 
-def outcome_xi(metric: mt.KineticMetric, p_minus, outcomes) -> tuple[float, float]:
+def outcome_xi(
+    metric: mt.KineticMetric, p_minus, normals, found: EnumerationResult
+) -> tuple[float, float]:
     """Max and mean normalized metric distance over every outcome pair.
 
-    One solve against the mass matrix gives the duals of ``p_minus`` and
-    of every outcome. Multiplied by the Cholesky factor ``L`` of the
-    mass matrix (``M = L L^T``), the duals become points whose Euclidean
-    distances are the metric distances of the outcomes. The pairwise
-    differences of these points are taken in blocks of rows of at most
-    :data:`XI_BLOCK` elements, so the work is quadratic in the outcome
-    count but the memory only linear. Differences are taken before the
-    norm, so near-equal outcomes do not lose their distance to the
-    cancellation of two large norms.
+    ``found`` holds outcomes of an impact of ``p_minus`` on ``normals``,
+    as :func:`enumerate_outcomes` returns them. Outcomes differ from
+    ``p_minus`` only inside the span of the k normals, so each is
+    measured by its impulse sums ``Λ`` (:meth:`EnumerationResult.impulse_sums`),
+    with no outcome momentum formed. With ``L`` the Cholesky factor of
+    the mass matrix, the Gram matrix of the normals is ``W^T W`` for
+    ``W = (duals @ L)^T``, so the factor ``R`` of a QR decomposition of
+    ``W`` gives ``G = R^T R``, and ``|ΔΛ R^T|`` is the metric distance of
+    two outcomes. ``R`` comes from the metric's frame of ``normals`` and
+    ``p_minus``, which the enumeration has built, so no mass-matrix solve
+    is made. The pairwise differences of the points ``Λ R^T`` are taken
+    one coordinate at a time, in blocks of rows of at most
+    :data:`XI_BLOCK` elements: O(m²·k) work in O(m·k) memory. Differences
+    are taken before the norm, so near-equal outcomes do not lose their
+    distance to the cancellation of two large norms.
     """
-    stacked = np.array([metric._check(p_minus)] + [out.p_plus for out in outcomes])
-    duals = np.linalg.solve(metric.mass, stacked.T).T
-    p_norm = math.sqrt(max(float(stacked[0] @ duals[0]), 0.0))
-    m = len(outcomes)
+    frame = metric.frame(normals, p_minus)
+    p_norm = math.sqrt(max(frame.p_norm2, 0.0))
+    sums = found.impulse_sums(len(frame))
+    m = len(sums)
     if p_norm == 0.0 or m < 2:
         return 0.0, 0.0
-    points = duals[1:] @ metric.chol
+    r = np.linalg.qr((frame.duals @ metric.chol).T, mode="r")
+    # One contiguous row of coordinates per column of R^T.
+    coords = r @ sums.T
     worst = 0.0
     total = 0.0
     start = 0
     while start < m - 1:
-        # Rows start..stop-1 against their later partners start+1..m-1;
-        # row r pairs with the columns c >= r of the block.
-        stop = min(m - 1, start + max(1, XI_BLOCK // ((m - start - 1) * metric.dim)))
-        diff = points[start:stop, None, :] - points[None, start + 1 :, :]
-        gaps = np.triu(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+        # Rows start..stop-1 against the outcomes start+1..m-1; the
+        # entries below the diagonal, each a pair counted in its other
+        # order or an outcome with itself, lie in the first stop - start
+        # columns.
+        stop = min(m - 1, start + max(1, XI_BLOCK // (m - start - 1)))
+        rows = stop - start
+        gaps = None
+        for x in coords:
+            diff = np.subtract.outer(x[start:stop], x[start + 1 :])
+            diff *= diff
+            if gaps is None:
+                gaps = diff
+            else:
+                gaps += diff
+        np.sqrt(gaps, out=gaps)
         worst = max(worst, float(gaps.max()))
-        total += float(gaps.sum())
+        total += float(gaps[:, rows:].sum()) + float(np.triu(gaps[:, :rows]).sum())
         start = stop
     return worst / p_norm, total / p_norm / (m * (m - 1) // 2)
 
@@ -144,12 +164,15 @@ def pairwise_xi(
 
     Extension of the two-contact measure: enumerates all minimal
     sequences and reports the normalized metric distances between every
-    outcome pair. Callers should flag results from this function as the
-    extension it is; callers that must report a truncated enumeration
-    run :func:`enumerate_outcomes` and :func:`outcome_xi` themselves.
+    outcome pair, by :func:`outcome_xi` from the outcomes' impulse sums,
+    so no :class:`ImpactOutcome` is formed and, after a resolve of the
+    same impact on ``metric``, no mass-matrix solve is made. Callers
+    should flag results from this function as the extension it is;
+    callers that must report a truncated enumeration run
+    :func:`enumerate_outcomes` and :func:`outcome_xi` themselves.
     """
-    result = enumerate_outcomes(metric, p_minus, normals, depth_cap)
-    return outcome_xi(metric, p_minus, result.outcomes)
+    found = enumerate_outcomes(metric, p_minus, normals, depth_cap)
+    return outcome_xi(metric, p_minus, normals, found)
 
 
 def verify_commutation(

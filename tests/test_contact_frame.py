@@ -13,6 +13,7 @@ import dataclasses
 import math
 import tracemalloc
 import types
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +26,7 @@ from simpact import metric as mt
 from simpact import resolution
 from simpact.cli import build_model, load_config
 from simpact.design import legtail_orthogonality_problem, solve_orthogonal, xi_at_optimum
-from simpact.errors import DegenerateNormalsError, DimensionError, SimpactError
+from simpact.errors import DegenerateNormalsError, DimensionError, NonFiniteError, SimpactError
 from simpact.models import BilliardsModel, LegTailModel, billiards_pair_inner
 from simpact.metric import (
     DEADBAND,
@@ -47,7 +48,14 @@ from simpact.resolution import (
     two_contact_reflection_bound,
 )
 from simpact.stepper import StepperConfig, _Sim
-from simpact.uniqueness import classify_pair, indeterminacy_xi, outcome_xi, verify_commutation
+from simpact.uniqueness import (
+    PAIRWISE_DEPTH_CAP,
+    classify_pair,
+    indeterminacy_xi,
+    outcome_xi,
+    pairwise_xi,
+    verify_commutation,
+)
 
 from conftest import pair_with_inner, random_metric, random_unit_covector
 
@@ -528,7 +536,7 @@ def test_enumeration_matches_reference(case):
         assert_close(got.impulses, ref_imp, _scale(ref_imp), rtol)
         assert is_feasible(metric, got.p_plus, normals, DEADBAND * p_scale)
     # Pairwise xi against distances taken one solve at a time.
-    xi_max, xi_mean = outcome_xi(metric, p, found.outcomes)
+    xi_max, xi_mean = outcome_xi(metric, p, normals, found)
     gaps = [
         norm(metric, a[0] - b[0]) / norm(metric, p)
         for i, a in enumerate(ref_out)
@@ -699,7 +707,7 @@ def test_many_contact_enumeration_matches_prior_loop(seed, k, kind, extra, depth
             want.kind,
         )
         np.testing.assert_array_equal(got.p_plus, want.p_plus)
-    xi = outcome_xi(metric, p, found.outcomes)
+    xi = outcome_xi(metric, p, normals, found)
     ref_xi = stacked_difference_xi(metric, p, ref.outcomes)
     assert xi == pytest.approx(ref_xi, rel=RTOL, abs=0.0)
 
@@ -727,12 +735,13 @@ def test_many_outcomes_in_one_solve_and_linear_memory(mass_solves):
     solves, found = mass_solves(metric, lambda: enumerate_outcomes(metric, p, normals, 16))
     assert len(found) >= 500 and not found.truncated
     assert solves == 1
-    solves, _ = mass_solves(metric, lambda: outcome_xi(metric, p, found.outcomes))
-    assert solves == 1
+    # The measure reads the frame the enumeration built.
+    solves, _ = mass_solves(metric, lambda: outcome_xi(metric, p, normals, found))
+    assert solves == 0
     # Every pairwise difference at once would take about 225k rows.
     tracemalloc.start()
     try:
-        xi_max, xi_mean = outcome_xi(metric, p, found.outcomes)
+        xi_max, xi_mean = outcome_xi(metric, p, normals, found)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -759,9 +768,98 @@ def test_many_outcome_instance_matches_prior_loop():
     assert (found.truncated, found.branches_explored) == (False, 2771)
     assert ref.branches_explored == 2771
     _assert_same_outcomes(found.outcomes, ref.outcomes)
-    xi = outcome_xi(metric, p, found.outcomes)
+    xi = outcome_xi(metric, p, normals, found)
     ref_xi = stacked_difference_xi(metric, p, ref.outcomes)
     assert xi == pytest.approx(ref_xi, rel=RTOL, abs=0.0)
+
+
+def test_measure_after_a_resolve_solves_nothing_and_forms_no_outcome(mass_solves, monkeypatch):
+    metric, normals, p = generated_four_contact_instance()
+    inelastic_resolve(metric, p, normals, 0.5)
+    formed = []
+    init = ImpactOutcome.__init__
+
+    def counted(self, *args, **kwargs):
+        formed.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ImpactOutcome, "__init__", counted)
+    solves, xi = mass_solves(metric, lambda: pairwise_xi(metric, p, normals))
+    assert (solves, formed) == (0, [])
+    # The same measure from outcomes formed by the same search.
+    found = enumerate_outcomes(metric, p, normals, PAIRWISE_DEPTH_CAP)
+    assert formed == [] and len(found) == 671
+    outcomes = found.outcomes
+    assert len(formed) == 671 and found.outcomes is outcomes
+    sums = found.impulse_sums(4)
+    rebuilt = EnumerationResult(outcomes, found.truncated, found.branches_explored)
+    assert rebuilt.impulse_sums(4).tobytes() == sums.tobytes()
+    assert outcome_xi(metric, p, normals, rebuilt) == xi
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 4), extra=st.integers(-1, 4))
+def test_pairwise_xi_matches_stacked_differences(seed, k, extra):
+    # Random normals in a random metric of k - 1 to 8 dimensions: the
+    # contact-span measure against every pairwise difference taken in
+    # n-space.
+    rng = np.random.default_rng(seed)
+    n = k + extra
+    metric = random_metric(rng, n)
+    normals = list(rng.standard_normal((k, n)))
+    p = -rng.uniform(0.5, 1.5, k) @ np.array(normals) + 0.3 * rng.standard_normal(n)
+    found = enumerate_outcomes(metric, p, normals, 8)
+    ref = stacked_difference_xi(metric, p, found.outcomes)
+    assert pairwise_xi(metric, p, normals, 8) == pytest.approx(ref, rel=RTOL, abs=0.0)
+
+
+def _exact_solve(a, b):
+    """``a^-1 b`` in exact rational arithmetic, by Gauss-Jordan elimination."""
+    n = len(a)
+    aug = [[Fraction(x) for x in row + rhs] for row, rhs in zip(a, b)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c] / aug[c][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [[x / aug[r][r] for x in aug[r][n:]] for r in range(n)]
+
+
+def exact_outcome_xi(metric, p, normals, sums):
+    """Max and mean xi of the outcomes ``p + sums[i] @ normals``, each
+    pair's squared distance exact in rationals from the float inputs."""
+    rows = [[Fraction(x) for x in u.tolist()] for u in list(normals) + [p]]
+    duals = _exact_solve(metric.mass.tolist(), [list(c) for c in zip(*rows)])
+    gram = [[sum(a * d[j] for a, d in zip(row, duals)) for j in range(len(rows))] for row in rows]
+    k = len(normals)
+    lams = [[Fraction(x) for x in row] for row in sums.tolist()]
+    dist = []
+    for i, a in enumerate(lams):
+        for b in lams[i + 1 :]:
+            d = [x - y for x, y in zip(a, b)]
+            dist.append(math.sqrt(sum(d[r] * gram[r][c] * d[c] for r in range(k) for c in range(k))))
+    p_norm = math.sqrt(gram[k][k])
+    return max(dist) / p_norm, sum(dist) / len(dist) / p_norm
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 3), digits=st.floats(3.0, 9.0))
+def test_near_parallel_measure_matches_exact_arithmetic(seed, k, digits):
+    # Two normals at unit cosine 1 - 10^-digits, and a third for k = 3.
+    rng = np.random.default_rng(seed)
+    metric = random_metric(rng, int(rng.integers(k, 6)))
+    units = list(pair_with_inner(metric, rng, 1.0 - 10.0 ** -digits))
+    units += [random_unit_covector(metric, rng)] * (k - 2)
+    normals = [s * u for s, u in zip(rng.uniform(0.5, 2.0, k), units)]
+    p = -rng.uniform(0.5, 1.5, k) @ np.array(units) + 0.3 * rng.standard_normal(metric.dim)
+    found = enumerate_outcomes(metric, p, normals, 16)
+    if len(found) < 2:
+        assert outcome_xi(metric, p, normals, found) == (0.0, 0.0)
+        return
+    want = exact_outcome_xi(metric, p, normals, found.impulse_sums(k))
+    assert outcome_xi(metric, p, normals, found) == pytest.approx(want, rel=1e-6, abs=0.0)
 
 
 def test_branch_budget_truncates_to_a_prefix(monkeypatch):
@@ -882,7 +980,7 @@ PUBLIC_CALLS = {
     "classify_pair": lambda m, p, u, v: classify_pair(m, u, v),
     "two_contact_reflection_bound": lambda m, p, u, v: two_contact_reflection_bound(m, u, v),
     "outcome_xi": lambda m, p, u, v: outcome_xi(
-        m, p, enumerate_outcomes(m, p, [u, v], 64).outcomes
+        m, p, [u, v], enumerate_outcomes(m, p, [u, v], 64)
     ),
 }
 
@@ -896,8 +994,8 @@ def test_each_call_solves_once(rng, mass_solves, name):
     # a metric that keeps none.
     cold = KineticMetric(metric.mass)
     solves, _ = mass_solves(cold, lambda: PUBLIC_CALLS[name](cold, p, u, v))
-    # outcome_xi also runs the enumeration that feeds it.
-    assert solves == (2 if name == "outcome_xi" else 1)
+    # outcome_xi reads the frame of the enumeration that feeds it.
+    assert solves == 1
 
 
 @pytest.mark.parametrize("masses", [[1.0, 0.01, 1.0, 1.0], [1.0, 0.3, 1.0, 0.5, 1.0]])
@@ -1148,6 +1246,16 @@ ERROR_CASES = {
         lambda u, v: [u, v], lambda p: p[:2],
         DimensionError, "covector of shape (2,) does not match metric dim 3",
     ),
+    # A NaN passes every comparison test of the resolvers as false: the
+    # frame rejects it, so that no NaN outcome reads as converged.
+    "nan-normal": (
+        lambda u, v: [np.array([math.nan, 1.0, 0.0]), v], lambda p: p,
+        NonFiniteError, "non-finite normals at indices [0]",
+    ),
+    "nan-momentum": (
+        lambda u, v: [u, v], lambda p: np.array([math.nan, 0.0, 0.0]),
+        NonFiniteError, "non-finite momentum",
+    ),
 }
 
 FRAME_CALLS = {
@@ -1160,6 +1268,7 @@ FRAME_CALLS = {
     "classify_pair": lambda m, p, n: classify_pair(m, *n),
     "two_contact_reflection_bound": lambda m, p, n: two_contact_reflection_bound(m, *n),
     "verify_commutation": lambda m, p, n: verify_commutation(m, *n, samples=2),
+    "pairwise_xi": lambda m, p, n: pairwise_xi(m, p, n + [np.array([1.0, 0.0, 1.0])]),
 }
 
 
@@ -1172,7 +1281,8 @@ def test_bad_input_raises_as_a_fresh_frame_does(case, name):
     p = np.array([-1.0, -1.0, 0.2])
     kept = metric.frame([u, v], p)
     call = FRAME_CALLS[name]
-    if case == "p-length" and name in ("classify_pair", "two_contact_reflection_bound", "verify_commutation"):
+    takes_no_momentum = name in ("classify_pair", "two_contact_reflection_bound", "verify_commutation")
+    if case in ("p-length", "nan-momentum") and takes_no_momentum:
         call(metric, p_of(p), normals_of(u, v))  # these take no momentum
     else:
         with pytest.raises(error) as err:

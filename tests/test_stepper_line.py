@@ -268,3 +268,40 @@ def test_newton_on_a_float_is_bitwise_the_one_element_array(fun, jac, floor, out
     if outcome == "implicit step did not converge":
         assert result[3] == stepper.NEWTON_MAX_ITER == 60
         assert len(iterates) == 61
+
+
+@pytest.mark.parametrize("floor, evaluations", [(None, 28), (0.5, 28), (2.0, 3)])
+def test_floor_is_tested_before_the_line_search_halves(floor, evaluations):
+    # A Jacobian of the wrong sign: the fresh full step fails. Within the
+    # floor the point is accepted at once; above it, or with no floor,
+    # the step is halved 26 times before the search gives up.
+    iterates, _ = _newton_trace(1.0, lambda x: 1.0 * x, lambda x: -1.0,
+                                None if floor is None else (lambda x: floor))
+    assert len(iterates) == evaluations
+
+
+class _CountingBall(BallModel):
+    evaluations = 0
+
+    def potential_gradient(self, q):
+        type(self).evaluations += 1
+        return super().potential_gradient(q)
+
+
+def test_stalled_far_steps_stop_at_the_floor():
+    # Dropped from 1e6 m under a force sampler, every step lands within
+    # its rounding floor after one Newton step, far above the tolerance.
+    # The halving search tried 26 more residuals per step; the floor now
+    # stops each step after the kept and the fresh Jacobian's steps fail.
+    _CountingBall.evaluations = 0
+    traj = stepper.simulate(_CountingBall(1.0), [1e6], [0.0], 1.0, StepperConfig(h=0.01),
+                            forces=lambda q, v, t: np.array([0.0]))
+    steps = len(traj.times) - 1
+    assert steps == 100
+    assert _CountingBall.evaluations <= 5 * steps
+    # Exact flight; the halving search's states lay within 1e-13 of it.
+    exact = 1e6 - 0.5 * 9.81 * traj.times ** 2
+    np.testing.assert_allclose(traj.states[:, 0], exact, rtol=1e-12, atol=0.0)
+    # Node momenta difference positions near 1e6, which rounds by about
+    # eps * |q| * M / h = 2e-8 per step.
+    np.testing.assert_allclose(traj.momenta[:, 0], -9.81 * traj.times, rtol=0.0, atol=1e-6)
