@@ -196,7 +196,7 @@ class ContactFrame:
         self.rows = rows
         self.duals = duals[:k]
         self.gram = 0.5 * (gram + gram.T)
-        self.norms2 = np.diag(self.gram).copy()
+        self.norms2 = self.gram.diagonal().copy()
         norms2 = self.norms2.tolist()
         if not all(0.0 < x < math.inf for x in norms2):
             # A column of the solve depends on its own normal only, so a

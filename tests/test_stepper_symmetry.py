@@ -18,10 +18,10 @@ points): for the reversal 2.4e-11 (cradle), 2.6e-10 (ball) and 1.1e-9
 and 2.0e-10 (leg-tail), over all three restitutions.
 
 Two known defects are left out of the random runs and pinned by the
-strict xfail tests at the end: a run whose step fails (ROADMAP items 1
-and 7), and a run with an event so near a node that the substep beside
-it forms its node momentum from positions differenced over a small
-fraction of the step.
+strict xfail tests at the end: a run whose step fails, forward or
+reversed (ROADMAP items 1 and 7), and a run with an event so near a
+node that the substep beside it forms its node momentum from positions
+differenced over a small fraction of the step.
 """
 
 import math
@@ -109,11 +109,19 @@ def test_elastic_single_contact_run_retraces_itself(name, u):
     model, q0, duration, cfg, forward = _run(name, u, 1.0)
     assume(forward.events and not forward.holds)
     assume(all(len(ev.contacts) == 1 and ev.forced is None for ev in forward.events))
-    q_end, p_end = forward.states[-1], forward.momenta[-1]
-    qdot_back = np.linalg.solve(model.mass_matrix(q_end), -p_end)
-    back = simulate(model, q_end, qdot_back, duration, cfg)
+    try:
+        back = _reversed(model, duration, cfg, forward)
+    except (ImpactLocationError, StepFailureError):
+        assume(False)
     assert len(back.events) == len(forward.events)
     assert np.abs(back.states[-1] - q0).max() <= REVERSAL_BOUND[name] * cfg.newton_tol
+
+
+def _reversed(model, duration, cfg, forward):
+    """The run from the end of ``forward`` with its momentum reversed."""
+    q_end, p_end = forward.states[-1], forward.momenta[-1]
+    qdot_back = np.linalg.solve(model.mass_matrix(q_end), -p_end)
+    return simulate(model, q_end, qdot_back, duration, cfg)
 
 
 def _momentum_map(name, momenta):
@@ -162,3 +170,18 @@ def test_event_near_a_node_keeps_the_momentum_map(name, restitution, u):
     cfg = StepperConfig(h=H, restitution=restitution)
     momentum = _momentum_map(name, simulate(model, q0, qdot0, duration, cfg).momenta)
     assert np.abs(momentum - momentum[0]).max() <= MOMENTUM_BOUND[name] * cfg.newton_tol
+
+
+@pytest.mark.xfail(strict=True, raises=ImpactLocationError,
+                   reason="impact localization has no rounding floor (ROADMAP item 7)")
+def test_reversed_legtail_run_locates_every_impact():
+    # The forward run completes with 25 single-contact elastic events;
+    # the reversed run's localization stalls at its rounding and its line
+    # search rejects the step.
+    model, q0, qdot0, duration = _legtail([0.0, 1e-7, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    cfg = StepperConfig(h=H, restitution=1.0)
+    forward = simulate(model, q0, qdot0, duration, cfg)
+    assert len(forward.events) == 25 and not forward.holds
+    back = _reversed(model, duration, cfg, forward)
+    assert len(back.events) == len(forward.events)
+    assert np.abs(back.states[-1] - q0).max() <= REVERSAL_BOUND["legtail"] * cfg.newton_tol
